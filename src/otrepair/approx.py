@@ -11,7 +11,11 @@ the grouping:
 - y's conditional law given any group equals nu0 by construction, and
 - the achieved squared distance equals the weighted sum of squared
   Wasserstein distances from the group laws to nu0, which lower-bounds
-  every independent candidate.
+  every independent candidate with law nu0.
+
+In 1-D the default nu0 is the exact barycenter, so the result is the
+global optimum; for m >= 2 the default nu0 is optimal only among
+measures on the union of the group supports.
 
 ``decompose_solve`` runs the same construction through the orthogonal
 split of x into its per-group mean and the centered remainder; its
@@ -20,20 +24,22 @@ self-consistency check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .barycenter import (
+    _check_support,
     default_support,
     entropic_weights,
     fixed_support_weights,
     free_support_points,
-    objective,
     quantile_exact_measure,
     quantile_grid_measure,
 )
 from .errors import (
+    ConfigConflictError,
+    DatasetMismatchError,
     DimensionNotOneError,
     IndexOutOfRangeError,
     MissingUError,
@@ -50,7 +56,7 @@ from .measure import (
     mean,
     mixture,
 )
-from .ot import cost_matrix, solve_comonotone_1d, solve_exact
+from .ot import cost_matrix, optimal_coupling
 
 __all__ = [
     "Disintegration",
@@ -63,6 +69,7 @@ __all__ = [
     "transform",
     "transform_grid",
     "decompose_solve",
+    "match_rows",
 ]
 
 
@@ -87,9 +94,10 @@ def lower_bound(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
 
     No variable with law nu that is independent of the grouping can be
     closer to x in squared L2 than this value; the pipeline's construction
-    attains it.  Identical computation to :func:`otrepair.barycenter.objective`.
+    attains it.  Each distance is the cost of :func:`otrepair.ot.optimal_coupling`,
+    the same couplings :func:`build` uses.
     """
-    return objective(family, nu)
+    return float(sum(a.p * optimal_coupling(a.law, nu).cost for a in family.atoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +123,8 @@ class IndependentApproximation:
     """Everything needed to sample the repaired variable.
 
     ``achieved_distance_sq`` is accumulated through the disintegrations
-    and agrees with ``lower_bound`` (the weighted sum of per-atom squared
-    Wasserstein distances to nu0) up to float noise; ``mean_y`` equals
+    and agrees with ``lower_bound`` (the weighted sum of the per-atom
+    optimal coupling costs to nu0) up to float noise; ``mean_y`` equals
     ``mean_x`` by construction of nu0.
     """
 
@@ -151,12 +159,13 @@ class SampledOutput:
 
 
 def _resolve_method(method: str, dim: int) -> str:
+    """The barycenter backend for ``method`` on data of dimension ``dim``."""
     if method == "auto":
         return "quantile1d" if dim == 1 else "exact"
     if method == "quantile1d" and dim != 1:
         raise DimensionNotOneError("method quantile1d requires 1-D data")
     if method not in ("exact", "entropic", "free", "quantile1d"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigConflictError(f"unknown method {method!r}")
     return method
 
 
@@ -170,20 +179,15 @@ def _solve_barycenter(
     resolution: int | None,
     k: int | None,
     init_seed: int,
-    solver: str,
 ):
     """Dispatch to a barycenter backend; returns (nu0, iters, conv, lp_value, tag)."""
-    if all(a.law.n == 1 for a in family.atoms) and method in ("exact", "quantile1d"):
-        # every conditional law is a point mass: the optimum is the mean
-        point = sum(a.p * a.law.support[0] for a in family.atoms)
-        return dirac(point), 0, True, None, "dirac_closed_form"
     if method == "quantile1d":
         if resolution is None:
             return quantile_exact_measure(family), 0, True, None, "quantile_exact"
         return quantile_grid_measure(family, resolution), 0, True, None, "quantile_grid"
     if method == "exact":
         S = default_support(family) if support is None else support
-        nu0, nit, fun = fixed_support_weights(family, S, solver=solver)
+        nu0, nit, fun = fixed_support_weights(family, S)
         return nu0, nit, True, fun, "fixed_support_exact"
     if method == "entropic":
         S = default_support(family) if support is None else support
@@ -193,7 +197,14 @@ def _solve_barycenter(
         kk = mixture(family).n if k is None else k
         nu0, nit, conv, _hist = free_support_points(family, kk, init_seed, max_iter, tol)
         return nu0, nit, conv, None, "free_support"
-    raise ValueError(f"unknown method {method!r}")
+    raise ConfigConflictError(f"unknown method {method!r}")
+
+
+def _disintegration(atom: ConditionalAtom, alpha, ladder_order) -> Disintegration:
+    """Row conditionals ``alpha`` with their cumulative ladders in ``ladder_order``."""
+    ladder = np.cumsum(alpha[:, ladder_order], axis=1)
+    ladder[:, -1] = np.maximum(ladder[:, -1], 1.0)
+    return Disintegration(atom.label, atom.law, alpha, ladder)
 
 
 def _disintegrate(
@@ -211,9 +222,7 @@ def _disintegrate(
         alpha[ok] = g[ok] / row_mass[ok, None]
         # zero-mass rows are unconstrained; give them nu0 itself
         alpha[~ok] = nu0.weights
-        ladder = np.cumsum(alpha[:, ladder_order], axis=1)
-        ladder[:, -1] = np.maximum(ladder[:, -1], 1.0)
-        out[atom.label] = Disintegration(atom.label, atom.law, alpha, ladder)
+        out[atom.label] = _disintegration(atom, alpha, ladder_order)
     return out
 
 
@@ -238,35 +247,23 @@ def _assemble(
     iterations: int,
     converged: bool,
     lp_value: float | None,
-    decomposition: dict | None = None,
 ) -> IndependentApproximation:
-    one_d = family.dim == 1
-    couplings = [
-        (solve_comonotone_1d if one_d else solve_exact)(a.law, nu0)
-        for a in family.atoms
-    ]
+    couplings = [optimal_coupling(a.law, nu0) for a in family.atoms]
     ladder_order = np.lexsort(nu0.support.T[::-1])
     disintegrations = _disintegrate(family, nu0, couplings, ladder_order)
-    achieved = _achieved_from_disintegrations(family, nu0, disintegrations)
-    if one_d:
-        # independent route: the generic simplex solver, not the 1-D closed form
-        lb = lower_bound(family, nu0)
-    else:
-        lb = float(sum(a.p * s.cost for a, s in zip(family.atoms, couplings)))
     return IndependentApproximation(
         family=family,
         nu0=nu0,
         disintegrations=disintegrations,
         ladder_order=ladder_order,
-        achieved_distance_sq=achieved,
-        lower_bound=lb,
+        achieved_distance_sq=_achieved_from_disintegrations(family, nu0, disintegrations),
+        lower_bound=float(sum(a.p * s.cost for a, s in zip(family.atoms, couplings))),
         mean_x=np.asarray(mean_x, dtype=float),
         mean_y=mean(nu0),
         method=method_tag,
         barycenter_iterations=iterations,
         barycenter_converged=converged,
         lp_objective=lp_value,
-        decomposition=decomposition,
     )
 
 
@@ -281,7 +278,6 @@ def build(
     resolution: int | None = None,
     k: int | None = None,
     init_seed: int = 0,
-    solver: str = "highs",
 ) -> IndependentApproximation:
     """Construct the best independent approximation of a dataset.
 
@@ -292,20 +288,69 @@ def build(
     the translation never increases the objective and makes the mean
     identity exact.  Per-atom couplings to the final nu0 are always
     exact (the comonotone closed form when m = 1, the network simplex
-    otherwise).
+    otherwise), and ``lower_bound`` is the weighted sum of their costs.
     """
     family = estimate_conditionals(data)
     resolved = _resolve_method(method, data.dim)
+    mean_x = data.mean_x()
+    if resolved in ("exact", "quantile1d") and all(a.law.n == 1 for a in family.atoms):
+        # every conditional law is a point mass: the optimum is the mean
+        point = sum(a.p * a.law.support[0] for a in family.atoms)
+        return _assemble(family, dirac(point), mean_x, "dirac_closed_form", 0, True, None)
     nu0, iters, conv, lp_value, tag = _solve_barycenter(
         family, resolved, support, epsilon, max_iter, tol, resolution, k,
-        init_seed, solver,
+        init_seed,
     )
-    mean_x = data.mean_x()
-    if tag != "dirac_closed_form":
-        # recentring: W2^2 to every atom drops by |shift|^2 jointly, and
-        # the mean of nu0 becomes the mean of x exactly
-        nu0 = nu0.translate(mean_x - mean(nu0))
+    # recentring: W2^2 to every atom drops by |shift|^2 jointly, and
+    # the mean of nu0 becomes the mean of x exactly
+    nu0 = nu0.translate(mean_x - mean(nu0))
     return _assemble(family, nu0, mean_x, tag, iters, conv, lp_value)
+
+
+def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
+    """Each group's row positions, checked to be the rows the approximation
+    was built from (rows pair with atom support points by index).
+
+    Raises :class:`DatasetMismatchError`, or its subclasses
+    :class:`UnknownGroupError` and :class:`UnseenValueError`.
+    """
+    rows_of = {}
+    for label in data.labels:
+        dis = approx.disintegrations.get(label)
+        if dis is None:
+            raise UnknownGroupError(label)
+        rows = data.group_rows(label)
+        if len(rows) != dis.law.n or not np.array_equal(data.x[rows], dis.law.support):
+            raise UnseenValueError(
+                f"group {label!r} does not match the support the "
+                "approximation was built from"
+            )
+        rows_of[label] = rows
+    if len(rows_of) != len(approx.disintegrations):
+        raise DatasetMismatchError("dataset groups differ from the approximation's")
+    return rows_of
+
+
+def _lookup(
+    approx: IndependentApproximation,
+    label,
+    source: np.ndarray,
+    u: np.ndarray,
+) -> np.ndarray:
+    """nu0 points drawn at ``u[i]`` from the ladder row ``source[i]`` of ``label``.
+
+    A draw is the first ladder position whose cumulative weight reaches u.
+    Complex numbers sort lexicographically, so one exact ``searchsorted``
+    over the sorted keys ``row + 1j * cum`` finds it for every query
+    ``source + 1j * u`` (overshooting into the next row clamps to the end).
+    """
+    ladder = approx.disintegrations[label].ladder
+    n, K = ladder.shape
+    keys = np.empty((n, K), dtype=complex)
+    keys.real = np.arange(n)[:, None]
+    keys.imag = ladder
+    pos = np.searchsorted(keys.ravel(), source + 1j * u, side="left") - source * K
+    return approx.nu0.support[approx.ladder_order[np.minimum(pos, K - 1)]]
 
 
 def sample_y(
@@ -329,9 +374,7 @@ def sample_y(
         )
     if not 0.0 <= u <= 1.0:
         raise UOutOfRangeError(f"u={u!r} outside [0, 1]")
-    cum = dis.ladder[source_index]
-    pos = min(int(np.searchsorted(cum, u, side="left")), len(cum) - 1)
-    return approx.nu0.support[approx.ladder_order[pos]].copy()
+    return _lookup(approx, group, np.array([source_index]), np.array([u], dtype=float))[0]
 
 
 def transform(
@@ -342,23 +385,13 @@ def transform(
     """Apply the approximation to a dataset, row by row.
 
     Rows are matched to atom support points by their index within the
-    group, so this expects the dataset the approximation was built from
-    (or a byte-identical one).  Uniform draws come from the dataset's u
-    column, else from a seeded generator; with neither, sampling is
-    refused rather than silently nondeterministic.
+    group (see :func:`match_rows`), so this expects the dataset the
+    approximation was built from (or a byte-identical one).  Uniform
+    draws come from the dataset's u column, else from a seeded generator;
+    with neither, sampling is refused rather than silently
+    nondeterministic.
     """
-    for label in data.labels:
-        if label not in approx.disintegrations:
-            raise UnknownGroupError(label)
-        dis = approx.disintegrations[label]
-        rows = data.group_rows(label)
-        if len(rows) != dis.law.n or not np.array_equal(
-            data.x[rows], dis.law.support
-        ):
-            raise UnseenValueError(
-                f"group {label!r} does not match the support the "
-                "approximation was built from"
-            )
+    rows_of = match_rows(approx, data)
     if data.u is not None:
         u = np.asarray(data.u, dtype=float)
     elif seed is not None:
@@ -367,15 +400,8 @@ def transform(
         raise MissingUError("dataset has no u column and no seed was given")
 
     y = np.empty((data.n_rows, approx.nu0.dim))
-    order = approx.ladder_order
-    support = approx.nu0.support
-    for label in data.labels:
-        dis = approx.disintegrations[label]
-        rows = data.group_rows(label)
-        # first ladder position with cumulative weight >= u
-        pos = np.sum(dis.ladder[np.arange(len(rows))] < u[rows, None], axis=1)
-        pos = np.minimum(pos, dis.ladder.shape[1] - 1)
-        y[rows] = support[order[pos]]
+    for label, rows in rows_of.items():
+        y[rows] = _lookup(approx, label, np.arange(len(rows)), u[rows])
     return SampledOutput(
         groups=data.groups, x=data.x, u=u, y=y, weights=data.weights
     )
@@ -394,36 +420,20 @@ def transform_grid(
     row, grid index fastest.
     """
     if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+        raise ConfigConflictError("resolution must be at least 1")
+    rows_of = match_rows(approx, data)
     grid = (np.arange(resolution) + 0.5) / resolution
-    n = data.n_rows
-    groups = []
-    x = np.repeat(data.x, resolution, axis=0)
-    weights = np.repeat(data.weights / resolution, resolution)
-    u = np.tile(grid, n)
-    y = np.empty((n * resolution, approx.nu0.dim))
-    order = approx.ladder_order
-    support = approx.nu0.support
-    for label in data.labels:
-        dis = approx.disintegrations[label]
-        rows = data.group_rows(label)
-        if len(rows) != dis.law.n or not np.array_equal(
-            data.x[rows], dis.law.support
-        ):
-            raise UnseenValueError(
-                f"group {label!r} does not match the support the "
-                "approximation was built from"
-            )
-        for i, r in enumerate(rows):
-            pos = np.minimum(
-                np.searchsorted(dis.ladder[i], grid, side="left"),
-                dis.ladder.shape[1] - 1,
-            )
-            y[r * resolution : (r + 1) * resolution] = support[order[pos]]
-    for g in data.groups:
-        groups.extend([g] * resolution)
+    y = np.empty((data.n_rows * resolution, approx.nu0.dim))
+    for label, rows in rows_of.items():
+        out_rows = (rows[:, None] * resolution + np.arange(resolution)).ravel()
+        source = np.repeat(np.arange(len(rows)), resolution)
+        y[out_rows] = _lookup(approx, label, source, np.tile(grid, len(rows)))
     return SampledOutput(
-        groups=tuple(groups), x=x, u=u, y=y, weights=weights
+        groups=tuple(g for g in data.groups for _ in range(resolution)),
+        x=np.repeat(data.x, resolution, axis=0),
+        u=np.tile(grid, data.n_rows),
+        y=y,
+        weights=np.repeat(data.weights / resolution, resolution),
     )
 
 
@@ -432,15 +442,11 @@ def decompose_solve(
     *,
     method: str = "auto",
     support=None,
-    epsilon: float = 0.01,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
-    resolution: int | None = None,
-    k: int | None = None,
-    init_seed: int = 0,
-    solver: str = "highs",
+    **options,
 ) -> IndependentApproximation:
     """Solve through the orthogonal decomposition of x.
+
+    Further keyword ``options`` are those of :func:`build`.
 
     Subtracts each group's conditional mean, builds the approximation of
     the centered data, and translates the result back by the global
@@ -462,55 +468,34 @@ def decompose_solve(
 
     inner_support = support
     if resolved in ("exact", "entropic"):
-        S = default_support(family) if support is None else np.asarray(support, float)
-        if S.ndim == 1:
-            S = S[:, None]
-        inner_support = S - mean_x[None, :]
+        S = default_support(family) if support is None else support
+        inner_support = _check_support(family, S) - mean_x[None, :]
 
-    inner = build(
-        centered,
-        method=resolved,
-        support=inner_support,
-        epsilon=epsilon,
-        max_iter=max_iter,
-        tol=tol,
-        resolution=resolution,
-        k=k,
-        init_seed=init_seed,
-        solver=solver,
-    )
+    inner = build(centered, method=resolved, support=inner_support, **options)
 
     between_var = float(
         sum(a.p * np.sum((atom_mean[a.label] - mean_x) ** 2) for a in family.atoms)
     )
     nu0 = inner.nu0.translate(mean_x)
     ladder_order = np.lexsort(nu0.support.T[::-1])
-    disintegrations = {}
-    for atom in family.atoms:
-        alpha = inner.disintegrations[atom.label].conditional
-        ladder = np.cumsum(alpha[:, ladder_order], axis=1)
-        ladder[:, -1] = np.maximum(ladder[:, -1], 1.0)
-        disintegrations[atom.label] = Disintegration(
-            atom.label, atom.law, alpha, ladder
+    disintegrations = {
+        atom.label: _disintegration(
+            atom, inner.disintegrations[atom.label].conditional, ladder_order
         )
-    achieved = _achieved_from_disintegrations(family, nu0, disintegrations)
-    if family.dim == 1:
-        lb = lower_bound(family, nu0)
-    else:
-        lb = inner.lower_bound + between_var
-    return IndependentApproximation(
+        for atom in family.atoms
+    }
+    # barycenter iterations, convergence and LP value carry over from inner
+    return replace(
+        inner,
         family=family,
         nu0=nu0,
         disintegrations=disintegrations,
         ladder_order=ladder_order,
-        achieved_distance_sq=achieved,
-        lower_bound=lb,
+        achieved_distance_sq=_achieved_from_disintegrations(family, nu0, disintegrations),
+        lower_bound=inner.lower_bound + between_var,
         mean_x=mean_x,
         mean_y=mean(nu0),
         method=f"decomposed[{inner.method}]",
-        barycenter_iterations=inner.barycenter_iterations,
-        barycenter_converged=inner.barycenter_converged,
-        lp_objective=inner.lp_objective,
         decomposition={
             "between_variance": between_var,
             "centered_achieved": inner.achieved_distance_sq,

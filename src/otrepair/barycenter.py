@@ -32,16 +32,16 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .densesimplex import solve_standard_form
 from .errors import (
+    ConfigConflictError,
     DimensionMismatchError,
     DimensionNotOneError,
     LpInfeasibleError,
     SolverFailureError,
     SupportDimensionMismatchError,
 )
-from .measure import ConditionalFamily, DiscreteMeasure, coalesce, mixture
-from .ot import cost_matrix, solve_comonotone_1d, solve_exact, wasserstein_sq
+from .measure import ConditionalAtom, ConditionalFamily, DiscreteMeasure, coalesce, mixture
+from .ot import _logsumexp, cost_matrix, optimal_coupling, solve_exact, wasserstein_sq
 
 __all__ = [
     "BarycenterResult",
@@ -87,13 +87,6 @@ class BarycenterResult:
             )
 
 
-def _exact_pair_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact W2^2; the 1-D closed form where available, simplex otherwise."""
-    if mu.dim == 1:
-        return solve_comonotone_1d(mu, nu).cost
-    return solve_exact(mu, nu).cost
-
-
 # An atom this light contributes nothing to the objective but can still
 # destabilize the solvers; it is dropped with a warning.
 NEGLIGIBLE_ATOM = 1e-12
@@ -110,8 +103,6 @@ def _solvable_family(family: ConditionalFamily) -> ConditionalFamily:
         stacklevel=3,
     )
     total = sum(a.p for a in kept)
-    from .measure import ConditionalAtom
-
     return ConditionalFamily(
         tuple(ConditionalAtom(a.label, a.p / total, a.law) for a in kept)
     )
@@ -126,7 +117,7 @@ def _result(
     lp_objective: float | None = None,
     history: tuple = (),
 ) -> BarycenterResult:
-    per_atom = {a.label: _exact_pair_cost(a.law, nu0) for a in family.atoms}
+    per_atom = {a.label: optimal_coupling(a.law, nu0).cost for a in family.atoms}
     obj = float(sum(a.p * per_atom[a.label] for a in family.atoms))
     return BarycenterResult(
         nu0=nu0,
@@ -227,54 +218,36 @@ def _assemble_joint_lp(family: ConditionalFamily, S: np.ndarray):
 def fixed_support_weights(
     family: ConditionalFamily,
     support,
-    solver: str = "highs",
 ) -> tuple[DiscreteMeasure, int, float]:
-    """Solve the joint LP; returns (measure, pivots, raw LP value)."""
+    """Solve the joint LP with HiGHS; returns (measure, pivots, raw LP value)."""
     family = _solvable_family(family)
     S = _check_support(family, support)
     c, A, b = _assemble_joint_lp(family, S)
-    if solver == "highs":
-        res = linprog(c, A_eq=A.tocsr(), b_eq=b, bounds=(0, None), method="highs-ds")
-        if res.status != 0:
-            raise LpInfeasibleError(f"joint LP failed with status {res.status}: {res.message}")
-        x, fun, nit = res.x, float(res.fun), int(res.nit)
-    elif solver == "bland":
-        out = solve_standard_form(c, A.toarray(), b)
-        x, fun, nit = out.x, out.fun, out.iterations
-    else:
-        raise ValueError(f"unknown LP engine {solver!r}")
-
+    res = linprog(c, A_eq=A.tocsr(), b_eq=b, bounds=(0, None), method="highs-ds")
+    if res.status != 0:
+        raise LpInfeasibleError(f"joint LP failed with status {res.status}: {res.message}")
     K = S.shape[0]
-    w = np.maximum(x[-K:], 0.0)
+    w = np.maximum(res.x[-K:], 0.0)
     w = w / w.sum()
-    return DiscreteMeasure(S, w), nit, fun
+    return DiscreteMeasure(S, w), int(res.nit), float(res.fun)
 
 
 def barycenter_fixed_support(
     family: ConditionalFamily,
     support,
-    solver: str = "highs",
 ) -> BarycenterResult:
     """Globally optimal weights on a fixed grid via one joint LP.
 
-    ``solver`` selects the LP engine: ``"highs"`` (SciPy's dual simplex,
-    the default) or ``"bland"`` (the in-repo dense revised simplex; only
-    sensible for small grids).  Both are deterministic.
+    The LP is solved by SciPy's HiGHS dual simplex, which is
+    deterministic.
     """
-    nu0, nit, fun = fixed_support_weights(family, support, solver)
+    nu0, nit, fun = fixed_support_weights(family, support)
     return _result(family, nu0, "fixed_support_exact", nit, True, lp_objective=fun)
 
 
 # ---------------------------------------------------------------------------
 # fixed support: iterative Bregman projections
 # ---------------------------------------------------------------------------
-
-def _lse(m: np.ndarray, axis: int) -> np.ndarray:
-    mx = np.max(m, axis=axis, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(m - mx), axis=axis)) + np.squeeze(mx, axis=axis)
-
 
 def entropic_weights(
     family: ConditionalFamily,
@@ -285,7 +258,7 @@ def entropic_weights(
 ) -> tuple[DiscreteMeasure, int, bool]:
     """Bregman-projection weights; returns (measure, sweeps, converged)."""
     if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+        raise ConfigConflictError("epsilon must be positive")
     family = _solvable_family(family)
     S = _check_support(family, support)
     K = S.shape[0]
@@ -303,8 +276,8 @@ def entropic_weights(
         logw = np.zeros(K)
         Ss = []
         for a_idx in range(len(family)):
-            f = log_mus[a_idx] - _lse(logKs[a_idx] + gs[a_idx][None, :], axis=1)
-            Sa = _lse(logKs[a_idx] + f[:, None], axis=0)
+            f = log_mus[a_idx] - _logsumexp(logKs[a_idx] + gs[a_idx][None, :], axis=1)
+            Sa = _logsumexp(logKs[a_idx] + f[:, None], axis=0)
             Ss.append(Sa)
             logw = logw + probs[a_idx] * Sa
         for a_idx in range(len(family)):
@@ -353,9 +326,9 @@ def free_support_points(
     family = _solvable_family(family)
     mix = mixture(family)
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ConfigConflictError("k must be at least 1")
     if k > mix.n:
-        raise ValueError(f"k={k} exceeds the {mix.n} available mixture points")
+        raise ConfigConflictError(f"k={k} exceeds the {mix.n} available mixture points")
     rng = np.random.default_rng(init_seed)
     idx = rng.choice(mix.n, size=k, replace=False, p=mix.weights)
     Y = mix.support[np.sort(idx)].copy()
@@ -452,7 +425,7 @@ def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> Discret
     if family.dim != 1:
         raise DimensionNotOneError("quantile averaging requires 1-D atoms")
     if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+        raise ConfigConflictError("resolution must be at least 1")
     t = (np.arange(resolution) + 0.5) / resolution
     values = _quantile_average(family, t)
     return coalesce(

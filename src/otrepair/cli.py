@@ -16,39 +16,18 @@ import numpy as np
 
 from . import approx as approx_mod
 from . import diagnostics
-from .barycenter import (
-    barycenter_1d,
-    barycenter_1d_exact,
-    barycenter_entropic,
-    barycenter_fixed_support,
-    barycenter_free_support,
-    default_support,
-)
+from .barycenter import _result
 from .errors import (
+    EXIT_IO,
+    EXIT_SCHEMA,
     CsvParseError,
-    DatasetMismatchError,
-    DimensionMismatchError,
-    DimensionNotOneError,
     EmptyDatasetError,
-    EmptySupportError,
-    HalfNotAllowedError,
-    LpInfeasibleError,
     MissingColumnError,
     MissingUError,
-    NegativeComponentError,
-    NegativeWeightError,
-    NotHalfError,
-    NumericalUnderflowError,
-    SolverFailureError,
-    TooManyAtomsError,
-    UnknownGroupError,
-    UnknownSupportPointError,
-    UnseenValueError,
-    UOutOfRangeError,
-    WeightSumError,
+    OtRepairError,
 )
 from .measure import Dataset, DiscreteMeasure, make_measure
-from .ot import solve_comonotone_1d, solve_entropic, solve_exact
+from .ot import solve
 from .special_binary import (
     BinaryInstance,
     brute_force,
@@ -58,10 +37,6 @@ from .special_binary import (
 )
 
 EXIT_OK = 0
-EXIT_IO = 2
-EXIT_SCHEMA = 3
-EXIT_SOLVER = 4
-EXIT_CONFIG = 5
 
 _EPILOG = """\
 exit codes:
@@ -70,15 +45,11 @@ exit codes:
   3  schema or parse error (missing column, malformed cell, bad data)
   4  solver failure
   5  configuration conflict (e.g. quantile1d on multi-d data, samples
-     requested without a u column or --seed, epsilon <= 0)
+     requested without a u column or --seed, epsilon <= 0, k < 1)
 
 CSV dialect: comma-separated, UTF-8, header row required, '.' decimal
 point, no thousands separators.
 """
-
-
-class _ConfigConflict(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +61,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _emit_json(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, str)):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -121,32 +86,49 @@ def _write_report(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cell(value: float | str) -> str:
-    if isinstance(value, str):
-        return value
-    return _fmt_float(value)
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: str, text=(), numeric=(), optional=()) -> dict:
+    """The named columns of a CSV file, one entry per non-blank data row.
+
+    ``text`` columns become lists of stripped strings and ``numeric``
+    ones float arrays.  A column in ``optional`` that the header lacks
+    maps to None; any other missing column is a MissingColumnError, and
+    a row too short to reach a column is a CsvParseError.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvParseError(f"{path}: empty file, header row required")
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    return [h.strip() for h in header], rows
-
-
-def _column(header: list[str], name: str, path: str) -> int:
-    try:
-        return header.index(name)
-    except ValueError:
-        raise MissingColumnError(f"{path}: column {name!r} not found in {header}")
+        rows, lines = [], []
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
+    index = {}
+    columns = [*text, *numeric]
+    for name in columns:
+        if name in header:
+            index[name] = header.index(name)
+        elif name not in optional:
+            raise MissingColumnError(f"{path}: column {name!r} not found in {header}")
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    for row, line in zip(rows, lines):
+        for name, i in index.items():
+            if i >= len(row):
+                raise CsvParseError(f"{path}: row {line} has no cell for column "
+                                    f"{name!r}", row=line, column=name)
+    out = dict.fromkeys(columns)
+    for name, i in index.items():
+        out[name] = (np.array([_parse_float(row[i], line, name)
+                               for row, line in zip(rows, lines)])
+                     if name in numeric else [row[i].strip() for row in rows])
+    return out
 
 
 def _parse_float(cell: str, row: int, column: str) -> float:
@@ -160,61 +142,31 @@ def _parse_float(cell: str, row: int, column: str) -> float:
         )
 
 
+def _points(table: dict, value_cols: list[str]) -> np.ndarray:
+    return np.asarray([table[c] for c in value_cols], dtype=float).T
+
+
 def _load_dataset(path: str, group_col: str, value_cols: list[str],
                   weight_col: str | None, u_col: str | None) -> Dataset:
-    header, rows = _read_table(path)
-    gi = _column(header, group_col, path)
-    vis = [_column(header, c, path) for c in value_cols]
-    wi = _column(header, weight_col, path) if weight_col else None
-    ui = _column(header, u_col, path) if u_col else None
-    if not rows:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    groups, xs, ws, us = [], [], [], []
-    for r, row in enumerate(rows, start=2):
-        groups.append(row[gi].strip())
-        xs.append([_parse_float(row[i], r, header[i]) for i in vis])
-        ws.append(_parse_float(row[wi], r, header[wi]) if wi is not None else 1.0)
-        if ui is not None:
-            us.append(_parse_float(row[ui], r, header[ui]))
+    t = _read_csv(path, [group_col], [*value_cols, *(c for c in (weight_col, u_col) if c)])
     return Dataset(
-        groups=tuple(groups),
-        x=np.asarray(xs, dtype=float),
-        weights=np.asarray(ws, dtype=float),
-        u=np.asarray(us, dtype=float) if ui is not None else None,
+        groups=tuple(t[group_col]),
+        x=_points(t, value_cols),
+        weights=t[weight_col] if weight_col else np.ones(len(t[group_col])),
+        u=t[u_col] if u_col else None,
     )
-
-
-def _load_measures(path: str, measure_col: str, weight_col: str,
-                   value_cols: list[str]) -> dict[str, DiscreteMeasure]:
-    header, rows = _read_table(path)
-    mi = _column(header, measure_col, path)
-    wi = _column(header, weight_col, path)
-    vis = [_column(header, c, path) for c in value_cols]
-    if not rows:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    points: dict[str, list] = {}
-    weights: dict[str, list] = {}
-    for r, row in enumerate(rows, start=2):
-        mid = row[mi].strip()
-        points.setdefault(mid, []).append(
-            [_parse_float(row[i], r, header[i]) for i in vis]
-        )
-        weights.setdefault(mid, []).append(_parse_float(row[wi], r, header[wi]))
-    return {
-        mid: make_measure(np.asarray(points[mid]), np.asarray(weights[mid]))
-        for mid in points
-    }
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _value_cols(args) -> list[str]:
+    return [c.strip() for c in args.value_cols.split(",") if c.strip()]
+
+
 def _common_config(args, keys) -> dict:
-    cfg = {}
-    for key in keys:
-        cfg[key] = getattr(args, key.replace("-", "_"))
-    return cfg
+    return {key: getattr(args, key) for key in keys}
 
 
 def _nu0_payload(nu0: DiscreteMeasure) -> dict:
@@ -222,17 +174,11 @@ def _nu0_payload(nu0: DiscreteMeasure) -> dict:
 
 
 def cmd_approx(args) -> int:
-    value_cols = [c.strip() for c in args.value_cols.split(",") if c.strip()]
-    if args.method == "quantile1d" and len(value_cols) != 1:
-        raise _ConfigConflict("method quantile1d requires exactly one value column")
-    if args.method == "entropic" and not args.epsilon > 0:
-        raise _ConfigConflict("method entropic requires epsilon > 0")
+    value_cols = _value_cols(args)
     data = _load_dataset(args.input, args.group_col, value_cols,
                          args.weight_col, args.u_col)
-    if args.method == "quantile1d" and data.dim != 1:
-        raise _ConfigConflict("method quantile1d requires 1-D data")
     if args.samples and data.u is None and args.seed is None:
-        raise _ConfigConflict(
+        raise MissingUError(
             "samples requested but the dataset has no u column and no --seed "
             "was given; refusing nondeterministic output"
         )
@@ -285,39 +231,26 @@ def cmd_approx(args) -> int:
 
     if args.samples:
         out = approx_mod.transform(ap, data, seed=args.seed)
-        m = data.dim
         with open(args.samples, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 [args.group_col] + value_cols + ["weight", "u"]
-                + [f"y{i + 1}" for i in range(m)]
+                + [f"y{i + 1}" for i in range(data.dim)]
             )
             for r in range(out.n_rows):
                 writer.writerow(
                     [out.groups[r]]
-                    + [_cell(v) for v in out.x[r]]
-                    + [_cell(out.weights[r]), _cell(out.u[r])]
-                    + [_cell(v) for v in out.y[r]]
+                    + [_fmt_float(v) for v in out.x[r]]
+                    + [_fmt_float(out.weights[r]), _fmt_float(out.u[r])]
+                    + [_fmt_float(v) for v in out.y[r]]
                 )
     return EXIT_OK
 
 
 def cmd_binary_case(args) -> int:
-    header, rows = _read_table(args.input)
-    pi = _column(header, "p", args.input)
-    fi = _column(header, "f", args.input)
-    gi = _column(header, "g", args.input)
-    li = header.index("atom") if "atom" in header else None
-    if not rows:
-        raise EmptyDatasetError(f"{args.input}: no data rows")
-    labels, probs, fs, gs = [], [], [], []
-    for r, row in enumerate(rows, start=2):
-        labels.append(row[li].strip() if li is not None else str(r - 2))
-        probs.append(_parse_float(row[pi], r, "p"))
-        fs.append(_parse_float(row[fi], r, "f"))
-        gs.append(_parse_float(row[gi], r, "g"))
-    inst = BinaryInstance(tuple(labels), np.asarray(probs), np.asarray(fs),
-                          np.asarray(gs), args.pA)
+    t = _read_csv(args.input, ["atom"], ["p", "f", "g"], optional=["atom"])
+    labels = t["atom"] or [str(i) for i in range(len(t["p"]))]
+    inst = BinaryInstance(tuple(labels), t["p"], t["f"], t["g"], args.pA)
     half = is_half(args.pA)
     sol = solve_half(inst) if half else solve_nonhalf(inst)
     agrees = None
@@ -343,27 +276,24 @@ def cmd_binary_case(args) -> int:
 
 
 def _two_measures(args) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    value_cols = [c.strip() for c in args.value_cols.split(",") if c.strip()]
-    measures = _load_measures(args.input, args.measure_col, args.weight_col,
-                              value_cols)
-    if len(measures) != 2:
+    value_cols = _value_cols(args)
+    t = _read_csv(args.input, [args.measure_col], [args.weight_col, *value_cols])
+    ids = np.array(t[args.measure_col])
+    distinct = list(dict.fromkeys(ids))
+    if len(distinct) != 2:
         raise CsvParseError(
-            f"{args.input}: expected exactly 2 measures, found {len(measures)}"
+            f"{args.input}: expected exactly 2 measures, found {len(distinct)}"
         )
-    ids = list(measures)
-    return measures[ids[0]], measures[ids[1]]
+    x = _points(t, value_cols)
+    return tuple(make_measure(x[ids == mid], t[args.weight_col][ids == mid])
+                 for mid in distinct)
 
 
 def cmd_ot(args) -> int:
-    if args.method == "entropic" and not args.epsilon > 0:
-        raise _ConfigConflict("method entropic requires epsilon > 0")
     mu, nu = _two_measures(args)
-    if args.method == "exact":
-        sol = solve_exact(mu, nu)
-    elif args.method == "comonotone1d":
-        sol = solve_comonotone_1d(mu, nu)
-    else:
-        sol = solve_entropic(mu, nu, args.epsilon, args.max_iter, args.tol)
+    method = "comonotone_1d" if args.method == "comonotone1d" else args.method
+    sol = solve(mu, nu, method, epsilon=args.epsilon, max_iter=args.max_iter,
+                tol=args.tol)
     payload = {
         "schema": 1,
         "subcommand": "ot",
@@ -387,45 +317,19 @@ def cmd_ot(args) -> int:
     return EXIT_OK
 
 
-def _load_support(path: str, value_cols: list[str]) -> np.ndarray:
-    header, rows = _read_table(path)
-    vis = [_column(header, c, path) for c in value_cols]
-    if not rows:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    return np.asarray(
-        [[_parse_float(row[i], r, header[i]) for i in vis]
-         for r, row in enumerate(rows, start=2)],
-        dtype=float,
-    )
-
-
 def cmd_barycenter(args) -> int:
-    if args.method == "entropic" and not args.epsilon > 0:
-        raise _ConfigConflict("method entropic requires epsilon > 0")
-    value_cols = [c.strip() for c in args.value_cols.split(",") if c.strip()]
+    value_cols = _value_cols(args)
     data = _load_dataset(args.input, args.measure_col, value_cols,
                          args.weight_col, None)
     fam = approx_mod.estimate_conditionals(data)
-    support = (_load_support(args.support, value_cols)
-               if args.support else default_support(fam))
-    method = args.method
-    if method == "auto":
-        method = "quantile1d" if fam.dim == 1 else "exact"
-    if method == "quantile1d":
-        if fam.dim != 1:
-            raise _ConfigConflict("method quantile1d requires 1-D data")
-        res = (barycenter_1d(fam, args.resolution) if args.resolution
-               else barycenter_1d_exact(fam))
-    elif method == "exact":
-        res = barycenter_fixed_support(fam, support)
-    elif method == "entropic":
-        res = barycenter_entropic(fam, support, args.epsilon,
-                                  args.max_iter, args.tol)
-    else:
-        k = args.k if args.k is not None else sum(a.law.n for a in fam.atoms)
-        res = barycenter_free_support(fam, k,
-                                      args.seed if args.seed is not None else 0,
-                                      args.max_iter, args.tol)
+    support = (_points(_read_csv(args.support, numeric=value_cols), value_cols)
+               if args.support else None)
+    method = approx_mod._resolve_method(args.method, fam.dim)
+    nu0, iters, converged, _, tag = approx_mod._solve_barycenter(
+        fam, method, support, args.epsilon, args.max_iter, args.tol,
+        args.resolution, args.k, args.seed if args.seed is not None else 0,
+    )
+    res = _result(fam, nu0, tag, iters, converged)
     payload = {
         "schema": 1,
         "subcommand": "barycenter",
@@ -456,28 +360,14 @@ def cmd_diagnose(args) -> int:
         raise CsvParseError(f"{args.report}: not a valid approx report")
     nu0 = DiscreteMeasure(support, weights)
 
-    header, rows = _read_table(args.samples)
-    gi = _column(header, group_col, args.samples)
-    wi = _column(header, "weight", args.samples)
-    ui = _column(header, "u", args.samples)
-    xis = [_column(header, c, args.samples) for c in value_cols]
-    yis = [_column(header, f"y{i + 1}", args.samples) for i in range(len(value_cols))]
-    if not rows:
-        raise EmptyDatasetError(f"{args.samples}: no data rows")
-    groups, xs, ws, us, ys = [], [], [], [], []
-    for r, row in enumerate(rows, start=2):
-        groups.append(row[gi].strip())
-        xs.append([_parse_float(row[i], r, header[i]) for i in xis])
-        ws.append(_parse_float(row[wi], r, "weight"))
-        us.append(_parse_float(row[ui], r, "u"))
-        ys.append([_parse_float(row[i], r, header[i]) for i in yis])
-    w = np.asarray(ws, dtype=float)
+    y_cols = [f"y{i + 1}" for i in range(len(value_cols))]
+    t = _read_csv(args.samples, [group_col], ["weight", "u", *value_cols, *y_cols])
     out = approx_mod.SampledOutput(
-        groups=tuple(groups),
-        x=np.asarray(xs, dtype=float),
-        u=np.asarray(us, dtype=float),
-        y=np.asarray(ys, dtype=float),
-        weights=w / w.sum(),
+        groups=tuple(t[group_col]),
+        x=_points(t, value_cols),
+        u=t["u"],
+        y=_points(t, y_cols),
+        weights=t["weight"] / t["weight"].sum(),
     )
     emp = diagnostics.empirical_distance(out)
     tv = diagnostics.independence_tv(out, nu0)
@@ -586,27 +476,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigConflict as e:
+    except (OtRepairError, json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MissingUError, NotHalfError, HalfNotAllowedError,
-            DimensionNotOneError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MissingColumnError, CsvParseError, EmptyDatasetError,
-            WeightSumError, NegativeWeightError, NegativeComponentError,
-            EmptySupportError, DimensionMismatchError, UOutOfRangeError,
-            TooManyAtomsError, UnknownGroupError, UnseenValueError,
-            DatasetMismatchError, UnknownSupportPointError,
-            json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (SolverFailureError, LpInfeasibleError, NumericalUnderflowError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(e, OtRepairError):
+            return e.exit_code
+        return EXIT_IO if isinstance(e, OSError) else EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import IndependentApproximation, SampledOutput
-from .errors import DatasetMismatchError, UnknownSupportPointError
+from .approx import IndependentApproximation, SampledOutput, match_rows
+from .errors import UnknownSupportPointError
 from .measure import Dataset, DiscreteMeasure, coalesce
 from .ot import wasserstein_sq
 
@@ -60,28 +60,16 @@ class Report:
         return all(c.passed for c in self.checks)
 
 
-def _require_match(approx: IndependentApproximation, data: Dataset) -> None:
-    labels = data.labels
-    if set(labels) != set(approx.disintegrations):
-        raise DatasetMismatchError("dataset groups differ from the approximation's")
-    for label in labels:
-        dis = approx.disintegrations[label]
-        rows = data.group_rows(label)
-        if len(rows) != dis.law.n or not np.array_equal(data.x[rows], dis.law.support):
-            raise DatasetMismatchError(
-                f"group {label!r} rows differ from the approximation's support"
-            )
-
-
 def verify(approx: IndependentApproximation, data: Dataset) -> Report:
     """Recompute all construction invariants against a fresh baseline.
 
     The lower bound is recomputed with fresh exact transport solves (for
     1-D data this is a genuinely different algorithm from the comonotone
     couplings used by the build), so bound attainment is a two-route
-    comparison rather than an arithmetic identity.
+    comparison rather than an arithmetic identity.  Raises
+    DatasetMismatchError unless ``data`` passes :func:`match_rows`.
     """
-    _require_match(approx, data)
+    match_rows(approx, data)
     fam = approx.family
     nu0 = approx.nu0
 

@@ -2,12 +2,29 @@
 
 Every library error derives from :class:`OtRepairError` so callers can
 catch broadly; most also derive from a matching builtin so the types
-behave naturally in generic code.
+behave naturally in generic code.  Each class carries the process exit
+code the command-line front end returns for it in ``exit_code``: 3 for
+bad input data (the default), 4 for the :class:`SolverFailureError`
+family and 5 for the :class:`ConfigConflictError` family.
 """
+
+# documented exit codes (see ``otrepair --help``)
+EXIT_IO = 2
+EXIT_SCHEMA = 3
+EXIT_SOLVER = 4
+EXIT_CONFIG = 5
 
 
 class OtRepairError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = EXIT_SCHEMA
+
+
+class ConfigConflictError(OtRepairError, ValueError):
+    """An option value is invalid or conflicts with the data (e.g. epsilon <= 0)."""
+
+    exit_code = EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -30,12 +47,16 @@ class DimensionMismatchError(OtRepairError, ValueError):
     """Points, measures or supports disagree on dimension or length."""
 
 
-class DimensionNotOneError(DimensionMismatchError):
+class DimensionNotOneError(DimensionMismatchError, ConfigConflictError):
     """A one-dimensional method was called on multi-dimensional data."""
 
 
 class EmptyDatasetError(OtRepairError, ValueError):
     """A dataset with no rows was supplied."""
+
+
+class NonFiniteValueError(OtRepairError, ValueError):
+    """A point, weight or u value is nan or infinite."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +70,14 @@ class SolverFailureError(OtRepairError, RuntimeError):
     trigger; it exists as a defensive check.
     """
 
+    exit_code = EXIT_SOLVER
 
-class NumericalUnderflowError(OtRepairError, FloatingPointError):
+
+class NumericalUnderflowError(SolverFailureError, FloatingPointError):
     """The entropic solver produced non-finite values (epsilon too small)."""
 
 
-class LpInfeasibleError(OtRepairError, RuntimeError):
+class LpInfeasibleError(SolverFailureError):
     """The barycenter linear program reported infeasibility (defensive)."""
 
 
@@ -66,7 +89,11 @@ class SupportDimensionMismatchError(DimensionMismatchError):
 # approximation pipeline
 # ---------------------------------------------------------------------------
 
-class UnknownGroupError(OtRepairError, KeyError):
+class DatasetMismatchError(OtRepairError, ValueError):
+    """The dataset does not match the one the approximation was built from."""
+
+
+class UnknownGroupError(DatasetMismatchError, KeyError):
     """A group label was not present when the approximation was built."""
 
 
@@ -78,11 +105,11 @@ class UOutOfRangeError(OtRepairError, ValueError):
     """A uniform draw lies outside [0, 1]."""
 
 
-class UnseenValueError(OtRepairError, ValueError):
+class UnseenValueError(DatasetMismatchError):
     """A row's x value does not match the atom support it claims to be in."""
 
 
-class MissingUError(OtRepairError, ValueError):
+class MissingUError(ConfigConflictError):
     """No u column is present and no seed was configured."""
 
 
@@ -90,11 +117,11 @@ class MissingUError(OtRepairError, ValueError):
 # binary special case
 # ---------------------------------------------------------------------------
 
-class NotHalfError(OtRepairError, ValueError):
+class NotHalfError(ConfigConflictError):
     """solve_half requires the independent set to have probability 1/2."""
 
 
-class HalfNotAllowedError(OtRepairError, ValueError):
+class HalfNotAllowedError(ConfigConflictError):
     """solve_nonhalf was called with probability exactly 1/2."""
 
 
@@ -109,10 +136,6 @@ class TooManyAtomsError(OtRepairError, ValueError):
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
-
-class DatasetMismatchError(OtRepairError, ValueError):
-    """The dataset does not match the one the approximation was built from."""
-
 
 class UnknownSupportPointError(OtRepairError, ValueError):
     """A sampled value is not a support point of the reference measure."""

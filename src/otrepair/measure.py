@@ -6,7 +6,8 @@ can be shared freely across threads and reused between solver calls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import (
     EmptyDatasetError,
     EmptySupportError,
     NegativeWeightError,
+    NonFiniteValueError,
     UOutOfRangeError,
     WeightSumError,
 )
@@ -32,12 +34,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(what: str, values) -> np.ndarray:
+    """A float array of ``values``; nan and infinities are rejected by value."""
+    a = np.asarray(values, dtype=float)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise NonFiniteValueError(f"{what} contains the non-finite value {bad[0]}")
+    return a
+
+
 def _as_support(points) -> np.ndarray:
     """Coerce a point sequence to a read-only (n, m) float array."""
     try:
         pts = np.asarray(points, dtype=float)
     except ValueError as exc:
         raise DimensionMismatchError(f"ragged support points: {exc}") from exc
+    _finite("x", pts)
     if pts.size == 0:
         raise EmptySupportError("a measure needs at least one support point")
     if pts.ndim == 1:
@@ -72,7 +84,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         pts = _as_support(self.support)
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = _finite("weights", self.weights).ravel()
         if len(w) != len(pts):
             raise DimensionMismatchError(
                 f"{len(pts)} support points but {len(w)} weights"
@@ -124,9 +136,7 @@ def make_measure(points, weights) -> DiscreteMeasure:
     measure.
     """
     pts = _as_support(points)
-    w = np.asarray(weights, dtype=float).ravel()
-    if len(w) != len(pts):
-        raise DimensionMismatchError(f"{len(pts)} support points but {len(w)} weights")
+    w = _finite("weights", weights).ravel()
     if np.any(w < 0.0):
         raise NegativeWeightError("weights must be nonnegative")
     total = float(w.sum())
@@ -254,15 +264,17 @@ class Dataset:
 
     Weights must be strictly positive and are renormalized to sum 1 on
     load.  If any row carries a uniform draw u, every row must, and each
-    u must lie in [0, 1].  Row order is significant: within a group, the
-    i-th row is paired with the i-th support point of the estimated
-    conditional law, which is what makes duplicate x values unambiguous.
+    u must lie in [0, 1].  x, weights and u must be finite.  Row order is
+    significant: within a group, the i-th row is paired with the i-th
+    support point of the estimated conditional law, which is what makes
+    duplicate x values unambiguous.
     """
 
     groups: tuple
     x: np.ndarray
     weights: np.ndarray
     u: np.ndarray | None = None
+    _rows: dict = field(init=False, repr=False)  # label -> row positions
 
     def __post_init__(self):
         groups = tuple(self.groups)
@@ -273,7 +285,7 @@ class Dataset:
             raise DimensionMismatchError(
                 f"{len(groups)} group labels but {len(x)} points"
             )
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = _finite("weights", self.weights).ravel()
         if len(w) != len(groups):
             raise DimensionMismatchError(f"{len(groups)} rows but {len(w)} weights")
         if np.any(w <= 0.0):
@@ -283,12 +295,20 @@ class Dataset:
             raise WeightSumError("dataset weights must have positive total")
         u = self.u
         if u is not None:
-            u = np.asarray(u, dtype=float).ravel()
+            u = _finite("u", u).ravel()
             if len(u) != len(groups):
                 raise DimensionMismatchError("u column length differs from row count")
             if np.any(u < 0.0) or np.any(u > 1.0):
                 raise UOutOfRangeError("u values must lie in [0, 1]")
             u = _freeze(u)
+        rows: dict = {}
+        for i, g in enumerate(groups):
+            rows.setdefault(g, []).append(i)
+        # one read-only array of the positions grouped by label, sliced per label
+        flat = _freeze(np.fromiter(chain(*rows.values()), dtype=int, count=len(groups)))
+        ends = np.cumsum([len(r) for r in rows.values()]).tolist()
+        index = {g: flat[e - len(r):e] for (g, r), e in zip(rows.items(), ends)}
+        object.__setattr__(self, "_rows", index)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "weights", _freeze(w / total))
@@ -305,18 +325,11 @@ class Dataset:
     @property
     def labels(self) -> tuple:
         """Distinct group labels in first-appearance order."""
-        seen: dict = {}
-        for g in self.groups:
-            if g not in seen:
-                seen[g] = None
-        return tuple(seen)
+        return tuple(self._rows)
 
     def group_rows(self, label) -> np.ndarray:
-        """Row positions of one group, in dataset order."""
-        idx = [i for i, g in enumerate(self.groups) if g == label]
-        if not idx:
-            raise KeyError(label)
-        return np.asarray(idx, dtype=int)
+        """Row positions of one group, in dataset order (read-only)."""
+        return self._rows[label]
 
     def mean_x(self) -> np.ndarray:
         return self.weights @ self.x

@@ -16,6 +16,9 @@ Implements three routes to a coupling between two discrete measures:
 - ``solve_comonotone_1d``: the closed-form north-west-corner plan on
   supports sorted ascending, optimal in one dimension.
 
+``solve`` picks one of them by name; ``optimal_coupling`` picks the
+cheapest exact one for the dimension.
+
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
 """
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigConflictError,
     DimensionMismatchError,
     DimensionNotOneError,
     NegativeWeightError,
@@ -43,6 +47,8 @@ __all__ = [
     "solve_exact",
     "solve_entropic",
     "solve_comonotone_1d",
+    "solve",
+    "optimal_coupling",
     "wasserstein_sq",
 ]
 
@@ -318,13 +324,11 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
                 f"{n}x{k} instance"
             )
 
+    # an arc that left the basis carries zero flow and precedes any later
+    # arc on the same cell, so writing arcs in order leaves the live flows
     plan = np.zeros((n, k))
-    live = basic.nonzero()
-    flows = {}
-    for aid in range(len(arc_i)):
-        flows[(arc_i[aid], arc_j[aid])] = arc_f[aid]
-    for i, j in zip(*live):
-        plan[i, j] = flows[(int(i), int(j))]
+    for i, j, f in zip(arc_i, arc_j, arc_f):
+        plan[i, j] = f
     return plan, pivots
 
 
@@ -429,7 +433,7 @@ def solve_entropic(
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
     if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+        raise ConfigConflictError("epsilon must be positive")
     a, b = mu.weights, nu.weights
     C = cost_matrix(mu.support, nu.support)
 
@@ -493,21 +497,37 @@ def solve_entropic(
 # dispatch
 # ---------------------------------------------------------------------------
 
+def solve(
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    method: str = "exact",
+    **params,
+) -> OtSolution:
+    """Couple two measures with the named solver.
+
+    ``method`` is one of ``"exact"``, ``"comonotone_1d"`` or
+    ``"entropic"``; ``params`` (``epsilon`` and optionally
+    ``max_iter``/``tol``) reach only the entropic solver.
+    """
+    if method == "exact":
+        return solve_exact(mu, nu)
+    if method == "comonotone_1d":
+        return solve_comonotone_1d(mu, nu)
+    if method == "entropic":
+        return solve_entropic(mu, nu, **params)
+    raise ConfigConflictError(f"unknown method {method!r}")
+
+
+def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
+    """An optimal coupling: the 1-D closed form when m = 1, the simplex otherwise."""
+    return solve(mu, nu, "comonotone_1d" if mu.dim == 1 else "exact")
+
+
 def wasserstein_sq(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     method: str = "exact",
     **params,
 ) -> float:
-    """Squared Wasserstein-2 distance via the chosen solver.
-
-    ``method`` is one of ``"exact"``, ``"entropic"`` (pass ``epsilon``
-    and optionally ``max_iter``/``tol``) or ``"comonotone_1d"``.
-    """
-    if method == "exact":
-        return solve_exact(mu, nu).cost
-    if method == "comonotone_1d":
-        return solve_comonotone_1d(mu, nu).cost
-    if method == "entropic":
-        return solve_entropic(mu, nu, **params).cost
-    raise ValueError(f"unknown method {method!r}")
+    """Squared Wasserstein-2 distance via the chosen solver (see :func:`solve`)."""
+    return solve(mu, nu, method, **params).cost

@@ -6,9 +6,9 @@ variable: minimum ratio, ties broken by lowest basic-variable index.
 Both choices are Bland's rule, so the method terminates on degenerate
 problems, and the pivot path is a deterministic function of the input.
 
-This engine certifies the fixed-support barycenter results at desk
-scale; larger programs go through SciPy's HiGHS instead (same answers,
-different machinery), and the tests cross-check the two.
+The tests' LP oracle: the package solves the fixed-support barycenter
+LP with SciPy's HiGHS, and the tests solve the same LP with this
+independent engine at desk scale and compare the answers.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LpInfeasibleError, SolverFailureError
+from otrepair.errors import LpInfeasibleError, SolverFailureError
 
 _TOL = 1e-9
 _REFACTOR_EVERY = 64

@@ -53,12 +53,15 @@ def criterion1_set():
 def test_criterion_1_bound_attainment(criterion1_set):
     datasets, approxes, elapsed = criterion1_set
     worst = 0.0
-    for ap in approxes:
-        rel = abs(ap.achieved_distance_sq - ap.lower_bound) / max(
-            1.0, abs(ap.lower_bound)
-        )
-        worst = max(worst, rel)
-        assert rel <= 1e-8
+    for d, ap in zip(datasets, approxes):
+        refs = [ap.lower_bound]
+        if d.dim == 1:
+            # a route independent of the comonotone couplings: simplex solves
+            refs.append(objective(ap.family, ap.nu0))
+        for ref in refs:
+            rel = abs(ap.achieved_distance_sq - ref) / max(1.0, abs(ref))
+            worst = max(worst, rel)
+            assert rel <= 1e-8
     assert elapsed < 60.0, f"200 builds took {elapsed:.1f}s (target < 60s)"
     print(f"\nACCEPTANCE 1 (bound attainment): PASS "
           f"worst rel gap {worst:.2e}, 200 builds in {elapsed:.1f}s")

@@ -372,3 +372,44 @@ def test_decompose_transform_consistent(rng):
     assert all(
         any(np.array_equal(y, s) for s in dec.nu0.support) for y in out.y
     )
+
+
+def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
+    import otrepair.ot
+
+    def forbidden(mu, nu):
+        raise AssertionError("solve_exact called on the 1-D build path")
+
+    monkeypatch.setattr(otrepair.ot, "solve_exact", forbidden)
+    d = random_dataset(rng, m=1)
+    assert build(d).achieved_distance_sq >= 0.0
+    assert decompose_solve(d).achieved_distance_sq >= 0.0
+
+
+def _per_row_lookup(ap, label, i, u):
+    """Reference sampler: one searchsorted per row of the ladder."""
+    cum = ap.disintegrations[label].ladder[i]
+    pos = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
+    return ap.nu0.support[ap.ladder_order[pos]]
+
+
+def test_samplers_match_per_row_searchsorted(rng):
+    for m in (1, 2):
+        d = random_dataset(rng, m=m)
+        ap = build(d)
+        R = 37
+        grid = (np.arange(R) + 0.5) / R
+        out = transform_grid(ap, d, R)
+        # u on the ladder breakpoints themselves exercises the ties
+        u = np.empty(d.n_rows)
+        for label in d.labels:
+            for i, r in enumerate(d.group_rows(label)):
+                assert np.array_equal(out.y[r * R:(r + 1) * R],
+                                      _per_row_lookup(ap, label, i, grid))
+                u[r] = ap.disintegrations[label].ladder[i][rng.integers(ap.nu0.n)]
+        u = np.minimum(u, 1.0)
+        sampled = transform(ap, Dataset(d.groups, d.x, d.weights, u=u))
+        for label in d.labels:
+            for i, r in enumerate(d.group_rows(label)):
+                assert np.array_equal(sampled.y[r], _per_row_lookup(ap, label, i, u[r]))
+                assert np.array_equal(sample_y(ap, label, i, u[r]), sampled.y[r])

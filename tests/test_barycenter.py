@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otrepair.barycenter import (
+    _assemble_joint_lp,
     barycenter_1d,
     barycenter_1d_exact,
     barycenter_entropic,
@@ -15,10 +16,28 @@ from otrepair.errors import (
     DimensionNotOneError,
     SupportDimensionMismatchError,
 )
-from otrepair.measure import dirac, family, make_measure, mean, mixture, second_moment
+from otrepair.measure import (
+    DiscreteMeasure,
+    dirac,
+    family,
+    make_measure,
+    mean,
+    mixture,
+    second_moment,
+)
 from otrepair.ot import wasserstein_sq
 
 from conftest import random_family
+from densesimplex import solve_standard_form
+
+
+def bland_fixed_support(fam, support):
+    """The joint LP solved by the dense Bland simplex oracle: (nu0, LP value)."""
+    S = np.asarray(support, dtype=float).reshape(len(support), -1)
+    c, A, b = _assemble_joint_lp(fam, S)
+    out = solve_standard_form(c, A.toarray(), b)
+    w = np.maximum(out.x[-len(S):], 0.0)
+    return DiscreteMeasure(S, w / w.sum()), out.fun
 
 
 def dirac_grid_oracle(probs, centers, support, resolution=400):
@@ -78,10 +97,11 @@ def test_objective_dimension_check():
 def test_fixed_support_single_atom_recovers_itself():
     mu = make_measure([0.0, 1.0, 3.0], [1.0, 2.0, 1.0])
     fam = family([("a", 1.0, mu)])
-    for solver in ("highs", "bland"):
-        res = barycenter_fixed_support(fam, mu.support, solver=solver)
-        assert res.objective <= 1e-10
-        assert np.allclose(res.nu0.weights, mu.weights, atol=1e-9)
+    highs = barycenter_fixed_support(fam, mu.support).nu0
+    bland, _ = bland_fixed_support(fam, mu.support)
+    for nu0 in (highs, bland):
+        assert objective(fam, nu0) <= 1e-10
+        assert np.allclose(nu0.weights, mu.weights, atol=1e-9)
 
 
 def test_fixed_support_two_diracs_midpoint_1d():
@@ -89,10 +109,11 @@ def test_fixed_support_two_diracs_midpoint_1d():
     grid = np.array([0.0, 1.0, 2.0])
     oracle = dirac_grid_oracle([0.5, 0.5], [0.0, 2.0], grid)
     assert abs(oracle - 1.0) <= 1e-9
-    for solver in ("highs", "bland"):
-        res = barycenter_fixed_support(fam, grid, solver=solver)
-        assert abs(res.objective - 1.0) <= 1e-10
-        assert abs(res.nu0.weights[1] - 1.0) <= 1e-9
+    highs = barycenter_fixed_support(fam, grid).nu0
+    bland, _ = bland_fixed_support(fam, grid)
+    for nu0 in (highs, bland):
+        assert abs(objective(fam, nu0) - 1.0) <= 1e-10
+        assert abs(nu0.weights[1] - 1.0) <= 1e-9
 
 
 def test_fixed_support_two_diracs_midpoint_2d():
@@ -109,10 +130,10 @@ def test_fixed_support_engines_agree(rng):
     for _ in range(5):
         fam = random_family(rng, n_atoms=2, max_pts=3, m=1)
         sup = default_support(fam)
-        a = barycenter_fixed_support(fam, sup, solver="highs")
-        b = barycenter_fixed_support(fam, sup, solver="bland")
-        assert abs(a.objective - b.objective) <= 1e-9 * max(1.0, a.objective)
-        assert abs(a.lp_objective - b.lp_objective) <= 1e-9 * max(1.0, a.objective)
+        a = barycenter_fixed_support(fam, sup)
+        b, b_lp = bland_fixed_support(fam, sup)
+        assert abs(a.objective - objective(fam, b)) <= 1e-9 * max(1.0, a.objective)
+        assert abs(a.lp_objective - b_lp) <= 1e-9 * max(1.0, a.objective)
 
 
 def test_fixed_support_lp_value_matches_exact_evaluation(rng):

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from otrepair import cli
 from otrepair.cli import main
+from otrepair.errors import CsvParseError, OtRepairError
 
 HAND_CSV = "group,x\ng1,0\ng1,2\ng2,1\ng2,3\n"
 
@@ -264,3 +266,65 @@ def test_help_documents_exit_codes():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+# --- input hardening and exit codes -------------------------------------------------
+
+@pytest.mark.parametrize("flags, text, bad", [
+    ([], "group,x\na,0.0\na,nan\nb,1.0\nb,2.0\n", "nan"),
+    ([], "group,x\na,0.0\na,-inf\nb,1.0\n", "-inf"),
+    (["--value-cols", "x1,x2"], "group,x1,x2\na,0,nan\nb,1,1\n", "nan"),
+    (["--weight-col", "w"], "group,x,w\na,0,nan\nb,1,1\n", "nan"),
+    (["--u-col", "u"], "group,x,u\na,0,0.5\nb,1,inf\n", "inf"),
+], ids=["1d-nan-x", "1d-inf-x", "2d-nan-x", "nan-weight", "inf-u"])
+def test_approx_rejects_non_finite_input(tmp_path, capsys, flags, text, bad):
+    inp = write(tmp_path / "d.csv", text)
+    code = main(["approx", "--input", inp, "--report", str(tmp_path / "r.json"), *flags])
+    assert code == 3
+    assert f"non-finite value {bad}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("approx", "group,x\na,0\nb\n"),
+    ("ot", "measure,weight,x\nm1,1,0\nm2,1\n"),
+], ids=["approx", "ot"])
+def test_short_csv_row_is_a_parse_error(tmp_path, capsys, subcommand, text):
+    inp = write(tmp_path / "d.csv", text)
+    assert main([subcommand, "--input", inp, "--report", str(tmp_path / "r.json")]) == 3
+    assert "row 3 has no cell for column 'x'" in capsys.readouterr().err
+    with pytest.raises(CsvParseError) as exc:
+        cli._read_csv(inp, numeric=["x"])
+    assert (exc.value.row, exc.value.column) == (3, "x")
+
+
+def test_invalid_option_values_exit_5(tmp_path):
+    inp = write(tmp_path / "d.csv", HAND_CSV)
+    rep = str(tmp_path / "r.json")
+    for flags in (["--method", "free", "--k", "0"], ["--resolution", "0"]):
+        assert main(["approx", "--input", inp, "--report", rep, *flags]) == 5
+    assert main(["ot", "--input", inp, "--measure-col", "group", "--weight-col", "x",
+                 "--method", "entropic", "--epsilon", "-1", "--report", rep]) == 5
+
+
+def _library_errors(cls=OtRepairError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _library_errors(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_library_errors()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_library_error_exits_with_a_documented_code(error, tmp_path,
+                                                          monkeypatch, capsys):
+    assert error.exit_code in (3, 4, 5)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"\n  {error.exit_code}  " in capsys.readouterr().out
+
+    def failing(args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "cmd_ot", failing)
+    assert main(["ot", "--input", "unused.csv", "--report", str(tmp_path / "r.json")]) \
+        == error.exit_code
+    assert capsys.readouterr().err.startswith("error: ")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from otrepair.densesimplex import solve_standard_form
+from densesimplex import solve_standard_form
 from otrepair.errors import LpInfeasibleError
 
 

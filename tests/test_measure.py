@@ -5,6 +5,7 @@ from otrepair.errors import (
     DimensionMismatchError,
     EmptySupportError,
     NegativeWeightError,
+    NonFiniteValueError,
     UOutOfRangeError,
     WeightSumError,
 )
@@ -220,3 +221,33 @@ def test_dataset_group_rows_order():
     assert d.labels == ("b", "a")
     assert d.group_rows("b").tolist() == [0, 2]
     assert d.group_rows("a").tolist() == [1, 3]
+
+
+def test_dataset_group_index_matches_naive_scan(rng):
+    pool = ["a", "b", "1", 1, 2, 3.5]
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        groups = tuple(pool[i] for i in rng.integers(0, len(pool), size=n))
+        d = Dataset(groups, rng.normal(size=n), np.ones(n))
+        first_seen = []
+        for g in groups:
+            if g not in first_seen:
+                first_seen.append(g)
+        assert d.labels == tuple(first_seen)
+        for label in first_seen:
+            naive = [i for i, g in enumerate(groups) if g == label]
+            assert d.group_rows(label).tolist() == naive
+        with pytest.raises(KeyError):
+            d.group_rows("absent")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(NonFiniteValueError, match=f"non-finite value {bad}"):
+        make_measure([0.0, bad], [1.0, 1.0])
+    with pytest.raises(NonFiniteValueError, match="weights"):
+        DiscreteMeasure([0.0, 1.0], [1.0, bad])
+    with pytest.raises(NonFiniteValueError, match="weights"):
+        Dataset(("a", "b"), np.zeros(2), np.array([1.0, bad]))
+    with pytest.raises(NonFiniteValueError, match="u contains"):
+        Dataset(("a", "b"), np.zeros(2), np.ones(2), u=np.array([0.5, bad]))
