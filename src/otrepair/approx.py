@@ -109,13 +109,17 @@ class Disintegration:
     ``ladder[i]`` is its cumulative form in the shared lexicographic
     support order, used for inverse-CDF sampling.  Reconstructing the
     column marginal, sum_i mu_a(i) * conditional[i], gives back nu0's
-    weights.
+    weights.  ``potential[i]`` is the coupling's dual potential at source
+    point i; with its c-transform over nu0's support it certifies the
+    coupling's cost as the squared Wasserstein distance (see
+    :func:`otrepair.diagnostics.verify`).
     """
 
     label: object
     law: DiscreteMeasure
     conditional: np.ndarray
     ladder: np.ndarray
+    potential: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,30 +204,13 @@ def _solve_barycenter(
     raise ConfigConflictError(f"unknown method {method!r}")
 
 
-def _disintegration(atom: ConditionalAtom, alpha, ladder_order) -> Disintegration:
+def _disintegration(
+    atom: ConditionalAtom, alpha, ladder_order, potential
+) -> Disintegration:
     """Row conditionals ``alpha`` with their cumulative ladders in ``ladder_order``."""
     ladder = np.cumsum(alpha[:, ladder_order], axis=1)
     ladder[:, -1] = np.maximum(ladder[:, -1], 1.0)
-    return Disintegration(atom.label, atom.law, alpha, ladder)
-
-
-def _disintegrate(
-    family: ConditionalFamily,
-    nu0: DiscreteMeasure,
-    couplings: list,
-    ladder_order: np.ndarray,
-) -> dict:
-    out = {}
-    for atom, sol in zip(family.atoms, couplings):
-        g = sol.coupling.weights
-        row_mass = g.sum(axis=1)
-        alpha = np.empty_like(g)
-        ok = row_mass > 0.0
-        alpha[ok] = g[ok] / row_mass[ok, None]
-        # zero-mass rows are unconstrained; give them nu0 itself
-        alpha[~ok] = nu0.weights
-        out[atom.label] = _disintegration(atom, alpha, ladder_order)
-    return out
+    return Disintegration(atom.label, atom.law, alpha, ladder, potential)
 
 
 def _achieved_from_disintegrations(
@@ -248,16 +235,30 @@ def _assemble(
     converged: bool,
     lp_value: float | None,
 ) -> IndependentApproximation:
-    couplings = [optimal_coupling(a.law, nu0) for a in family.atoms]
     ladder_order = np.lexsort(nu0.support.T[::-1])
-    disintegrations = _disintegrate(family, nu0, couplings, ladder_order)
+    disintegrations = {}
+    lower = 0.0
+    # one atom at a time, so only one dense coupling is alive at once
+    for atom in family.atoms:
+        sol = optimal_coupling(atom.law, nu0)
+        g = sol.coupling.weights
+        row_mass = g.sum(axis=1)
+        alpha = np.empty_like(g)
+        ok = row_mass > 0.0
+        alpha[ok] = g[ok] / row_mass[ok, None]
+        # zero-mass rows are unconstrained; give them nu0 itself
+        alpha[~ok] = nu0.weights
+        disintegrations[atom.label] = _disintegration(
+            atom, alpha, ladder_order, sol.potentials[0]
+        )
+        lower += atom.p * sol.cost
     return IndependentApproximation(
         family=family,
         nu0=nu0,
         disintegrations=disintegrations,
         ladder_order=ladder_order,
         achieved_distance_sq=_achieved_from_disintegrations(family, nu0, disintegrations),
-        lower_bound=float(sum(a.p * s.cost for a, s in zip(family.atoms, couplings))),
+        lower_bound=lower,
         mean_x=np.asarray(mean_x, dtype=float),
         mean_y=mean(nu0),
         method=method_tag,
@@ -289,6 +290,8 @@ def build(
     identity exact.  Per-atom couplings to the final nu0 are always
     exact (the comonotone closed form when m = 1, the network simplex
     otherwise), and ``lower_bound`` is the weighted sum of their costs.
+    Each disintegration keeps its coupling's row potential, from which
+    :func:`otrepair.diagnostics.verify` certifies optimality.
     """
     family = estimate_conditionals(data)
     resolved = _resolve_method(method, data.dim)
@@ -478,12 +481,16 @@ def decompose_solve(
     )
     nu0 = inner.nu0.translate(mean_x)
     ladder_order = np.lexsort(nu0.support.T[::-1])
-    disintegrations = {
-        atom.label: _disintegration(
-            atom, inner.disintegrations[atom.label].conditional, ladder_order
+    disintegrations = {}
+    for atom in family.atoms:
+        dis = inner.disintegrations[atom.label]
+        # the cost to nu0 is the centered cost plus 2 x~.delta + |delta|^2
+        # minus a column-only term, which the c-transform absorbs
+        delta = atom_mean[atom.label] - mean_x
+        potential = dis.potential + 2.0 * (dis.law.support @ delta) + delta @ delta
+        disintegrations[atom.label] = _disintegration(
+            atom, dis.conditional, ladder_order, potential
         )
-        for atom in family.atoms
-    }
     # barycenter iterations, convergence and LP value carry over from inner
     return replace(
         inner,

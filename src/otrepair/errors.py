@@ -56,7 +56,8 @@ class EmptyDatasetError(OtRepairError, ValueError):
 
 
 class NonFiniteValueError(OtRepairError, ValueError):
-    """A point, weight or u value is nan or infinite."""
+    """A point, weight or u value is nan or infinite, or a squared
+    distance between points overflows."""
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Implements three routes to a coupling between two discrete measures:
   supports sorted ascending, optimal in one dimension.
 
 ``solve`` picks one of them by name; ``optimal_coupling`` picks the
-cheapest exact one for the dimension.
+cheapest exact one for the dimension.  The two exact solvers also return
+dual potentials, which certify their plans without a second solve.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -33,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionNotOneError,
     NegativeWeightError,
+    NonFiniteValueError,
     NumericalUnderflowError,
     SolverFailureError,
     WeightSumError,
@@ -57,9 +59,20 @@ MARGINAL_ATOL = 1e-8
 
 
 def cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dense matrix of squared Euclidean distances |x_i - y_j|^2."""
-    d = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
+    """Dense matrix of squared Euclidean distances |x_i - y_j|^2.
+
+    Raises :class:`NonFiniteValueError` when a squared distance overflows,
+    since no solver can rank infinite costs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x[:, None, :] - y[None, :, :]
+        C = np.einsum("ijk,ijk->ij", d, d)
+    if not np.isfinite(C).all():
+        raise NonFiniteValueError(
+            "a squared distance between support points overflows; "
+            "rescale the values"
+        )
+    return C
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +127,14 @@ class OtSolution:
 
     ``cost`` is the squared-distance transport cost of the coupling,
     i.e. the squared Wasserstein distance when the plan is optimal.
+
+    ``potentials`` is the dual pair (u, v) of the exact solvers, indexed
+    like the two supports: u[i] + v[j] = C[i, j] on every basis arc, and
+    u[i] + v[j] <= C[i, j] elsewhere up to the pivot tolerance, so
+    mu.weights @ u + nu.weights @ v equals ``cost``.  Any u certifies a
+    lower bound on the squared distance through its c-transform (see
+    :func:`otrepair.diagnostics.verify`).  ``None`` for the entropic
+    solver.
     """
 
     coupling: Coupling
@@ -121,6 +142,7 @@ class OtSolution:
     method: str
     iterations: int
     converged: bool
+    potentials: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         recomputed = transport_cost(self.coupling)
@@ -134,15 +156,20 @@ class OtSolution:
 # north-west corner
 # ---------------------------------------------------------------------------
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Staircase basis on input order: n + k - 1 arcs (i, j, flow).
+def _northwest_corner(a: np.ndarray, b: np.ndarray, C: np.ndarray):
+    """Staircase basis on input order: n + k - 1 arcs (i, j, flow), and
+    its potentials (u, v) with u[i] + v[j] = C[i, j] on every arc, u[0] = 0.
 
     Degenerate zero-flow arcs are kept so the arc set always forms a
-    spanning tree of the bipartite graph.
+    spanning tree of the bipartite graph.  Each arc shares its row or its
+    column with the arc before it, so each step fixes one new potential.
     """
     n, k = len(a), len(b)
     ra = a.astype(float).copy()
     rb = b.astype(float).copy()
+    u = np.zeros(n)
+    v = np.zeros(k)
+    v[0] = C[0, 0]
     arcs = []
     i = j = 0
     while True:
@@ -152,15 +179,13 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
         rb[j] -= t
         if i == n - 1 and j == k - 1:
             break
-        if i == n - 1:
-            j += 1
-        elif j == k - 1:
+        if i < n - 1 and (j == k - 1 or ra[i] <= rb[j]):
             i += 1
-        elif ra[i] <= rb[j]:
-            i += 1
+            u[i] = C[i, j] - v[j]
         else:
             j += 1
-    return arcs
+            v[j] = C[i, j] - u[i]
+    return arcs, u, v
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +195,16 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
 def _solve_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Minimize <gamma, C> over the transportation polytope.
 
-    Returns (plan, n_pivots).  Deterministic: north-west-corner start,
+    Returns (plan, n_pivots, (u, v)), where the final potentials are
+    tight on the basis arcs.  Deterministic: north-west-corner start,
     most-negative-reduced-cost pricing with lowest-(row, col) ties, and
     a switch to Bland's first-index rule whenever ``n + k`` consecutive
     degenerate pivots occur (cleared by the next mass-moving pivot).
 
-    The basis tree is kept in adjacency lists; duals are maintained
-    incrementally (each pivot shifts one component of the split tree by
-    the entering arc's reduced cost) rather than recomputed.
+    The basis tree is kept in adjacency lists; duals start from the
+    staircase potentials and are maintained incrementally (each pivot
+    shifts one component of the split tree by the entering arc's reduced
+    cost) rather than recomputed.
     """
     n, k = C.shape
     nodes = n + k
@@ -191,7 +218,8 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     arc_f: list[float] = []
     adj: list[list[int]] = [[] for _ in range(nodes)]
     basic = np.zeros((n, k), dtype=bool)
-    for i, j, f in _northwest_corner(a, b):
+    arcs, u, v = _northwest_corner(a, b, C)
+    for i, j, f in arcs:
         aid = len(arc_i)
         arc_i.append(i)
         arc_j.append(j)
@@ -199,25 +227,6 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         adj[i].append(aid)
         adj[n + j].append(aid)
         basic[i, j] = True
-
-    # initial duals from the tree, rooted at row 0
-    u = np.zeros(n)
-    v = np.zeros(k)
-    seen = [False] * nodes
-    seen[0] = True
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        on_row = node < n
-        for aid in adj[node]:
-            nbr = (n + arc_j[aid]) if on_row else arc_i[aid]
-            if not seen[nbr]:
-                seen[nbr] = True
-                if on_row:
-                    v[arc_j[aid]] = C[node, arc_j[aid]] - u[node]
-                else:
-                    u[arc_i[aid]] = C[arc_i[aid], node - n] - v[node - n]
-                stack.append(nbr)
 
     inf = np.inf
     max_pivots = 1000 + 50 * nodes
@@ -329,7 +338,7 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     plan = np.zeros((n, k))
     for i, j, f in zip(arc_i, arc_j, arc_f):
         plan[i, j] = f
-    return plan, pivots
+    return plan, pivots, (u, v)
 
 
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
@@ -345,10 +354,10 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
             f"measures have dimensions {mu.dim} and {nu.dim}"
         )
     C = cost_matrix(mu.support, nu.support)
-    plan, pivots = _solve_transport(mu.weights, nu.weights, C)
+    plan, pivots, potentials = _solve_transport(mu.weights, nu.weights, C)
     coupling = Coupling(mu, nu, plan)
     cost = float(np.einsum("ij,ij->", plan, C))
-    return OtSolution(coupling, cost, "exact", pivots, True)
+    return OtSolution(coupling, cost, "exact", pivots, True, potentials)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +374,20 @@ def solve_comonotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
         raise DimensionNotOneError("comonotone coupling requires 1-D measures")
     order_r = np.argsort(mu.support[:, 0], kind="stable")
     order_c = np.argsort(nu.support[:, 0], kind="stable")
-    arcs = _northwest_corner(mu.weights[order_r], nu.weights[order_c])
+    C = cost_matrix(mu.support, nu.support)
+    arcs, u_sorted, v_sorted = _northwest_corner(
+        mu.weights[order_r], nu.weights[order_c], C[np.ix_(order_r, order_c)]
+    )
     plan = np.zeros((mu.n, nu.n))
     for i, j, f in arcs:
         plan[order_r[i], order_c[j]] += f
+    u = np.empty(mu.n)
+    v = np.empty(nu.n)
+    u[order_r] = u_sorted
+    v[order_c] = v_sorted
     coupling = Coupling(mu, nu, plan)
-    cost = transport_cost(coupling)
-    return OtSolution(coupling, cost, "comonotone_1d", 0, True)
+    cost = float(np.einsum("ij,ij->", plan, C))
+    return OtSolution(coupling, cost, "comonotone_1d", 0, True, (u, v))
 
 
 # ---------------------------------------------------------------------------

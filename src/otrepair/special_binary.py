@@ -30,7 +30,7 @@ from .errors import (
     TooManyAtomsError,
     WeightSumError,
 )
-from .measure import dataset_from_rows
+from .measure import _finite, dataset_from_rows
 
 __all__ = [
     "BinaryInstance",
@@ -59,7 +59,7 @@ class BinaryInstance:
 
     ``probs`` are the atom probabilities (sum 1); ``f`` and ``g`` hold
     the value of x on the independent event and its complement per atom,
-    both nonnegative; ``p_a`` is the probability of the event.
+    both finite and nonnegative; ``p_a`` is the probability of the event.
     """
 
     labels: tuple
@@ -69,9 +69,9 @@ class BinaryInstance:
     p_a: float
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float).ravel()
-        f = np.asarray(self.f, dtype=float).ravel()
-        g = np.asarray(self.g, dtype=float).ravel()
+        probs = _finite("probs", self.probs).ravel()
+        f = _finite("f", self.f).ravel()
+        g = _finite("g", self.g).ravel()
         labels = tuple(self.labels)
         if not (len(labels) == len(probs) == len(f) == len(g)):
             raise WeightSumError("labels, probs, f, g must have equal length")

@@ -19,7 +19,7 @@ from otrepair.barycenter import (
 from otrepair.cli import main
 from otrepair.diagnostics import independence_tv
 from otrepair.measure import dataset_from_rows, make_measure
-from otrepair.ot import solve_comonotone_1d, solve_entropic, solve_exact
+from otrepair.ot import cost_matrix, solve_comonotone_1d, solve_entropic, solve_exact
 from otrepair.special_binary import (
     BinaryInstance,
     brute_force,
@@ -123,10 +123,15 @@ def test_criterion_5_ot_correctness():
         diff = abs(ex.cost - co.cost)
         worst_1d = max(worst_1d, diff)
         assert diff <= 1e-10 * max(1.0, co.cost)
+        C = cost_matrix(mu.support, nu.support)
         for sol, a, b in ((ex, mu, nu), (co, mu, nu)):
             g = sol.coupling.weights
             assert np.max(np.abs(g.sum(axis=1) - a.weights)) <= 1e-8
             assert np.max(np.abs(g.sum(axis=0) - b.weights)) <= 1e-8
+            # the potentials are a dual certificate: feasible, zero gap
+            u, v = sol.potentials
+            assert np.min(C - u[:, None] - v[None, :]) >= -1e-9 * max(1.0, C.max())
+            assert abs(a.weights @ u + b.weights @ v - sol.cost) <= 1e-10
     worst_ent = 0.0
     for i in range(20):
         m = (1, 2)[i % 2]

@@ -229,6 +229,7 @@ def test_sample_y_inverse_cdf_thresholds():
         "g", law,
         conditional=np.array([[0.25, 0.75]]),
         ladder=np.array([[0.25, 1.0]]),
+        potential=np.array([0.0]),
     )
     ap = IndependentApproximation(
         family=make_family([("g", 1.0, law)]),
@@ -376,14 +377,22 @@ def test_decompose_transform_consistent(rng):
 
 def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
     import otrepair.ot
+    from otrepair.diagnostics import verify
 
-    def forbidden(mu, nu):
-        raise AssertionError("solve_exact called on the 1-D build path")
+    d2 = random_dataset(rng, m=2)
+    built = [(d2, build(d2)), (d2, decompose_solve(d2))]
+
+    def forbidden(*args):
+        raise AssertionError("network simplex called")
 
     monkeypatch.setattr(otrepair.ot, "solve_exact", forbidden)
+    monkeypatch.setattr(otrepair.ot, "_solve_transport", forbidden)
     d = random_dataset(rng, m=1)
-    assert build(d).achieved_distance_sq >= 0.0
-    assert decompose_solve(d).achieved_distance_sq >= 0.0
+    built += [(d, build(d)), (d, decompose_solve(d))]
+    assert all(ap.achieved_distance_sq >= 0.0 for _, ap in built)
+    # verify certifies from the build's potentials in every dimension
+    for data, ap in built:
+        assert verify(ap, data).passed
 
 
 def _per_row_lookup(ap, label, i, u):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import otrepair
 from otrepair import cli
 from otrepair.cli import main
 from otrepair.errors import CsvParseError, OtRepairError
@@ -253,10 +256,14 @@ def test_diagnose_rejects_bad_report(tmp_path):
 def test_module_entry_point(tmp_path):
     inp = write(tmp_path / "d.csv", HAND_CSV)
     rep = tmp_path / "r.json"
+    # the child imports the same package as this test, installed or not
+    package_root = str(Path(otrepair.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "otrepair", "approx", "--input", inp,
          "--report", str(rep)],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert rep.exists()
@@ -282,6 +289,27 @@ def test_approx_rejects_non_finite_input(tmp_path, capsys, flags, text, bad):
     code = main(["approx", "--input", inp, "--report", str(tmp_path / "r.json"), *flags])
     assert code == 3
     assert f"non-finite value {bad}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, text", [
+    ([], "group,x\na,0\na,1e200\nb,1\nb,2\n"),
+    (["--value-cols", "x1,x2"], "group,x1,x2\na,0,0\na,1e200,0\nb,1,0\nb,2,0\n"),
+], ids=["1d", "2d"])
+def test_approx_rejects_cost_overflow(tmp_path, capsys, flags, text):
+    # every value is finite, but 1e200 squared is not
+    inp = write(tmp_path / "d.csv", text)
+    rep = tmp_path / "r.json"
+    assert main(["approx", "--input", inp, "--report", str(rep), *flags]) == 3
+    assert "squared distance between support points overflows" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_binary_case_rejects_non_finite_input(tmp_path, capsys):
+    inp = write(tmp_path / "b.csv", "atom,p,f,g\na,0.5,nan,2\nb,0.5,0,2\n")
+    rep = tmp_path / "r.json"
+    assert main(["binary-case", "--input", inp, "--pA", "0.5", "--report", str(rep)]) == 3
+    assert "f contains the non-finite value nan\n" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("subcommand, text", [

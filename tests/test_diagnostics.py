@@ -1,7 +1,16 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from otrepair.approx import SampledOutput, build, transform, transform_grid
+from otrepair.approx import (
+    SampledOutput,
+    build,
+    decompose_solve,
+    transform,
+    transform_grid,
+)
 from otrepair.diagnostics import (
     empirical_distance,
     independence_tv,
@@ -9,6 +18,7 @@ from otrepair.diagnostics import (
 )
 from otrepair.errors import DatasetMismatchError, UnknownSupportPointError
 from otrepair.measure import dataset_from_rows, make_measure
+from otrepair.ot import cost_matrix
 
 from conftest import random_dataset
 
@@ -55,7 +65,6 @@ def test_verify_reports_failures_without_raising():
     d = hand_dataset()
     ap = build(d)
     # tamper: a wrong lower bound must flip a check, not raise
-    import dataclasses
     bad = dataclasses.replace(ap, achieved_distance_sq=ap.achieved_distance_sq + 1.0)
     rep = verify(bad, d)
     assert not rep.passed
@@ -76,10 +85,71 @@ def test_verify_random_instances(rng):
     for m in (1, 2):
         for _ in range(4):
             d = random_dataset(rng, m=m)
-            ap = build(d)
-            rep = verify(ap, d)
-            assert rep.passed, [c for c in rep.checks if not c.passed]
-            assert abs(rep.gap) <= 1e-8 * max(1.0, rep.objective)
+            for ap in (build(d), decompose_solve(d)):
+                rep = verify(ap, d)
+                assert rep.passed, [c for c in rep.checks if not c.passed]
+                assert abs(rep.gap) <= 1e-8 * max(1.0, rep.objective)
+
+
+def _perturbed(ap):
+    """``ap`` with mass moved between two rows of one atom's conditional.
+
+    Of all swaps between two positive cells (i, j), (k, l) of one coupling
+    (mass t leaves them for (i, l) and (k, j)), takes the one that raises
+    the cost most.  Both marginals stay as they were and the potentials
+    are kept, so only the duality gap can notice.  Returns the tampered
+    approximation and the cost rise.
+    """
+    best = None
+    for a in ap.family.atoms:
+        dis = ap.disintegrations[a.label]
+        g = a.law.weights[:, None] * dis.conditional
+        C = cost_matrix(a.law.support, ap.nu0.support)
+        cells = list(zip(*np.nonzero(g > 1e-9)))
+        for (i, j), (k, l) in itertools.combinations(cells, 2):
+            if i != k and j != l:
+                t = min(g[i, j], g[k, l])
+                rise = a.p * t * (C[i, l] + C[k, j] - C[i, j] - C[k, l])
+                if best is None or rise > best[0]:
+                    best = (rise, a, dis, g, (i, j, k, l), t)
+    rise, a, dis, g, (i, j, k, l), t = best
+    g = g.copy()
+    g[i, j] -= t
+    g[k, l] -= t
+    g[i, l] += t
+    g[k, j] += t
+    conditional = g / a.law.weights[:, None]
+    disintegrations = {
+        **ap.disintegrations,
+        a.label: dataclasses.replace(dis, conditional=conditional),
+    }
+    achieved = 0.0
+    for b in ap.family.atoms:
+        C = cost_matrix(b.law.support, ap.nu0.support)
+        cond = disintegrations[b.label].conditional
+        achieved += b.p * float(np.einsum("i,ij,ij->", b.law.weights, cond, C))
+    bad = dataclasses.replace(
+        ap, disintegrations=disintegrations, achieved_distance_sq=achieved
+    )
+    return bad, rise
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_verify_fails_on_perturbed_coupling(rng, m):
+    d = random_dataset(rng, n_atoms=3, max_rows=6, m=m)
+    while min(len(d.group_rows(g)) for g in d.labels) < 2:
+        d = random_dataset(rng, n_atoms=3, max_rows=6, m=m)
+    ap = build(d)
+    assert verify(ap, d).passed
+    bad, rise = _perturbed(ap)
+    assert rise > 1e-6
+    assert abs(bad.achieved_distance_sq - ap.achieved_distance_sq - rise) <= 1e-12
+    checks = {c.name: c for c in verify(bad, d).checks}
+    assert not checks["bound_attainment"].passed
+    assert checks["bound_attainment"].value >= rise - 1e-12
+    # the column marginals are intact: only the certificate fails
+    assert checks["reconstruction"].passed
+    assert checks["independence_tv"].passed
 
 
 # --- empirical_distance -------------------------------------------------------
