@@ -30,16 +30,7 @@ from .ot import (
     transport_cost,
     wasserstein_sq,
 )
-from .barycenter import (
-    BarycenterResult,
-    barycenter_1d,
-    barycenter_1d_exact,
-    barycenter_entropic,
-    barycenter_fixed_support,
-    barycenter_free_support,
-    default_support,
-    objective,
-)
+from .barycenter import BarycenterResult, default_support, solve_barycenter
 from .approx import (
     Disintegration,
     IndependentApproximation,

@@ -29,18 +29,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .barycenter import (
+    BarycenterResult,
     _check_support,
+    _resolve_method,
     default_support,
-    entropic_weights,
-    fixed_support_weights,
-    free_support_points,
-    quantile_exact_measure,
-    quantile_grid_measure,
+    solve_barycenter,
 )
 from .errors import (
     ConfigConflictError,
     DatasetMismatchError,
-    DimensionNotOneError,
     IndexOutOfRangeError,
     MissingUError,
     UnknownGroupError,
@@ -54,7 +51,6 @@ from .measure import (
     DiscreteMeasure,
     dirac,
     mean,
-    mixture,
 )
 from .ot import cost_matrix, optimal_coupling
 
@@ -162,54 +158,17 @@ class SampledOutput:
         return len(self.groups)
 
 
-def _resolve_method(method: str, dim: int) -> str:
-    """The barycenter backend for ``method`` on data of dimension ``dim``."""
-    if method == "auto":
-        return "quantile1d" if dim == 1 else "exact"
-    if method == "quantile1d" and dim != 1:
-        raise DimensionNotOneError("method quantile1d requires 1-D data")
-    if method not in ("exact", "entropic", "free", "quantile1d"):
-        raise ConfigConflictError(f"unknown method {method!r}")
-    return method
-
-
-def _solve_barycenter(
-    family: ConditionalFamily,
-    method: str,
-    support,
-    epsilon: float,
-    max_iter: int,
-    tol: float,
-    resolution: int | None,
-    k: int | None,
-    init_seed: int,
-):
-    """Dispatch to a barycenter backend; returns (nu0, iters, conv, lp_value, tag)."""
-    if method == "quantile1d":
-        if resolution is None:
-            return quantile_exact_measure(family), 0, True, None, "quantile_exact"
-        return quantile_grid_measure(family, resolution), 0, True, None, "quantile_grid"
-    if method == "exact":
-        S = default_support(family) if support is None else support
-        nu0, nit, fun = fixed_support_weights(family, S)
-        return nu0, nit, True, fun, "fixed_support_exact"
-    if method == "entropic":
-        S = default_support(family) if support is None else support
-        nu0, nit, conv = entropic_weights(family, S, epsilon, max_iter, tol)
-        return nu0, nit, conv, None, "fixed_support_entropic"
-    if method == "free":
-        kk = mixture(family).n if k is None else k
-        nu0, nit, conv, _hist = free_support_points(family, kk, init_seed, max_iter, tol)
-        return nu0, nit, conv, None, "free_support"
-    raise ConfigConflictError(f"unknown method {method!r}")
-
-
 def _disintegration(
     atom: ConditionalAtom, alpha, ladder_order, potential
 ) -> Disintegration:
-    """Row conditionals ``alpha`` with their cumulative ladders in ``ladder_order``."""
+    """Row conditionals ``alpha`` with their cumulative ladders in ``ladder_order``.
+
+    A row whose sum rounds below 1 ends in a run of equal values, which
+    starts at the last position that adds mass; raising that run to 1
+    makes u = 1 stop there.
+    """
     ladder = np.cumsum(alpha[:, ladder_order], axis=1)
-    ladder[:, -1] = np.maximum(ladder[:, -1], 1.0)
+    np.maximum(ladder, 1.0, out=ladder, where=ladder >= ladder[:, -1:])
     return Disintegration(atom.label, atom.law, alpha, ladder, potential)
 
 
@@ -227,14 +186,9 @@ def _achieved_from_disintegrations(
 
 
 def _assemble(
-    family: ConditionalFamily,
-    nu0: DiscreteMeasure,
-    mean_x: np.ndarray,
-    method_tag: str,
-    iterations: int,
-    converged: bool,
-    lp_value: float | None,
+    family: ConditionalFamily, bary: BarycenterResult, mean_x: np.ndarray
 ) -> IndependentApproximation:
+    nu0 = bary.nu0
     ladder_order = np.lexsort(nu0.support.T[::-1])
     disintegrations = {}
     lower = 0.0
@@ -261,53 +215,42 @@ def _assemble(
         lower_bound=lower,
         mean_x=np.asarray(mean_x, dtype=float),
         mean_y=mean(nu0),
-        method=method_tag,
-        barycenter_iterations=iterations,
-        barycenter_converged=converged,
-        lp_objective=lp_value,
+        method=bary.method,
+        barycenter_iterations=bary.iterations,
+        barycenter_converged=bary.converged,
+        lp_objective=bary.lp_objective,
     )
 
 
-def build(
-    data: Dataset,
-    *,
-    method: str = "auto",
-    support=None,
-    epsilon: float = 0.01,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
-    resolution: int | None = None,
-    k: int | None = None,
-    init_seed: int = 0,
-) -> IndependentApproximation:
+def build(data: Dataset, *, method: str = "auto", **options) -> IndependentApproximation:
     """Construct the best independent approximation of a dataset.
 
-    ``method`` picks the barycenter backend: ``auto`` uses the exact
-    1-D quantile closed form when m = 1 and the exact fixed-support LP
-    on the coalesced union of atom supports otherwise.  Whatever the
-    backend returns is translated so its mean equals the dataset mean;
-    the translation never increases the objective and makes the mean
-    identity exact.  Per-atom couplings to the final nu0 are always
-    exact (the comonotone closed form when m = 1, the network simplex
-    otherwise), and ``lower_bound`` is the weighted sum of their costs.
-    Each disintegration keeps its coupling's row potential, from which
+    ``method`` and the further keyword ``options`` pick and tune the
+    barycenter backend as in :func:`otrepair.barycenter.solve_barycenter`:
+    ``auto`` uses the exact 1-D quantile closed form when m = 1 and the
+    exact fixed-support LP on the coalesced union of atom supports
+    otherwise.  Whatever the backend returns is translated so its mean
+    equals the dataset mean; the translation never increases the
+    objective and makes the mean identity exact.  Per-atom couplings to
+    the final nu0 are always exact (the comonotone closed form when
+    m = 1, the network simplex otherwise), and ``lower_bound`` is the
+    weighted sum of their costs.  Each disintegration keeps its
+    coupling's row potential, from which
     :func:`otrepair.diagnostics.verify` certifies optimality.
     """
     family = estimate_conditionals(data)
-    resolved = _resolve_method(method, data.dim)
     mean_x = data.mean_x()
-    if resolved in ("exact", "quantile1d") and all(a.law.n == 1 for a in family.atoms):
+    if (_resolve_method(method, data.dim) in ("exact", "quantile1d")
+            and all(a.law.n == 1 for a in family.atoms)):
         # every conditional law is a point mass: the optimum is the mean
         point = sum(a.p * a.law.support[0] for a in family.atoms)
-        return _assemble(family, dirac(point), mean_x, "dirac_closed_form", 0, True, None)
-    nu0, iters, conv, lp_value, tag = _solve_barycenter(
-        family, resolved, support, epsilon, max_iter, tol, resolution, k,
-        init_seed,
-    )
+        bary = BarycenterResult(dirac(point), "dirac_closed_form", 0, True)
+        return _assemble(family, bary, mean_x)
+    bary = solve_barycenter(family, method, **options)
     # recentring: W2^2 to every atom drops by |shift|^2 jointly, and
     # the mean of nu0 becomes the mean of x exactly
-    nu0 = nu0.translate(mean_x - mean(nu0))
-    return _assemble(family, nu0, mean_x, tag, iters, conv, lp_value)
+    nu0 = bary.nu0.translate(mean_x - mean(bary.nu0))
+    return _assemble(family, replace(bary, nu0=nu0), mean_x)
 
 
 def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
@@ -334,6 +277,10 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
     return rows_of
 
 
+# the least positive float: a u = 0 draw skips leading zero-mass positions
+_LEAST_POSITIVE = np.nextafter(0.0, 1.0)
+
+
 def _lookup(
     approx: IndependentApproximation,
     label,
@@ -342,18 +289,21 @@ def _lookup(
 ) -> np.ndarray:
     """nu0 points drawn at ``u[i]`` from the ladder row ``source[i]`` of ``label``.
 
-    A draw is the first ladder position whose cumulative weight reaches u.
-    Complex numbers sort lexicographically, so one exact ``searchsorted``
-    over the sorted keys ``row + 1j * cum`` finds it for every query
-    ``source + 1j * u`` (overshooting into the next row clamps to the end).
+    A draw is the first ladder position with positive mass whose
+    cumulative weight reaches u: u = 0 is raised to the least positive
+    float, which skips leading zero-mass positions, and every ladder row
+    ends at or above 1.  Complex numbers sort lexicographically, so one
+    exact ``searchsorted`` over the sorted keys ``row + 1j * cum`` finds
+    it for every query ``source + 1j * u``.
     """
     ladder = approx.disintegrations[label].ladder
     n, K = ladder.shape
     keys = np.empty((n, K), dtype=complex)
     keys.real = np.arange(n)[:, None]
     keys.imag = ladder
-    pos = np.searchsorted(keys.ravel(), source + 1j * u, side="left") - source * K
-    return approx.nu0.support[approx.ladder_order[np.minimum(pos, K - 1)]]
+    query = source + 1j * np.maximum(u, _LEAST_POSITIVE)
+    pos = np.searchsorted(keys.ravel(), query, side="left") - source * K
+    return approx.nu0.support[approx.ladder_order[pos]]
 
 
 def sample_y(
@@ -462,19 +412,17 @@ def decompose_solve(
     two restricted problems exactly equivalent.
     """
     family = estimate_conditionals(data)
-    resolved = _resolve_method(method, data.dim)
     mean_x = data.mean_x()
 
     atom_mean = {a.label: mean(a.law) for a in family.atoms}
     shift = np.stack([atom_mean[g] for g in data.groups])
     centered = Dataset(data.groups, data.x - shift, data.weights, data.u)
 
-    inner_support = support
-    if resolved in ("exact", "entropic"):
+    if _resolve_method(method, data.dim) in ("exact", "entropic"):
         S = default_support(family) if support is None else support
-        inner_support = _check_support(family, S) - mean_x[None, :]
+        support = _check_support(family, S) - mean_x[None, :]
 
-    inner = build(centered, method=resolved, support=inner_support, **options)
+    inner = build(centered, method=method, support=support, **options)
 
     between_var = float(
         sum(a.p * np.sum((atom_mean[a.label] - mean_x) ** 2) for a in family.atoms)

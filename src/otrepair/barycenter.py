@@ -1,32 +1,30 @@
 """Wasserstein-2 barycenters of a conditional family.
 
-Four routes to (an approximation of) the measure minimizing the
+``solve_barycenter`` is the one entry point: it maps a method name to
+one of four routes to (an approximation of) the measure minimizing the
 p-weighted sum of squared Wasserstein distances to the family's atoms:
 
-- ``barycenter_fixed_support``: the restricted problem on a fixed grid
-  is one joint linear program (per-atom transport variables sharing the
-  grid weights as their common column marginal); solved exactly.
-- ``barycenter_entropic``: iterative Bregman projections on a fixed
-  grid, log-domain.  The reported objective is evaluated with exact
-  transport afterwards, so it is honest even when the weights are only
-  approximately optimal.
-- ``barycenter_free_support``: fixed-point iteration alternating exact
-  couplings with barycentric projection of the support points.
-- ``barycenter_1d`` / ``barycenter_1d_exact``: the one-dimensional
-  closed form; the quantile function of the barycenter is the p-weighted
-  average of the atoms' quantile functions.  The ``_exact`` variant
-  evaluates that average on the union of all cumulative breakpoints and
-  is exact for every weight pattern; the resolution variant samples a
-  uniform midpoint grid and is exact when all atom weights are
-  multiples of 1/R.
+- ``exact`` (``fixed_support_weights``): the restricted problem on a
+  fixed grid is one joint linear program; solved exactly.
+- ``entropic`` (``entropic_weights``): iterative Bregman projections on
+  a fixed grid, log-domain.
+- ``free`` (``free_support_points``): fixed-point iteration alternating
+  exact couplings with barycentric projection of the support points.
+- ``quantile1d`` (``quantile_exact_measure``, ``quantile_grid_measure``):
+  the one-dimensional closed form; the quantile function of the
+  barycenter is the p-weighted average of the atoms' quantile functions.
 
-Minimizers need not be unique; results are deterministic, and callers
-should compare objectives rather than supports across methods.
+``solve_barycenter`` solves no coupling to score its result;
+:func:`otrepair.approx.lower_bound` evaluates the objective of ``nu0``
+with exact transport, so the value is honest even when the weights are
+only approximately optimal.  Minimizers need not be unique;
+results are deterministic, and callers should compare objectives rather
+than supports across methods.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -34,24 +32,18 @@ from scipy.optimize import linprog
 
 from .errors import (
     ConfigConflictError,
-    DimensionMismatchError,
     DimensionNotOneError,
     LpInfeasibleError,
     SolverFailureError,
     SupportDimensionMismatchError,
 )
 from .measure import ConditionalAtom, ConditionalFamily, DiscreteMeasure, coalesce, mixture
-from .ot import _logsumexp, cost_matrix, optimal_coupling, solve_exact, wasserstein_sq
+from .ot import _logsumexp, cost_matrix, solve_exact
 
 __all__ = [
     "BarycenterResult",
-    "objective",
+    "solve_barycenter",
     "default_support",
-    "barycenter_fixed_support",
-    "barycenter_entropic",
-    "barycenter_free_support",
-    "barycenter_1d",
-    "barycenter_1d_exact",
     "fixed_support_weights",
     "entropic_weights",
     "free_support_points",
@@ -62,29 +54,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BarycenterResult:
-    """A candidate barycenter with its exactly-evaluated objective.
+    """A candidate barycenter and how its backend reached it.
 
-    ``objective`` always equals the p-weighted sum of ``per_atom_w2``,
-    and each per-atom value is the exact squared Wasserstein distance
-    from that atom to ``nu0``.  ``lp_objective`` carries the raw linear
-    program value for the fixed-support method (a cross-check; None for
-    the other methods).
+    ``method`` tags the backend that ran; ``iterations`` counts its LP
+    pivots, Bregman sweeps or fixed-point rounds (0 for the closed
+    forms).  ``lp_objective`` carries the raw joint LP value for the
+    fixed-support method (None for the others) and ``history`` the
+    free-support objective of every round.
     """
 
     nu0: DiscreteMeasure
-    objective: float
-    per_atom_w2: dict
     method: str
     iterations: int
     converged: bool
     lp_objective: float | None = None
-    history: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not np.isfinite(self.objective) or self.objective < 0.0:
-            raise SolverFailureError(
-                f"barycenter objective {self.objective!r} is not a valid cost"
-            )
+    history: tuple = ()
 
 
 # An atom this light contributes nothing to the objective but can still
@@ -108,43 +92,61 @@ def _solvable_family(family: ConditionalFamily) -> ConditionalFamily:
     )
 
 
-def _result(
-    family: ConditionalFamily,
-    nu0: DiscreteMeasure,
-    method: str,
-    iterations: int,
-    converged: bool,
-    lp_objective: float | None = None,
-    history: tuple = (),
-) -> BarycenterResult:
-    per_atom = {a.label: optimal_coupling(a.law, nu0).cost for a in family.atoms}
-    obj = float(sum(a.p * per_atom[a.label] for a in family.atoms))
-    return BarycenterResult(
-        nu0=nu0,
-        objective=obj,
-        per_atom_w2=per_atom,
-        method=method,
-        iterations=iterations,
-        converged=converged,
-        lp_objective=lp_objective,
-        history=history,
-    )
-
-
-def objective(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
-    """The p-weighted sum of exact squared Wasserstein distances to nu."""
-    if nu.dim != family.dim:
-        raise DimensionMismatchError(
-            f"candidate has dimension {nu.dim}, family has {family.dim}"
-        )
-    return float(
-        sum(a.p * wasserstein_sq(a.law, nu, method="exact") for a in family.atoms)
-    )
-
-
 def default_support(family: ConditionalFamily) -> np.ndarray:
     """Coalesced union of all atom supports (the default restriction grid)."""
     return coalesce(mixture(family)).support
+
+
+def _resolve_method(method: str, dim: int) -> str:
+    """The backend name for ``method`` on data of dimension ``dim``."""
+    if method == "auto":
+        return "quantile1d" if dim == 1 else "exact"
+    if method == "quantile1d" and dim != 1:
+        raise DimensionNotOneError("method quantile1d requires 1-D data")
+    if method not in ("exact", "entropic", "free", "quantile1d"):
+        raise ConfigConflictError(f"unknown method {method!r}")
+    return method
+
+
+def solve_barycenter(
+    family: ConditionalFamily,
+    method: str = "auto",
+    *,
+    support=None,
+    epsilon: float = 0.01,
+    max_iter: int = 1000,
+    tol: float = 1e-9,
+    resolution: int | None = None,
+    k: int | None = None,
+    init_seed: int = 0,
+) -> BarycenterResult:
+    """A barycenter of ``family`` by the named method.
+
+    ``auto`` is ``quantile1d`` in 1-D and ``exact`` otherwise.
+    ``quantile1d`` is exact unless ``resolution`` asks for the R-point
+    grid.  ``exact`` and ``entropic`` are restricted to ``support``
+    (default: :func:`default_support`), ``entropic`` runs at ``epsilon``,
+    and ``free`` moves ``k`` points (default: the mixture's size) from a
+    draw seeded by ``init_seed``; ``max_iter`` and ``tol`` bound the
+    iterative ones.  No coupling is solved to score the result.
+    """
+    method = _resolve_method(method, family.dim)
+    if method == "quantile1d":
+        if resolution is None:
+            nu0, tag = quantile_exact_measure(family), "quantile_exact"
+        else:
+            nu0, tag = quantile_grid_measure(family, resolution), "quantile_grid"
+        return BarycenterResult(nu0, tag, 0, True)
+    if method == "free":
+        kk = mixture(family).n if k is None else k
+        nu0, it, conv, history = free_support_points(family, kk, init_seed, max_iter, tol)
+        return BarycenterResult(nu0, "free_support", it, conv, history=history)
+    S = default_support(family) if support is None else support
+    if method == "exact":
+        nu0, nit, fun = fixed_support_weights(family, S)
+        return BarycenterResult(nu0, "fixed_support_exact", nit, True, lp_objective=fun)
+    nu0, it, conv = entropic_weights(family, S, epsilon, max_iter, tol)
+    return BarycenterResult(nu0, "fixed_support_entropic", it, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,11 @@ def fixed_support_weights(
     family: ConditionalFamily,
     support,
 ) -> tuple[DiscreteMeasure, int, float]:
-    """Solve the joint LP with HiGHS; returns (measure, pivots, raw LP value)."""
+    """Globally optimal weights on a fixed grid via one joint LP.
+
+    The LP is solved by SciPy's HiGHS dual simplex, which is
+    deterministic.  Returns (measure, pivots, raw LP value).
+    """
     family = _solvable_family(family)
     S = _check_support(family, support)
     c, A, b = _assemble_joint_lp(family, S)
@@ -230,19 +236,6 @@ def fixed_support_weights(
     w = np.maximum(res.x[-K:], 0.0)
     w = w / w.sum()
     return DiscreteMeasure(S, w), int(res.nit), float(res.fun)
-
-
-def barycenter_fixed_support(
-    family: ConditionalFamily,
-    support,
-) -> BarycenterResult:
-    """Globally optimal weights on a fixed grid via one joint LP.
-
-    The LP is solved by SciPy's HiGHS dual simplex, which is
-    deterministic.
-    """
-    nu0, nit, fun = fixed_support_weights(family, support)
-    return _result(family, nu0, "fixed_support_exact", nit, True, lp_objective=fun)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +249,13 @@ def entropic_weights(
     max_iter: int = 1000,
     tol: float = 1e-9,
 ) -> tuple[DiscreteMeasure, int, bool]:
-    """Bregman-projection weights; returns (measure, sweeps, converged)."""
+    """Entropic barycenter on a fixed grid (log-domain Bregman projections).
+
+    Converged means the L1 change of the grid weights fell below ``tol``
+    before ``max_iter`` sweeps; the result is returned either way, with
+    the flag recording which happened.  Returns (measure, sweeps,
+    converged).
+    """
     if not epsilon > 0.0:
         raise ConfigConflictError("epsilon must be positive")
     family = _solvable_family(family)
@@ -293,24 +292,6 @@ def entropic_weights(
     return DiscreteMeasure(S, w), it, converged
 
 
-def barycenter_entropic(
-    family: ConditionalFamily,
-    support,
-    epsilon: float,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
-) -> BarycenterResult:
-    """Entropic barycenter on a fixed grid (log-domain Bregman projections).
-
-    Converged means the L1 change of the grid weights fell below ``tol``
-    before ``max_iter`` sweeps; the result is returned either way, with
-    the flag recording which happened.  The objective is evaluated with
-    exact transport on the returned weights.
-    """
-    nu0, it, converged = entropic_weights(family, support, epsilon, max_iter, tol)
-    return _result(family, nu0, "fixed_support_entropic", it, converged)
-
-
 # ---------------------------------------------------------------------------
 # free support fixed point
 # ---------------------------------------------------------------------------
@@ -322,7 +303,18 @@ def free_support_points(
     max_iter: int = 100,
     tol: float = 1e-9,
 ) -> tuple[DiscreteMeasure, int, bool, tuple]:
-    """Fixed-point support refinement; returns (measure, iters, converged, history)."""
+    """Local refinement with k movable support points of weight 1/k.
+
+    Initial points are drawn without replacement from the family mixture
+    proportionally to weight (seeded, hence reproducible).  Each round
+    solves the exact couplings to the current candidate and moves every
+    support point to the weighted average of its matched sources; the
+    objective is nonincreasing and the loop stops when support movement
+    falls below ``tol``.  A support point left without mass (possible
+    only through degenerate inputs) is respawned at the heaviest mixture
+    point rather than failing.  Returns (measure, rounds, converged,
+    objective history).
+    """
     family = _solvable_family(family)
     mix = mixture(family)
     if k < 1:
@@ -370,30 +362,6 @@ def free_support_points(
     return DiscreteMeasure(Y, w), it, converged, tuple(history)
 
 
-def barycenter_free_support(
-    family: ConditionalFamily,
-    k: int,
-    init_seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> BarycenterResult:
-    """Local refinement with k movable support points of weight 1/k.
-
-    Initial points are drawn without replacement from the family mixture
-    proportionally to weight (seeded, hence reproducible).  Each round
-    solves the exact couplings to the current candidate and moves every
-    support point to the weighted average of its matched sources; the
-    objective is nonincreasing and the loop stops when support movement
-    falls below ``tol``.  A support point left without mass (possible
-    only through degenerate inputs) is respawned at the heaviest mixture
-    point rather than failing.
-    """
-    nu0, it, converged, history = free_support_points(
-        family, k, init_seed, max_iter, tol
-    )
-    return _result(family, nu0, "free_support", it, converged, history=history)
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional closed form
 # ---------------------------------------------------------------------------
@@ -420,7 +388,12 @@ def _quantile_average(family: ConditionalFamily, t: np.ndarray) -> np.ndarray:
 
 
 def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> DiscreteMeasure:
-    """The quantile-average law sampled on the R-point midpoint grid."""
+    """Quantile-average barycenter on the R-point midpoint grid.
+
+    The candidate is the law of t -> sum_a p_a F_a^{-1}(t) sampled at
+    t = (i - 1/2)/R with uniform weights 1/R.  Exact whenever every atom
+    weight is a multiple of 1/R; a discretization otherwise.
+    """
     family = _solvable_family(family)
     if family.dim != 1:
         raise DimensionNotOneError("quantile averaging requires 1-D atoms")
@@ -434,7 +407,13 @@ def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> Discret
 
 
 def quantile_exact_measure(family: ConditionalFamily) -> DiscreteMeasure:
-    """The exact quantile-average law via merged cumulative breakpoints."""
+    """Exact 1-D barycenter via the union of cumulative breakpoints.
+
+    The quantile average is a step function whose jumps can only sit at
+    some atom's cumulative weight; evaluating it once per interval of
+    the merged breakpoint grid represents its law exactly, for arbitrary
+    weight patterns.
+    """
     family = _solvable_family(family)
     if family.dim != 1:
         raise DimensionNotOneError("quantile averaging requires 1-D atoms")
@@ -448,25 +427,3 @@ def quantile_exact_measure(family: ConditionalFamily) -> DiscreteMeasure:
     values = _quantile_average(family, mids)
     return coalesce(DiscreteMeasure(values[:, None], masses[keep]))
 
-
-def barycenter_1d(family: ConditionalFamily, resolution: int) -> BarycenterResult:
-    """Quantile-average barycenter on the R-point midpoint grid.
-
-    The candidate is the law of t -> sum_a p_a F_a^{-1}(t) sampled at
-    t = (i - 1/2)/R with uniform weights 1/R.  Exact whenever every atom
-    weight is a multiple of 1/R; a discretization otherwise.
-    """
-    nu0 = quantile_grid_measure(family, resolution)
-    return _result(family, nu0, "quantile_grid", 0, True)
-
-
-def barycenter_1d_exact(family: ConditionalFamily) -> BarycenterResult:
-    """Exact 1-D barycenter via the union of cumulative breakpoints.
-
-    The quantile average is a step function whose jumps can only sit at
-    some atom's cumulative weight; evaluating it once per interval of
-    the merged breakpoint grid represents its law exactly, for arbitrary
-    weight patterns.
-    """
-    nu0 = quantile_exact_measure(family)
-    return _result(family, nu0, "quantile_exact", 0, True)

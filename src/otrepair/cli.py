@@ -16,7 +16,7 @@ import numpy as np
 
 from . import approx as approx_mod
 from . import diagnostics
-from .barycenter import _result
+from .barycenter import solve_barycenter
 from .errors import (
     EXIT_IO,
     EXIT_SCHEMA,
@@ -27,7 +27,7 @@ from .errors import (
     OtRepairError,
 )
 from .measure import Dataset, DiscreteMeasure, make_measure
-from .ot import solve
+from .ot import optimal_coupling, solve
 from .special_binary import (
     BinaryInstance,
     brute_force,
@@ -324,12 +324,12 @@ def cmd_barycenter(args) -> int:
     fam = approx_mod.estimate_conditionals(data)
     support = (_points(_read_csv(args.support, numeric=value_cols), value_cols)
                if args.support else None)
-    method = approx_mod._resolve_method(args.method, fam.dim)
-    nu0, iters, converged, _, tag = approx_mod._solve_barycenter(
-        fam, method, support, args.epsilon, args.max_iter, args.tol,
-        args.resolution, args.k, args.seed if args.seed is not None else 0,
+    res = solve_barycenter(
+        fam, args.method, support=support, epsilon=args.epsilon,
+        max_iter=args.max_iter, tol=args.tol, resolution=args.resolution,
+        k=args.k, init_seed=args.seed if args.seed is not None else 0,
     )
-    res = _result(fam, nu0, tag, iters, converged)
+    w2 = {a.label: optimal_coupling(a.law, res.nu0).cost for a in fam.atoms}
     payload = {
         "schema": 1,
         "subcommand": "barycenter",
@@ -338,8 +338,8 @@ def cmd_barycenter(args) -> int:
             "epsilon", "max_iter", "tol", "resolution", "k", "seed", "support",
         ]),
         "method": res.method,
-        "objective": res.objective,
-        "per_measure_w2": {str(k): v for k, v in res.per_atom_w2.items()},
+        "objective": float(sum(a.p * w2[a.label] for a in fam.atoms)),
+        "per_measure_w2": {str(k): v for k, v in w2.items()},
         "iterations": res.iterations,
         "converged": res.converged,
         "nu0": _nu0_payload(res.nu0),

@@ -144,13 +144,6 @@ class OtSolution:
     converged: bool
     potentials: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __post_init__(self):
-        recomputed = transport_cost(self.coupling)
-        if abs(self.cost - recomputed) > 1e-10 * max(1.0, abs(recomputed)):
-            raise SolverFailureError(
-                f"stored cost {self.cost!r} disagrees with coupling cost {recomputed!r}"
-            )
-
 
 # ---------------------------------------------------------------------------
 # north-west corner

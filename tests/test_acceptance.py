@@ -9,13 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from otrepair.approx import build, decompose_solve, transform, transform_grid
-from otrepair.barycenter import (
-    barycenter_1d,
-    barycenter_fixed_support,
-    default_support,
-    objective,
-)
+from otrepair.approx import build, decompose_solve, lower_bound, transform, transform_grid
+from otrepair.barycenter import default_support, solve_barycenter
 from otrepair.cli import main
 from otrepair.diagnostics import independence_tv
 from otrepair.measure import dataset_from_rows, make_measure
@@ -27,6 +22,8 @@ from otrepair.special_binary import (
     solve_half,
     solve_nonhalf,
 )
+
+from conftest import simplex_objective
 
 
 def _random_dataset(rng, m, n_atoms_lo=2, n_atoms_hi=6, pts_lo=1, pts_hi=30):
@@ -57,7 +54,7 @@ def test_criterion_1_bound_attainment(criterion1_set):
         refs = [ap.lower_bound]
         if d.dim == 1:
             # a route independent of the comonotone couplings: simplex solves
-            refs.append(objective(ap.family, ap.nu0))
+            refs.append(simplex_objective(ap.family, ap.nu0))
         for ref in refs:
             rel = abs(ap.achieved_distance_sq - ref) / max(1.0, abs(ref))
             worst = max(worst, rel)
@@ -166,11 +163,11 @@ def test_criterion_6_barycenter_optimality():
                                        rng.random(n) + 0.1)))
         fam = family(atoms)
         sup = default_support(fam)
-        res = barycenter_fixed_support(fam, sup)
+        obj = lower_bound(fam, solve_barycenter(fam, "exact", support=sup).nu0)
         for _ in range(1000):
             w = rng.dirichlet(np.ones(len(sup)))
             cand = make_measure(sup, w + 1e-15)
-            assert res.objective <= objective(fam, cand) + 1e-8
+            assert obj <= simplex_objective(fam, cand) + 1e-8
     # 1-D quantile closed form vs LP, grid-aligned weights
     worst = 0.0
     for _ in range(5):
@@ -182,9 +179,9 @@ def test_criterion_6_barycenter_optimality():
             (f"g{a}", p[a], make_measure(rng.normal(size=n), np.ones(n)))
             for a in range(n_atoms)
         ])
-        res = barycenter_1d(fam, resolution=n)
-        lp = barycenter_fixed_support(fam, res.nu0.support)
-        diff = abs(res.objective - lp.objective)
+        res = solve_barycenter(fam, "quantile1d", resolution=n)
+        lp = solve_barycenter(fam, "exact", support=res.nu0.support)
+        diff = abs(lower_bound(fam, res.nu0) - lower_bound(fam, lp.nu0))
         worst = max(worst, diff)
         assert diff <= 1e-8
     print(f"\nACCEPTANCE 6 (barycenter optimality): PASS "

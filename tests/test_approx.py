@@ -10,7 +10,7 @@ from otrepair.approx import (
     transform,
     transform_grid,
 )
-from otrepair.barycenter import barycenter_fixed_support
+from otrepair.barycenter import solve_barycenter
 from otrepair.errors import (
     IndexOutOfRangeError,
     MissingUError,
@@ -132,8 +132,8 @@ def test_build_hand_instance_quantile_average():
     assert np.allclose(ap.nu0.weights, [0.5, 0.5])
     assert abs(ap.achieved_distance_sq - 0.25) <= 1e-12
     # cross-check against the fixed-support LP on the quantile image
-    lp = barycenter_fixed_support(ap.family, ap.nu0.support)
-    assert abs(lp.objective - 0.25) <= 1e-10
+    lp = solve_barycenter(ap.family, "exact", support=ap.nu0.support)
+    assert abs(lower_bound(ap.family, lp.nu0) - 0.25) <= 1e-10
 
 
 def test_build_bound_attained_and_means_match(rng):
@@ -396,10 +396,15 @@ def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
 
 
 def _per_row_lookup(ap, label, i, u):
-    """Reference sampler: one searchsorted per row of the ladder."""
-    cum = ap.disintegrations[label].ladder[i]
-    pos = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
-    return ap.nu0.support[ap.ladder_order[pos]]
+    """Reference sampler: a scan of one ladder row for the first position
+    that adds mass and whose cumulative weight reaches each u, else the
+    last position that adds mass."""
+    dis = ap.disintegrations[label]
+    cum = np.cumsum(dis.conditional[i][ap.ladder_order])
+    grows = np.flatnonzero(np.diff(cum, prepend=0.0) > 0.0)
+    pos = [next((j for j in grows if cum[j] >= t), grows[-1])
+           for t in np.atleast_1d(u)]
+    return ap.nu0.support[ap.ladder_order[pos]].reshape(np.shape(u) + (-1,))
 
 
 def test_samplers_match_per_row_searchsorted(rng):
@@ -422,3 +427,21 @@ def test_samplers_match_per_row_searchsorted(rng):
             for i, r in enumerate(d.group_rows(label)):
                 assert np.array_equal(sampled.y[r], _per_row_lookup(ap, label, i, u[r]))
                 assert np.array_equal(sample_y(ap, label, i, u[r]), sampled.y[r])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("u_value", [0.0, 1.0])
+def test_samplers_draw_only_positive_mass_points(rng, m, u_value):
+    # u = 0 must skip leading zero-mass positions and u = 1 must not run
+    # past the last positive-mass one, however the row's sum rounds
+    for _ in range(60):
+        d = random_dataset(rng, m=m)
+        ap = build(d)
+        u = np.full(d.n_rows, u_value)
+        out = transform(ap, Dataset(d.groups, d.x, d.weights, u=u))
+        for label in d.labels:
+            dis = ap.disintegrations[label]
+            for i, r in enumerate(d.group_rows(label)):
+                for y in (out.y[r], sample_y(ap, label, i, u_value)):
+                    (j,) = np.flatnonzero((ap.nu0.support == y).all(axis=1))
+                    assert dis.conditional[i, j] > 0.0

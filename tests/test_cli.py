@@ -244,6 +244,20 @@ def test_diagnose_round_trip(tmp_path):
     assert r["reference_objective"] == 0.25
 
 
+def test_diagnose_at_u_zero_and_one(tmp_path):
+    # README example with u = 0, 0, 1, 1: rows a,2 and b,1 draw from rows
+    # whose coupling has zero mass on the first and on the last nu0 point
+    inp = write(tmp_path / "d.csv", "group,x,u\na,0,0\na,2,0\nb,1,1\nb,3,1\n")
+    rep, samples, out = (str(tmp_path / f) for f in ("r.json", "s.csv", "d.json"))
+    assert main(["approx", "--input", inp, "--u-col", "u", "--report", rep,
+                 "--samples", samples]) == 0
+    assert main(["diagnose", "--samples", samples, "--report", rep,
+                 "--out", out]) == 0
+    diag = load(out)
+    assert diag["empirical_distance"] == 0.25
+    assert diag["independence_tv"] == {"a": 0.0, "b": 0.0}
+
+
 def test_diagnose_rejects_bad_report(tmp_path):
     rep = write(tmp_path / "r.json", "{}")
     smp = write(tmp_path / "s.csv", "group,x,weight,u,y1\ng1,0,1,0.5,1\n")

@@ -327,3 +327,16 @@ def test_marginal_conservation_random(rng):
             g = sol.coupling.weights
             assert np.max(np.abs(g.sum(axis=1) - mu.weights)) <= 1e-8
             assert np.max(np.abs(g.sum(axis=0) - nu.weights)) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solution_cost_is_coupling_cost(rng, m):
+    # every solver stores the cost of the plan it returns
+    for _ in range(20):
+        mu, nu = random_measure(rng, m=m), random_measure(rng, m=m)
+        sols = [solve_exact(mu, nu), solve_entropic(mu, nu, epsilon=0.05)]
+        if m == 1:
+            sols.append(solve_comonotone_1d(mu, nu))
+        for sol in sols:
+            ref = transport_cost(sol.coupling)
+            assert abs(sol.cost - ref) <= 1e-10 * max(1.0, abs(ref))
