@@ -101,20 +101,18 @@ class Disintegration:
     """Row-wise conditional laws of one atom's optimal coupling.
 
     ``conditional[i]`` is the probability vector (over nu0's support in
-    its natural index order) of the target given source point i;
-    ``ladder[i]`` is its cumulative form in the shared lexicographic
-    support order, used for inverse-CDF sampling.  Reconstructing the
-    column marginal, sum_i mu_a(i) * conditional[i], gives back nu0's
-    weights.  ``potential[i]`` is the coupling's dual potential at source
-    point i; with its c-transform over nu0's support it certifies the
-    coupling's cost as the squared Wasserstein distance (see
+    its natural index order) of the target given source point i; it is
+    the only stored form of the coupling, and the samplers derive their
+    cumulative ladders from it.  Reconstructing the column marginal,
+    sum_i mu_a(i) * conditional[i], gives back nu0's weights.
+    ``potential[i]`` is the coupling's dual potential at source point i;
+    with its c-transform over nu0's support it certifies the coupling's
+    cost as the squared Wasserstein distance (see
     :func:`otrepair.diagnostics.verify`).
     """
 
-    label: object
     law: DiscreteMeasure
     conditional: np.ndarray
-    ladder: np.ndarray
     potential: np.ndarray
 
 
@@ -123,17 +121,15 @@ class IndependentApproximation:
     """Everything needed to sample the repaired variable.
 
     ``achieved_distance_sq`` is accumulated through the disintegrations
-    and agrees with ``lower_bound`` (the weighted sum of the per-atom
-    optimal coupling costs to nu0) up to float noise; ``mean_y`` equals
-    ``mean_x`` by construction of nu0.
+    and agrees with ``lower_bound(family, nu0)`` (the weighted sum of the
+    per-atom optimal coupling costs to nu0) up to float noise; ``mean_y``
+    equals ``mean_x`` by construction of nu0.
     """
 
     family: ConditionalFamily
     nu0: DiscreteMeasure
     disintegrations: dict
-    ladder_order: np.ndarray
     achieved_distance_sq: float
-    lower_bound: float
     mean_x: np.ndarray
     mean_y: np.ndarray
     method: str
@@ -158,20 +154,6 @@ class SampledOutput:
         return len(self.groups)
 
 
-def _disintegration(
-    atom: ConditionalAtom, alpha, ladder_order, potential
-) -> Disintegration:
-    """Row conditionals ``alpha`` with their cumulative ladders in ``ladder_order``.
-
-    A row whose sum rounds below 1 ends in a run of equal values, which
-    starts at the last position that adds mass; raising that run to 1
-    makes u = 1 stop there.
-    """
-    ladder = np.cumsum(alpha[:, ladder_order], axis=1)
-    np.maximum(ladder, 1.0, out=ladder, where=ladder >= ladder[:, -1:])
-    return Disintegration(atom.label, atom.law, alpha, ladder, potential)
-
-
 def _achieved_from_disintegrations(
     family: ConditionalFamily, nu0: DiscreteMeasure, disintegrations: dict
 ) -> float:
@@ -189,9 +171,7 @@ def _assemble(
     family: ConditionalFamily, bary: BarycenterResult, mean_x: np.ndarray
 ) -> IndependentApproximation:
     nu0 = bary.nu0
-    ladder_order = np.lexsort(nu0.support.T[::-1])
     disintegrations = {}
-    lower = 0.0
     # one atom at a time, so only one dense coupling is alive at once
     for atom in family.atoms:
         sol = optimal_coupling(atom.law, nu0)
@@ -202,17 +182,12 @@ def _assemble(
         alpha[ok] = g[ok] / row_mass[ok, None]
         # zero-mass rows are unconstrained; give them nu0 itself
         alpha[~ok] = nu0.weights
-        disintegrations[atom.label] = _disintegration(
-            atom, alpha, ladder_order, sol.potentials[0]
-        )
-        lower += atom.p * sol.cost
+        disintegrations[atom.label] = Disintegration(atom.law, alpha, sol.potentials[0])
     return IndependentApproximation(
         family=family,
         nu0=nu0,
         disintegrations=disintegrations,
-        ladder_order=ladder_order,
         achieved_distance_sq=_achieved_from_disintegrations(family, nu0, disintegrations),
-        lower_bound=lower,
         mean_x=np.asarray(mean_x, dtype=float),
         mean_y=mean(nu0),
         method=bary.method,
@@ -233,8 +208,8 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     equals the dataset mean; the translation never increases the
     objective and makes the mean identity exact.  Per-atom couplings to
     the final nu0 are always exact (the comonotone closed form when
-    m = 1, the network simplex otherwise), and ``lower_bound`` is the
-    weighted sum of their costs.  Each disintegration keeps its
+    m = 1, the network simplex otherwise), and :func:`lower_bound` of
+    nu0 is the weighted sum of their costs.  Each disintegration keeps its
     coupling's row potential, from which
     :func:`otrepair.diagnostics.verify` certifies optimality.
     """
@@ -257,7 +232,11 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
     """Each group's row positions, checked to be the rows the approximation
     was built from (rows pair with atom support points by index).
 
-    Raises :class:`DatasetMismatchError`, or its subclasses
+    A group's x values must equal its atom's support exactly, and its row
+    weights, scaled to the group's total as :func:`estimate_conditionals`
+    does, must equal the atom's weights to 1e-12 relative, which absorbs
+    only the rounding of that scaling.  Raises
+    :class:`DatasetMismatchError`, or its subclasses
     :class:`UnknownGroupError` and :class:`UnseenValueError`.
     """
     rows_of = {}
@@ -271,6 +250,12 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
                 f"group {label!r} does not match the support the "
                 "approximation was built from"
             )
+        w = data.weights[rows]
+        if (np.abs(w - w.sum() * dis.law.weights) > 1e-12 * w).any():
+            raise DatasetMismatchError(
+                f"group {label!r} does not match the row weights the "
+                "approximation was built from"
+            )
         rows_of[label] = rows
     if len(rows_of) != len(approx.disintegrations):
         raise DatasetMismatchError("dataset groups differ from the approximation's")
@@ -281,29 +266,40 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
 _LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
+def _support_order(nu0: DiscreteMeasure) -> np.ndarray:
+    """nu0's support indices in lexicographic order, the samplers' fixed order."""
+    return np.lexsort(nu0.support.T[::-1])
+
+
 def _lookup(
     approx: IndependentApproximation,
+    order: np.ndarray,
     label,
     source: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
-    """nu0 points drawn at ``u[i]`` from the ladder row ``source[i]`` of ``label``.
+    """nu0 points drawn at ``u[i]`` from the conditional row ``source[i]`` of ``label``.
 
-    A draw is the first ladder position with positive mass whose
+    Each row's ladder is its cumulative conditional in the support
+    ``order`` (see :func:`_support_order`).  A row whose sum rounds
+    below 1 ends in a run of equal values, which starts at the last
+    position that adds mass; raising that run to 1 makes u = 1 stop
+    there.  A draw is the first ladder position with positive mass whose
     cumulative weight reaches u: u = 0 is raised to the least positive
-    float, which skips leading zero-mass positions, and every ladder row
-    ends at or above 1.  Complex numbers sort lexicographically, so one
-    exact ``searchsorted`` over the sorted keys ``row + 1j * cum`` finds
-    it for every query ``source + 1j * u``.
+    float, which skips leading zero-mass positions.  Complex numbers
+    sort lexicographically, so one exact ``searchsorted`` over the
+    sorted keys ``row + 1j * cum`` finds it for every query
+    ``source + 1j * u``.
     """
-    ladder = approx.disintegrations[label].ladder
+    ladder = np.cumsum(approx.disintegrations[label].conditional[:, order], axis=1)
+    np.maximum(ladder, 1.0, out=ladder, where=ladder >= ladder[:, -1:])
     n, K = ladder.shape
     keys = np.empty((n, K), dtype=complex)
     keys.real = np.arange(n)[:, None]
     keys.imag = ladder
     query = source + 1j * np.maximum(u, _LEAST_POSITIVE)
     pos = np.searchsorted(keys.ravel(), query, side="left") - source * K
-    return approx.nu0.support[approx.ladder_order[pos]]
+    return approx.nu0.support[order[pos]]
 
 
 def sample_y(
@@ -327,7 +323,8 @@ def sample_y(
         )
     if not 0.0 <= u <= 1.0:
         raise UOutOfRangeError(f"u={u!r} outside [0, 1]")
-    return _lookup(approx, group, np.array([source_index]), np.array([u], dtype=float))[0]
+    return _lookup(approx, _support_order(approx.nu0), group,
+                   np.array([source_index]), np.array([u], dtype=float))[0]
 
 
 def transform(
@@ -352,9 +349,10 @@ def transform(
     else:
         raise MissingUError("dataset has no u column and no seed was given")
 
+    order = _support_order(approx.nu0)
     y = np.empty((data.n_rows, approx.nu0.dim))
     for label, rows in rows_of.items():
-        y[rows] = _lookup(approx, label, np.arange(len(rows)), u[rows])
+        y[rows] = _lookup(approx, order, label, np.arange(len(rows)), u[rows])
     return SampledOutput(
         groups=data.groups, x=data.x, u=u, y=y, weights=data.weights
     )
@@ -376,11 +374,12 @@ def transform_grid(
         raise ConfigConflictError("resolution must be at least 1")
     rows_of = match_rows(approx, data)
     grid = (np.arange(resolution) + 0.5) / resolution
+    order = _support_order(approx.nu0)
     y = np.empty((data.n_rows * resolution, approx.nu0.dim))
     for label, rows in rows_of.items():
         out_rows = (rows[:, None] * resolution + np.arange(resolution)).ravel()
         source = np.repeat(np.arange(len(rows)), resolution)
-        y[out_rows] = _lookup(approx, label, source, np.tile(grid, len(rows)))
+        y[out_rows] = _lookup(approx, order, label, source, np.tile(grid, len(rows)))
     return SampledOutput(
         groups=tuple(g for g in data.groups for _ in range(resolution)),
         x=np.repeat(data.x, resolution, axis=0),
@@ -428,7 +427,6 @@ def decompose_solve(
         sum(a.p * np.sum((atom_mean[a.label] - mean_x) ** 2) for a in family.atoms)
     )
     nu0 = inner.nu0.translate(mean_x)
-    ladder_order = np.lexsort(nu0.support.T[::-1])
     disintegrations = {}
     for atom in family.atoms:
         dis = inner.disintegrations[atom.label]
@@ -436,18 +434,14 @@ def decompose_solve(
         # minus a column-only term, which the c-transform absorbs
         delta = atom_mean[atom.label] - mean_x
         potential = dis.potential + 2.0 * (dis.law.support @ delta) + delta @ delta
-        disintegrations[atom.label] = _disintegration(
-            atom, dis.conditional, ladder_order, potential
-        )
+        disintegrations[atom.label] = replace(dis, law=atom.law, potential=potential)
     # barycenter iterations, convergence and LP value carry over from inner
     return replace(
         inner,
         family=family,
         nu0=nu0,
         disintegrations=disintegrations,
-        ladder_order=ladder_order,
         achieved_distance_sq=_achieved_from_disintegrations(family, nu0, disintegrations),
-        lower_bound=inner.lower_bound + between_var,
         mean_x=mean_x,
         mean_y=mean(nu0),
         method=f"decomposed[{inner.method}]",

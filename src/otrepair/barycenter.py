@@ -171,50 +171,25 @@ def _assemble_joint_lp(family: ConditionalFamily, S: np.ndarray):
 
     Variable layout: [gamma^1 row-major, ..., gamma^A row-major, w].
     Constraints: per-atom row sums fixed to the atom's weights, per-atom
-    column sums tied to w, and sum(w) = 1.
+    column sums tied to w, and sum(w) = 1.  Returns (c, A as CSR, b).
     """
     K = S.shape[0]
-    sizes = [a.law.n for a in family.atoms]
-    offsets = np.concatenate([[0], np.cumsum([n * K for n in sizes])])
-    n_gamma = int(offsets[-1])
-    w_off = n_gamma
-    n_vars = n_gamma + K
-
-    c = np.zeros(n_vars)
-    rows, cols, vals = [], [], []
-    b = []
-    r = 0
-    for a_idx, atom in enumerate(family.atoms):
-        n = atom.law.n
-        off = int(offsets[a_idx])
-        Ca = cost_matrix(atom.law.support, S)
-        c[off : off + n * K] = (atom.p * Ca).ravel()
-        for i in range(n):
-            cols.extend(range(off + i * K, off + (i + 1) * K))
-            rows.extend([r] * K)
-            vals.extend([1.0] * K)
-            b.append(float(atom.law.weights[i]))
-            r += 1
-    for a_idx, atom in enumerate(family.atoms):
-        n = atom.law.n
-        off = int(offsets[a_idx])
-        for j in range(K):
-            cols.extend(range(off + j, off + n * K, K))
-            rows.extend([r] * n)
-            vals.extend([1.0] * n)
-            cols.append(w_off + j)
-            rows.append(r)
-            vals.append(-1.0)
-            b.append(0.0)
-            r += 1
-    cols.extend(range(w_off, w_off + K))
-    rows.extend([r] * K)
-    vals.extend([1.0] * K)
-    b.append(1.0)
-    r += 1
-
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(r, n_vars))
-    return c, A, np.asarray(b)
+    atoms = family.atoms
+    c = np.concatenate(
+        [(a.p * cost_matrix(a.law.support, S)).ravel() for a in atoms] + [np.zeros(K)]
+    )
+    # COO krons: the BSR default stores the zeros of each identity block
+    row_sums = sparse.block_diag([
+        sparse.kron(sparse.eye(a.law.n), np.ones((1, K)), format="coo") for a in atoms])
+    col_sums = sparse.block_diag([
+        sparse.kron(np.ones((1, a.law.n)), sparse.eye(K), format="coo") for a in atoms])
+    A = sparse.bmat([
+        [row_sums, None],
+        [col_sums, -sparse.vstack([sparse.eye(K)] * len(atoms))],
+        [None, np.ones((1, K))],
+    ], format="csr")
+    b = np.concatenate([a.law.weights for a in atoms] + [np.zeros(len(atoms) * K), [1.0]])
+    return c, A, b
 
 
 def fixed_support_weights(
@@ -229,7 +204,7 @@ def fixed_support_weights(
     family = _solvable_family(family)
     S = _check_support(family, support)
     c, A, b = _assemble_joint_lp(family, S)
-    res = linprog(c, A_eq=A.tocsr(), b_eq=b, bounds=(0, None), method="highs-ds")
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
     if res.status != 0:
         raise LpInfeasibleError(f"joint LP failed with status {res.status}: {res.message}")
     K = S.shape[0]

@@ -335,35 +335,21 @@ class Dataset:
         return self.weights @ self.x
 
 
-def dataset_from_rows(
-    rows: Sequence[tuple],
-    with_u: bool | None = None,
-) -> Dataset:
+def dataset_from_rows(rows: Sequence[tuple]) -> Dataset:
     """Build a dataset from (group, x[, weight[, u]]) tuples.
 
-    ``with_u`` forces interpretation of a 4th element; by default a
-    4-tuple row means (group, x, weight, u).
+    A 4-tuple row means (group, x, weight, u); a u of None counts as
+    absent, and either every row has a u or none does.
     """
     if not rows:
         raise EmptyDatasetError("dataset has no rows")
-    groups, xs, ws, us = [], [], [], []
-    any_u = False
-    for r in rows:
-        groups.append(r[0])
-        xs.append(r[1])
-        ws.append(r[2] if len(r) > 2 else 1.0)
-        if len(r) > 3 and r[3] is not None:
-            us.append(float(r[3]))
-            any_u = True
-        else:
-            us.append(None)
-    if with_u is None:
-        with_u = any_u
-    if with_u and any(v is None for v in us):
+    us = [r[3] if len(r) > 3 else None for r in rows]
+    has_u = [v is not None for v in us]
+    if any(has_u) and not all(has_u):
         raise UOutOfRangeError("either every row has a u value or none does")
     return Dataset(
-        groups=tuple(groups),
-        x=np.asarray(xs, dtype=float),
-        weights=np.asarray(ws, dtype=float),
-        u=np.asarray(us, dtype=float) if with_u else None,
+        groups=tuple(r[0] for r in rows),
+        x=np.asarray([r[1] for r in rows], dtype=float),
+        weights=np.asarray([r[2] if len(r) > 2 else 1.0 for r in rows], dtype=float),
+        u=np.asarray(us, dtype=float) if all(has_u) else None,
     )

@@ -51,7 +51,7 @@ def test_criterion_1_bound_attainment(criterion1_set):
     datasets, approxes, elapsed = criterion1_set
     worst = 0.0
     for d, ap in zip(datasets, approxes):
-        refs = [ap.lower_bound]
+        refs = [lower_bound(ap.family, ap.nu0)]
         if d.dim == 1:
             # a route independent of the comonotone couplings: simplex solves
             refs.append(simplex_objective(ap.family, ap.nu0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from otrepair.approx import (
     transform_grid,
 )
 from otrepair.barycenter import solve_barycenter
+from otrepair.diagnostics import verify
 from otrepair.errors import (
+    DatasetMismatchError,
     IndexOutOfRangeError,
     MissingUError,
     UnknownGroupError,
@@ -141,10 +145,8 @@ def test_build_bound_attained_and_means_match(rng):
         for _ in range(6):
             d = random_dataset(rng, m=m)
             ap = build(d)
-            assert (
-                abs(ap.achieved_distance_sq - ap.lower_bound)
-                <= 1e-8 * max(1.0, ap.lower_bound)
-            )
+            lb = lower_bound(ap.family, ap.nu0)
+            assert abs(ap.achieved_distance_sq - lb) <= 1e-8 * max(1.0, lb)
             assert np.max(np.abs(ap.mean_y - ap.mean_x)) <= 1e-8
             for a in ap.family.atoms:
                 dis = ap.disintegrations[a.label]
@@ -194,10 +196,8 @@ def test_build_methods_all_attain_their_bound(rng):
         ("free", {"k": 3}),
     ]:
         ap = build(d, method=method, **kw)
-        assert (
-            abs(ap.achieved_distance_sq - ap.lower_bound)
-            <= 1e-8 * max(1.0, ap.lower_bound)
-        )
+        lb = lower_bound(ap.family, ap.nu0)
+        assert abs(ap.achieved_distance_sq - lb) <= 1e-8 * max(1.0, lb)
         assert np.max(np.abs(ap.mean_y - ap.mean_x)) <= 1e-8
 
 
@@ -218,7 +218,7 @@ def test_sample_y_dirac_row_constant():
 
 
 def test_sample_y_inverse_cdf_thresholds():
-    # hand-built ladder {y1: 0.25, y2: 0.75}: u=0.1 -> y1, u=0.5 -> y2,
+    # hand-built conditional {y1: 0.25, y2: 0.75}: u=0.1 -> y1, u=0.5 -> y2,
     # u=1.0 -> y2, and u exactly at the breakpoint returns the earlier point
     from otrepair.approx import Disintegration, IndependentApproximation
     from otrepair.measure import family as make_family
@@ -226,18 +226,13 @@ def test_sample_y_inverse_cdf_thresholds():
     nu0 = make_measure([10.0, 20.0], [0.25, 0.75])
     law = dirac([0.0])
     dis = Disintegration(
-        "g", law,
-        conditional=np.array([[0.25, 0.75]]),
-        ladder=np.array([[0.25, 1.0]]),
-        potential=np.array([0.0]),
+        law, conditional=np.array([[0.25, 0.75]]), potential=np.array([0.0])
     )
     ap = IndependentApproximation(
         family=make_family([("g", 1.0, law)]),
         nu0=nu0,
         disintegrations={"g": dis},
-        ladder_order=np.array([0, 1]),
         achieved_distance_sq=0.0,
-        lower_bound=0.0,
         mean_x=np.array([0.0]),
         mean_y=np.array([17.5]),
         method="hand",
@@ -248,17 +243,23 @@ def test_sample_y_inverse_cdf_thresholds():
     assert sample_y(ap, "g", 0, 1.0).tolist() == [20.0]
 
 
+def _lex_order(ap):
+    """nu0's support indices in lexicographic order, computed here."""
+    return np.lexsort(ap.nu0.support.T[::-1])
+
+
 def test_sample_y_grid_law_matches_conditional(rng):
     ap = _toy_approx()
+    order = _lex_order(ap)
     R = 10_000
     grid = (np.arange(R) + 0.5) / R
     for label in ("g1", "g2"):
         dis = ap.disintegrations[label]
         for i in range(dis.law.n):
             emp = np.zeros(ap.nu0.n)
-            cum = dis.ladder[i]
+            cum = np.cumsum(dis.conditional[i][order])
             pos = np.minimum(np.searchsorted(cum, grid, side="left"), len(cum) - 1)
-            np.add.at(emp, ap.ladder_order[pos], 1.0 / R)
+            np.add.at(emp, order[pos], 1.0 / R)
             tv = 0.5 * np.abs(
                 emp - dis.conditional[i][np.argsort(np.arange(ap.nu0.n))]
             ).sum()
@@ -319,6 +320,53 @@ def test_transform_errors():
     )
     with pytest.raises(MissingUError):
         transform(ap, d)
+
+
+def test_row_weights_must_match_the_build():
+    rows = [("a", [0.0], 1.0), ("a", [2.0], 1.0), ("b", [1.0], 1.0), ("b", [3.0], 1.0)]
+    ap = build(dataset_from_rows(rows))
+    reweighted = dataset_from_rows([*rows[:1], ("a", [2.0], 9.0), *rows[2:]])
+    for call in (lambda d: transform(ap, d, seed=0),
+                 lambda d: transform_grid(ap, d, 10),
+                 lambda d: verify(ap, d)):
+        with pytest.raises(DatasetMismatchError) as err:
+            call(reweighted)
+        assert err.value.exit_code == 3
+    # the same conditional laws on another weight scale still match
+    rescaled = dataset_from_rows([(g, x, 0.7 * w) for g, x, w in rows])
+    assert verify(ap, rescaled).passed
+
+
+def _law(points, masses):
+    """Mass per distinct point, keyed by the point's bytes."""
+    law = {}
+    for y, w in zip(points, masses):
+        key = np.ascontiguousarray(y).tobytes()
+        law[key] = law.get(key, 0.0) + w
+    return law
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_transform_grid_samples_a_replaced_conditional(rng, m):
+    # the samplers read the stored conditionals, so a replaced one is
+    # what they draw from
+    d = random_dataset(rng, n_atoms=3, max_rows=5, m=m)
+    ap = build(d)
+    while ap.nu0.n < 3:
+        d = random_dataset(rng, n_atoms=3, max_rows=5, m=m)
+        ap = build(d)
+    label = d.labels[0]
+    dis = ap.disintegrations[label]
+    conditional = rng.dirichlet(np.ones(ap.nu0.n), size=dis.law.n)
+    changed = replace(ap, disintegrations={
+        **ap.disintegrations, label: replace(dis, conditional=conditional)})
+    R = 1000
+    out = transform_grid(changed, d, R)
+    for i, r in enumerate(d.group_rows(label)):
+        want = _law(ap.nu0.support, conditional[i])
+        got = _law(out.y[r * R:(r + 1) * R], np.full(R, 1.0 / R))
+        assert set(got) <= set(want)
+        assert max(abs(got.get(k, 0.0) - w) for k, w in want.items()) <= 1.0 / R + 1e-12
 
 
 def test_transform_deterministic_under_seed():
@@ -399,12 +447,12 @@ def _per_row_lookup(ap, label, i, u):
     """Reference sampler: a scan of one ladder row for the first position
     that adds mass and whose cumulative weight reaches each u, else the
     last position that adds mass."""
-    dis = ap.disintegrations[label]
-    cum = np.cumsum(dis.conditional[i][ap.ladder_order])
+    order = _lex_order(ap)
+    cum = np.cumsum(ap.disintegrations[label].conditional[i][order])
     grows = np.flatnonzero(np.diff(cum, prepend=0.0) > 0.0)
     pos = [next((j for j in grows if cum[j] >= t), grows[-1])
            for t in np.atleast_1d(u)]
-    return ap.nu0.support[ap.ladder_order[pos]].reshape(np.shape(u) + (-1,))
+    return ap.nu0.support[order[pos]].reshape(np.shape(u) + (-1,))
 
 
 def test_samplers_match_per_row_searchsorted(rng):
@@ -415,12 +463,14 @@ def test_samplers_match_per_row_searchsorted(rng):
         grid = (np.arange(R) + 0.5) / R
         out = transform_grid(ap, d, R)
         # u on the ladder breakpoints themselves exercises the ties
+        order = _lex_order(ap)
         u = np.empty(d.n_rows)
         for label in d.labels:
             for i, r in enumerate(d.group_rows(label)):
                 assert np.array_equal(out.y[r * R:(r + 1) * R],
                                       _per_row_lookup(ap, label, i, grid))
-                u[r] = ap.disintegrations[label].ladder[i][rng.integers(ap.nu0.n)]
+                cum = np.cumsum(ap.disintegrations[label].conditional[i][order])
+                u[r] = cum[rng.integers(ap.nu0.n)]
         u = np.minimum(u, 1.0)
         sampled = transform(ap, Dataset(d.groups, d.x, d.weights, u=u))
         for label in d.labels:

@@ -93,6 +93,28 @@ def test_objective_dimension_check():
 
 # --- fixed support exact -------------------------------------------------------
 
+def test_joint_lp_layout_on_a_product_plan():
+    # dyadic weights keep every product and sum exact, so the product
+    # plan [vec(mu_a (x) w)..., w] must satisfy A x = b to the last bit
+    mus = [make_measure([0.0, 1.0], [1.0, 3.0]),
+           make_measure([[2.0], [-1.0], [0.5]], [2.0, 1.0, 1.0])]
+    fam = family([("a", 0.25, mus[0]), ("b", 0.75, mus[1])])
+    S = np.array([[0.0], [1.5], [-2.0]])
+    w = np.array([0.5, 0.125, 0.375])
+    c, A, b = _assemble_joint_lp(fam, S)
+    K, n = len(S), sum(mu.n for mu in mus)
+    assert A.shape == (n + len(mus) * K + 1, n * K + K)
+    assert A.nnz == 2 * n * K + (len(mus) + 1) * K
+    assert set(A.data.tolist()) <= {-1.0, 1.0}
+    x = np.concatenate([np.outer(mu.weights, w).ravel() for mu in mus] + [w])
+    assert np.array_equal(A @ x, b)
+    assert np.array_equal(b, np.concatenate([mus[0].weights, mus[1].weights,
+                                             np.zeros(2 * K), [1.0]]))
+    # costs are p_a |x_i - S_j|^2, row-major per atom, and w is free
+    expect = [a.p * (a.law.support[:, None, 0] - S[None, :, 0]) ** 2 for a in fam.atoms]
+    assert np.array_equal(c, np.concatenate([e.ravel() for e in expect] + [np.zeros(K)]))
+
+
 def test_fixed_support_single_atom_recovers_itself():
     mu = make_measure([0.0, 1.0, 3.0], [1.0, 2.0, 1.0])
     fam = family([("a", 1.0, mu)])

@@ -45,7 +45,8 @@ def test_approx_measurable_case_samples(tmp_path):
     smp = str(tmp_path / "s.csv")
     assert main(["approx", "--input", inp, "--report", rep,
                  "--samples", smp, "--seed", "5"]) == 0
-    lines = open(smp).read().strip().split("\n")
+    with open(smp) as fh:
+        lines = fh.read().strip().split("\n")
     assert lines[0] == "group,x,weight,u,y1"
     ys = {line.split(",")[-1] for line in lines[1:]}
     assert ys == {"1"}
