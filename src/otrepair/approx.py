@@ -208,7 +208,7 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     equals the dataset mean; the translation never increases the
     objective and makes the mean identity exact.  Per-atom couplings to
     the final nu0 are always exact (the comonotone closed form when
-    m = 1, the network simplex otherwise), and :func:`lower_bound` of
+    m = 1, the HiGHS transport LP otherwise), and :func:`lower_bound` of
     nu0 is the weighted sum of their costs.  Each disintegration keeps its
     coupling's row potential, from which
     :func:`otrepair.diagnostics.verify` certifies optimality.
@@ -232,14 +232,18 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
     """Each group's row positions, checked to be the rows the approximation
     was built from (rows pair with atom support points by index).
 
-    A group's x values must equal its atom's support exactly, and its row
-    weights, scaled to the group's total as :func:`estimate_conditionals`
-    does, must equal the atom's weights to 1e-12 relative, which absorbs
-    only the rounding of that scaling.  Raises
+    A group's x values must equal its atom's support exactly, and each
+    row's share of the dataset's total weight must equal its atom's
+    probability times the row's conditional weight, to 1e-12 relative,
+    which absorbs only the rounding of :func:`estimate_conditionals`.
+    So both the weights within a group and the group's probability must
+    match.  Raises
     :class:`DatasetMismatchError`, or its subclasses
     :class:`UnknownGroupError` and :class:`UnseenValueError`.
     """
     rows_of = {}
+    probs = {a.label: a.p for a in approx.family.atoms}
+    total = data.weights.sum()
     for label in data.labels:
         dis = approx.disintegrations.get(label)
         if dis is None:
@@ -251,9 +255,9 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
                 "approximation was built from"
             )
         w = data.weights[rows]
-        if (np.abs(w - w.sum() * dis.law.weights) > 1e-12 * w).any():
+        if (np.abs(w - total * probs[label] * dis.law.weights) > 1e-12 * w).any():
             raise DatasetMismatchError(
-                f"group {label!r} does not match the row weights the "
+                f"group {label!r} does not match the weights the "
                 "approximation was built from"
             )
         rows_of[label] = rows

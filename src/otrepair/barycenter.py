@@ -38,7 +38,7 @@ from .errors import (
     SupportDimensionMismatchError,
 )
 from .measure import ConditionalAtom, ConditionalFamily, DiscreteMeasure, coalesce, mixture
-from .ot import _logsumexp, cost_matrix, solve_exact
+from .ot import _logsumexp, _marginal_blocks, cost_matrix, optimal_coupling
 
 __all__ = [
     "BarycenterResult",
@@ -57,7 +57,7 @@ class BarycenterResult:
     """A candidate barycenter and how its backend reached it.
 
     ``method`` tags the backend that ran; ``iterations`` counts its LP
-    pivots, Bregman sweeps or fixed-point rounds (0 for the closed
+    iterations, Bregman sweeps or fixed-point rounds (0 for the closed
     forms).  ``lp_objective`` carries the raw joint LP value for the
     fixed-support method (None for the others) and ``history`` the
     free-support objective of every round.
@@ -178,14 +178,10 @@ def _assemble_joint_lp(family: ConditionalFamily, S: np.ndarray):
     c = np.concatenate(
         [(a.p * cost_matrix(a.law.support, S)).ravel() for a in atoms] + [np.zeros(K)]
     )
-    # COO krons: the BSR default stores the zeros of each identity block
-    row_sums = sparse.block_diag([
-        sparse.kron(sparse.eye(a.law.n), np.ones((1, K)), format="coo") for a in atoms])
-    col_sums = sparse.block_diag([
-        sparse.kron(np.ones((1, a.law.n)), sparse.eye(K), format="coo") for a in atoms])
+    row_sums, col_sums = zip(*(_marginal_blocks(a.law.n, K) for a in atoms))
     A = sparse.bmat([
-        [row_sums, None],
-        [col_sums, -sparse.vstack([sparse.eye(K)] * len(atoms))],
+        [sparse.block_diag(row_sums), None],
+        [sparse.block_diag(col_sums), -sparse.vstack([sparse.eye(K)] * len(atoms))],
         [None, np.ones((1, K))],
     ], format="csr")
     b = np.concatenate([a.law.weights for a in atoms] + [np.zeros(len(atoms) * K), [1.0]])
@@ -199,7 +195,7 @@ def fixed_support_weights(
     """Globally optimal weights on a fixed grid via one joint LP.
 
     The LP is solved by SciPy's HiGHS dual simplex, which is
-    deterministic.  Returns (measure, pivots, raw LP value).
+    deterministic.  Returns (measure, LP iterations, raw LP value).
     """
     family = _solvable_family(family)
     S = _check_support(family, support)
@@ -282,13 +278,13 @@ def free_support_points(
 
     Initial points are drawn without replacement from the family mixture
     proportionally to weight (seeded, hence reproducible).  Each round
-    solves the exact couplings to the current candidate and moves every
-    support point to the weighted average of its matched sources; the
-    objective is nonincreasing and the loop stops when support movement
-    falls below ``tol``.  A support point left without mass (possible
-    only through degenerate inputs) is respawned at the heaviest mixture
-    point rather than failing.  Returns (measure, rounds, converged,
-    objective history).
+    solves the couplings of :func:`otrepair.ot.optimal_coupling` to the
+    current candidate and moves every support point to the weighted
+    average of its matched sources; the objective is nonincreasing and
+    the loop stops when support movement falls below ``tol``.  A support
+    point left without mass (possible only through degenerate inputs) is
+    respawned at the heaviest mixture point rather than failing.
+    Returns (measure, rounds, converged, objective history).
     """
     family = _solvable_family(family)
     mix = mixture(family)
@@ -308,7 +304,7 @@ def free_support_points(
     it = 0
     for it in range(1, max_iter + 1):
         nu = DiscreteMeasure(Y, w)
-        sols = [solve_exact(a.law, nu) for a in family.atoms]
+        sols = [optimal_coupling(a.law, nu) for a in family.atoms]
         obj = float(sum(a.p * s.cost for a, s in zip(family.atoms, sols)))
         if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
             raise SolverFailureError(

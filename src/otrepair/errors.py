@@ -65,10 +65,10 @@ class NonFiniteValueError(OtRepairError, ValueError):
 # ---------------------------------------------------------------------------
 
 class SolverFailureError(OtRepairError, RuntimeError):
-    """A solver exceeded its iteration cap or lost feasibility.
+    """A solver reported failure or broke an invariant it guarantees.
 
-    With the deterministic anti-cycling pivot rules this should never
-    trigger; it exists as a defensive check.
+    HiGHS solves feasible, bounded transport and barycenter LPs here, so
+    a failed status should never occur; it exists as a defensive check.
     """
 
     exit_code = EXIT_SOLVER

@@ -2,12 +2,9 @@
 
 Implements three routes to a coupling between two discrete measures:
 
-- ``solve_exact``: a transportation-specialized network simplex on the
-  dense bipartite graph, started from the north-west-corner basis on
-  input order.  Pivot selection is deterministic (most negative reduced
-  cost, ties broken by lowest (row, col) index) with Bland's rule as the
-  anti-cycling fallback after a run of degenerate pivots, so the same
-  inputs always produce the same optimal coupling.
+- ``solve_exact``: the transportation linear program, solved by SciPy's
+  HiGHS dual simplex, which is deterministic, so the same inputs always
+  produce the same optimal coupling.
 - ``solve_entropic``: log-domain Sinkhorn iterations on the Gibbs kernel
   with an epsilon-scaling schedule (start at the largest cost entry,
   halve down to the target).  The returned plan is rounded onto the
@@ -28,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from .errors import (
     ConfigConflictError,
@@ -129,8 +128,8 @@ class OtSolution:
     i.e. the squared Wasserstein distance when the plan is optimal.
 
     ``potentials`` is the dual pair (u, v) of the exact solvers, indexed
-    like the two supports: u[i] + v[j] = C[i, j] on every basis arc, and
-    u[i] + v[j] <= C[i, j] elsewhere up to the pivot tolerance, so
+    like the two supports: u[i] + v[j] <= C[i, j] up to the solver's
+    tolerance, with equality wherever the plan moves mass, so
     mu.weights @ u + nu.weights @ v equals ``cost``.  Any u certifies a
     lower bound on the squared distance through its c-transform (see
     :func:`otrepair.diagnostics.verify`).  ``None`` for the entropic
@@ -182,175 +181,51 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray, C: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# network simplex
+# transportation LP
 # ---------------------------------------------------------------------------
 
-def _solve_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
-    """Minimize <gamma, C> over the transportation polytope.
+# HiGHS's tolerances are absolute, so the LP is solved on C / max(C)
+# (unscaled costs near 1e18 end in a failed status) and to feasibility
+# tolerances tight enough that the plan meets MARGINAL_ATOL.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
-    Returns (plan, n_pivots, (u, v)), where the final potentials are
-    tight on the basis arcs.  Deterministic: north-west-corner start,
-    most-negative-reduced-cost pricing with lowest-(row, col) ties, and
-    a switch to Bland's first-index rule whenever ``n + k`` consecutive
-    degenerate pivots occur (cleared by the next mass-moving pivot).
 
-    The basis tree is kept in adjacency lists; duals start from the
-    staircase potentials and are maintained incrementally (each pivot
-    shifts one component of the split tree by the entering arc's reduced
-    cost) rather than recomputed.
-    """
-    n, k = C.shape
-    nodes = n + k
-    scale = max(1.0, float(C.max(initial=0.0)))
-    tol = 1e-11 * scale
-    theta_tol = 1e-15
-
-    # basis arcs in parallel lists; col j is tree node n + j
-    arc_i: list[int] = []
-    arc_j: list[int] = []
-    arc_f: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(nodes)]
-    basic = np.zeros((n, k), dtype=bool)
-    arcs, u, v = _northwest_corner(a, b, C)
-    for i, j, f in arcs:
-        aid = len(arc_i)
-        arc_i.append(i)
-        arc_j.append(j)
-        arc_f.append(f)
-        adj[i].append(aid)
-        adj[n + j].append(aid)
-        basic[i, j] = True
-
-    inf = np.inf
-    max_pivots = 1000 + 50 * nodes
-    pivots = 0
-    degenerate_streak = 0
-    # reusable generation-stamped visit marks for the two tree searches
-    mark = [0] * nodes
-    parent_arc = [0] * nodes
-    gen = 0
-
-    while True:
-        rc = C - u[:, None] - v[None, :]
-        rc[basic] = inf
-        if degenerate_streak > nodes:
-            # Bland: lowest-index eligible arc, guaranteed to terminate
-            flat = np.flatnonzero(rc.ravel() < -tol)
-            if flat.size == 0:
-                break
-            enter = int(flat[0])
-        else:
-            enter = int(rc.argmin())
-            if rc.ravel()[enter] >= -tol:
-                break
-        ei, ej = divmod(enter, k)
-        d = C[ei, ej] - u[ei] - v[ej]
-
-        # unique tree path from row node ei to col node n + ej
-        gen += 1
-        mark[ei] = gen
-        stack = [ei]
-        target = n + ej
-        while stack:
-            node = stack.pop()
-            if node == target:
-                break
-            on_row = node < n
-            for aid in adj[node]:
-                nbr = (n + arc_j[aid]) if on_row else arc_i[aid]
-                if mark[nbr] != gen:
-                    mark[nbr] = gen
-                    parent_arc[nbr] = aid
-                    stack.append(nbr)
-        path = []
-        node = target
-        while node != ei:
-            aid = parent_arc[node]
-            path.append(aid)
-            node = arc_i[aid] if node >= n else n + arc_j[aid]
-        path.reverse()
-
-        # alternate signs along the cycle: first path arc carries -theta
-        minus = path[0::2]
-        plus = path[1::2]
-        theta = min(arc_f[aid] for aid in minus)
-        leave = min(
-            (aid for aid in minus if arc_f[aid] == theta),
-            key=lambda aid: (arc_i[aid], arc_j[aid]),
-        )
-
-        for aid in minus:
-            arc_f[aid] = max(arc_f[aid] - theta, 0.0)
-        for aid in plus:
-            arc_f[aid] += theta
-
-        li, lj = arc_i[leave], arc_j[leave]
-        adj[li].remove(leave)
-        adj[n + lj].remove(leave)
-        basic[li, lj] = False
-
-        # shift duals on the component now containing n + ej:
-        # col nodes gain d, row nodes lose d, keeping basic arcs tight
-        gen += 1
-        mark[target] = gen
-        stack = [target]
-        while stack:
-            node = stack.pop()
-            if node < n:
-                u[node] -= d
-            else:
-                v[node - n] += d
-            on_row = node < n
-            for aid in adj[node]:
-                nbr = (n + arc_j[aid]) if on_row else arc_i[aid]
-                if mark[nbr] != gen:
-                    mark[nbr] = gen
-                    stack.append(nbr)
-
-        aid = len(arc_i)
-        arc_i.append(ei)
-        arc_j.append(ej)
-        arc_f.append(theta)
-        adj[ei].append(aid)
-        adj[n + ej].append(aid)
-        basic[ei, ej] = True
-
-        pivots += 1
-        if theta <= theta_tol:
-            degenerate_streak += 1
-        else:
-            degenerate_streak = 0
-        if pivots > max_pivots:
-            raise SolverFailureError(
-                f"transport simplex exceeded {max_pivots} pivots on a "
-                f"{n}x{k} instance"
-            )
-
-    # an arc that left the basis carries zero flow and precedes any later
-    # arc on the same cell, so writing arcs in order leaves the live flows
-    plan = np.zeros((n, k))
-    for i, j, f in zip(arc_i, arc_j, arc_f):
-        plan[i, j] = f
-    return plan, pivots, (u, v)
+def _marginal_blocks(n: int, k: int):
+    """Row-sum and column-sum constraint blocks (COO) of an n x k plan
+    stored row-major."""
+    cells = np.arange(n * k)
+    ones = np.ones(n * k)
+    return (sparse.coo_matrix((ones, (cells // k, cells)), shape=(n, n * k)),
+            sparse.coo_matrix((ones, (cells % k, cells)), shape=(k, n * k)))
 
 
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """Exact optimal coupling between two discrete measures.
 
-    The returned coupling is a vertex of the transportation polytope and
-    its cost is the squared Wasserstein-2 distance.  The pivot rules are
-    deterministic, so this also acts as a concrete, reproducible
-    selection of one optimal plan whenever several exist.
+    Solves the transportation LP with SciPy's HiGHS dual simplex: the
+    plan is the LP solution clipped at 0, its cost is the squared
+    Wasserstein-2 distance, the potentials are the LP's equality duals
+    and ``iterations`` counts HiGHS iterations.  HiGHS is deterministic,
+    so the same inputs always select the same optimal plan.  Raises
+    :class:`SolverFailureError` when HiGHS reports no optimum.
     """
     if mu.dim != nu.dim:
-        raise DimensionMismatchError(
-            f"measures have dimensions {mu.dim} and {nu.dim}"
-        )
+        raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
     C = cost_matrix(mu.support, nu.support)
-    plan, pivots, potentials = _solve_transport(mu.weights, nu.weights, C)
+    n, k = C.shape
+    scale = float(C.max(initial=0.0)) or 1.0
+    res = linprog((C / scale).ravel(), A_eq=sparse.vstack(_marginal_blocks(n, k)),
+                  b_eq=np.concatenate([mu.weights, nu.weights]), bounds=(0, None),
+                  method="highs-ds", options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise SolverFailureError(f"transport LP failed with status {res.status}: "
+                                 f"{res.message}")
+    plan = np.maximum(res.x.reshape(n, k), 0.0)
+    duals = scale * res.eqlin.marginals
     coupling = Coupling(mu, nu, plan)
     cost = float(np.einsum("ij,ij->", plan, C))
-    return OtSolution(coupling, cost, "exact", pivots, True, potentials)
+    return OtSolution(coupling, cost, "exact", int(res.nit), True, (duals[:n], duals[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +403,7 @@ def solve(
 
 
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
-    """An optimal coupling: the 1-D closed form when m = 1, the simplex otherwise."""
+    """An optimal coupling: the 1-D closed form when m = 1, the transport LP otherwise."""
     return solve(mu, nu, "comonotone_1d" if mu.dim == 1 else "exact")
 
 

@@ -7,8 +7,9 @@ from otrepair.ot import wasserstein_sq
 
 def simplex_objective(fam, nu):
     """The p-weighted sum of squared W2 distances to nu by fresh
-    network-simplex solves: a route independent of the comonotone
-    couplings that ``otrepair.approx.lower_bound`` uses in 1-D."""
+    transport-LP solves (``solve_exact``, HiGHS dual simplex): a route
+    independent of the comonotone couplings that
+    ``otrepair.approx.lower_bound`` uses in 1-D."""
     return float(
         sum(a.p * wasserstein_sq(a.law, nu, method="exact") for a in fam.atoms)
     )

@@ -337,6 +337,18 @@ def test_row_weights_must_match_the_build():
     assert verify(ap, rescaled).passed
 
 
+def test_group_probabilities_must_match_the_build():
+    rows = [("a", [-1.0], 1.0), ("a", [1.0], 1.0), ("b", [-2.0], 1.0), ("b", [2.0], 1.0)]
+    ap = build(dataset_from_rows(rows))
+    # every group keeps its conditional law; only group b's probability moves
+    reweighted = dataset_from_rows([(g, x, 5.0 * w if g == "b" else w) for g, x, w in rows])
+    assert build(reweighted).achieved_distance_sq != pytest.approx(ap.achieved_distance_sq)
+    for call in (lambda d: transform(ap, d, seed=0), lambda d: verify(ap, d)):
+        with pytest.raises(DatasetMismatchError, match="weights") as err:
+            call(reweighted)
+        assert err.value.exit_code == 3
+
+
 def _law(points, masses):
     """Mass per distinct point, keyed by the point's bytes."""
     law = {}
@@ -430,11 +442,11 @@ def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
     d2 = random_dataset(rng, m=2)
     built = [(d2, build(d2)), (d2, decompose_solve(d2))]
 
-    def forbidden(*args):
-        raise AssertionError("network simplex called")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transport LP solved")
 
     monkeypatch.setattr(otrepair.ot, "solve_exact", forbidden)
-    monkeypatch.setattr(otrepair.ot, "_solve_transport", forbidden)
+    monkeypatch.setattr(otrepair.ot, "linprog", forbidden)
     d = random_dataset(rng, m=1)
     built += [(d, build(d)), (d, decompose_solve(d))]
     assert all(ap.achieved_distance_sq >= 0.0 for _, ap in built)

@@ -1,15 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import otrepair.ot
+from otrepair.cli import main
 from otrepair.errors import (
     DimensionMismatchError,
     DimensionNotOneError,
     NegativeWeightError,
+    SolverFailureError,
     WeightSumError,
 )
 from otrepair.measure import DiscreteMeasure, coalesce, dirac, make_measure
 from otrepair.ot import (
     Coupling,
+    cost_matrix,
     solve_comonotone_1d,
     solve_entropic,
     solve_exact,
@@ -176,6 +182,43 @@ def test_exact_handles_zero_weights():
     nu = DiscreteMeasure(np.array([[0.0], [9.0]]), np.array([0.0, 1.0]))
     sol = solve_exact(mu, nu)
     assert abs(sol.cost - 81.0) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6, 1e9])
+def test_exact_certified_at_every_cost_scale(rng, scale):
+    for _ in range(8):
+        n, k = (int(t) for t in rng.integers(1, 31, 2))
+        mu = random_measure(rng, n=n, m=2)
+        mu = DiscreteMeasure(mu.support * np.sqrt(scale), mu.weights)
+        w = rng.random(k) + 0.05
+        w[rng.random(k) < 0.3] = 0.0
+        if not w.any():
+            w[0] = 1.0
+        nu = DiscreteMeasure(rng.normal(size=(k, 2)) * np.sqrt(scale), w / w.sum())
+        # solve_exact constructs a Coupling, which checks the marginals
+        sol = solve_exact(mu, nu)
+        # the c-transform of the row potential closes the duality gap
+        u = sol.potentials[0]
+        bound = mu.weights @ u + nu.weights @ np.min(
+            cost_matrix(mu.support, nu.support) - u[:, None], axis=0)
+        assert abs(sol.cost - bound) <= 1e-8 * sol.cost
+        again = solve_exact(mu, nu)
+        assert again.coupling.weights.tobytes() == sol.coupling.weights.tobytes()
+        assert again.cost == sol.cost
+
+
+def test_exact_reports_a_failed_lp(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        return SimpleNamespace(status=4, message="injected numerical difficulties")
+
+    monkeypatch.setattr(otrepair.ot, "linprog", failing)
+    with pytest.raises(SolverFailureError, match="injected"):
+        solve_exact(make_measure([0.0, 1.0], [1.0, 1.0]), dirac([0.5]))
+    inp = tmp_path / "m.csv"
+    inp.write_text("measure,weight,x\nm1,1,0\nm1,1,1\nm2,1,0.5\n", encoding="utf-8")
+    assert main(["ot", "--input", str(inp), "--method", "exact",
+                 "--report", str(tmp_path / "r.json")]) == 4
+    assert capsys.readouterr().err.startswith("error: transport LP failed")
 
 
 # --- solve_comonotone_1d -----------------------------------------------------
