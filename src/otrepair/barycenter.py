@@ -37,7 +37,14 @@ from .errors import (
     SolverFailureError,
     SupportDimensionMismatchError,
 )
-from .measure import ConditionalAtom, ConditionalFamily, DiscreteMeasure, coalesce, mixture
+from .measure import (
+    ConditionalAtom,
+    ConditionalFamily,
+    DiscreteMeasure,
+    _finite,
+    coalesce,
+    mixture,
+)
 from .ot import _logsumexp, _marginal_blocks, cost_matrix, optimal_coupling
 
 __all__ = [
@@ -154,7 +161,7 @@ def solve_barycenter(
 # ---------------------------------------------------------------------------
 
 def _check_support(family: ConditionalFamily, support) -> np.ndarray:
-    S = np.asarray(support, dtype=float)
+    S = _finite("support", support)
     if S.ndim == 1:
         S = S[:, None]
     if S.ndim != 2 or S.shape[0] == 0:

@@ -26,7 +26,7 @@ from .errors import (
     MissingUError,
     OtRepairError,
 )
-from .measure import Dataset, DiscreteMeasure, make_measure
+from .measure import Dataset, DiscreteMeasure, _finite, make_measure
 from .ot import optimal_coupling, solve
 from .special_binary import (
     BinaryInstance,
@@ -362,12 +362,14 @@ def cmd_diagnose(args) -> int:
 
     y_cols = [f"y{i + 1}" for i in range(len(value_cols))]
     t = _read_csv(args.samples, [group_col], ["weight", "u", *value_cols, *y_cols])
+    # Dataset checks x, u and the weights and normalizes the weights
+    rows = Dataset(tuple(t[group_col]), _points(t, value_cols), t["weight"], t["u"])
     out = approx_mod.SampledOutput(
-        groups=tuple(t[group_col]),
-        x=_points(t, value_cols),
-        u=t["u"],
-        y=_points(t, y_cols),
-        weights=t["weight"] / t["weight"].sum(),
+        groups=rows.groups,
+        x=rows.x,
+        u=rows.u,
+        y=_finite("y", _points(t, y_cols)),
+        weights=rows.weights,
     )
     emp = diagnostics.empirical_distance(out)
     tv = diagnostics.independence_tv(out, nu0)

@@ -11,7 +11,9 @@ Implements three routes to a coupling between two discrete measures:
   transport polytope so its marginals are exact; the reported cost is
   the unregularized evaluation of that plan.
 - ``solve_comonotone_1d``: the closed-form north-west-corner plan on
-  supports sorted ascending, optimal in one dimension.
+  supports sorted ascending, optimal in one dimension.  It merges the
+  two cumulative-weight vectors and forms only the costs of its
+  n + k - 1 arcs, never a cost matrix.
 
 ``solve`` picks one of them by name; ``optimal_coupling`` picks the
 cheapest exact one for the dimension.  The two exact solvers also return
@@ -56,6 +58,8 @@ __all__ = [
 # Per-entry marginal tolerance a Coupling must satisfy.
 MARGINAL_ATOL = 1e-8
 
+_OVERFLOW = "a squared distance between support points overflows; rescale the values"
+
 
 def cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dense matrix of squared Euclidean distances |x_i - y_j|^2.
@@ -67,10 +71,7 @@ def cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d = x[:, None, :] - y[None, :, :]
         C = np.einsum("ijk,ijk->ij", d, d)
     if not np.isfinite(C).all():
-        raise NonFiniteValueError(
-            "a squared distance between support points overflows; "
-            "rescale the values"
-        )
+        raise NonFiniteValueError(_OVERFLOW)
     return C
 
 
@@ -145,42 +146,6 @@ class OtSolution:
 
 
 # ---------------------------------------------------------------------------
-# north-west corner
-# ---------------------------------------------------------------------------
-
-def _northwest_corner(a: np.ndarray, b: np.ndarray, C: np.ndarray):
-    """Staircase basis on input order: n + k - 1 arcs (i, j, flow), and
-    its potentials (u, v) with u[i] + v[j] = C[i, j] on every arc, u[0] = 0.
-
-    Degenerate zero-flow arcs are kept so the arc set always forms a
-    spanning tree of the bipartite graph.  Each arc shares its row or its
-    column with the arc before it, so each step fixes one new potential.
-    """
-    n, k = len(a), len(b)
-    ra = a.astype(float).copy()
-    rb = b.astype(float).copy()
-    u = np.zeros(n)
-    v = np.zeros(k)
-    v[0] = C[0, 0]
-    arcs = []
-    i = j = 0
-    while True:
-        t = min(ra[i], rb[j])
-        arcs.append((i, j, t))
-        ra[i] -= t
-        rb[j] -= t
-        if i == n - 1 and j == k - 1:
-            break
-        if i < n - 1 and (j == k - 1 or ra[i] <= rb[j]):
-            i += 1
-            u[i] = C[i, j] - v[j]
-        else:
-            j += 1
-            v[j] = C[i, j] - u[i]
-    return arcs, u, v
-
-
-# ---------------------------------------------------------------------------
 # transportation LP
 # ---------------------------------------------------------------------------
 
@@ -235,27 +200,57 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
 def solve_comonotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """North-west-corner plan on ascending supports; optimal for m = 1.
 
-    Ties among equal support values keep their original index order
-    (stable sort), which pins the plan down uniquely.
+    The plan is the staircase that merges the two cumulative-weight
+    vectors, so no cost matrix is formed.  Each row and each column but
+    the last ends at its cumulative weight, and the n + k - 2 ends,
+    sorted stably with rows first, are the staircase's steps: a row end
+    moves to the next row, a column end to the next column.  Arc t
+    carries the mass between the t-th and the (t+1)-th end; zero-flow
+    arcs are kept, so the n + k - 1 arcs form a spanning tree.  The
+    potentials solve u[i] + v[j] = cost on every arc with u[0] = 0: at a
+    step the new potential is its side's previous one plus the change in
+    arc cost.  Ties among equal support values keep their original index
+    order (stable sort), which pins the plan down uniquely.  Raises
+    :class:`NonFiniteValueError` when any squared distance overflows.
     """
     if mu.dim != 1 or nu.dim != 1:
         raise DimensionNotOneError("comonotone coupling requires 1-D measures")
     order_r = np.argsort(mu.support[:, 0], kind="stable")
     order_c = np.argsort(nu.support[:, 0], kind="stable")
-    C = cost_matrix(mu.support, nu.support)
-    arcs, u_sorted, v_sorted = _northwest_corner(
-        mu.weights[order_r], nu.weights[order_c], C[np.ix_(order_r, order_c)]
-    )
-    plan = np.zeros((mu.n, nu.n))
-    for i, j, f in arcs:
-        plan[order_r[i], order_c[j]] += f
-    u = np.empty(mu.n)
-    v = np.empty(nu.n)
-    u[order_r] = u_sorted
-    v[order_c] = v_sorted
-    coupling = Coupling(mu, nu, plan)
-    cost = float(np.einsum("ij,ij->", plan, C))
-    return OtSolution(coupling, cost, "comonotone_1d", 0, True, (u, v))
+    xs, ys = mu.support[order_r, 0], nu.support[order_c, 0]
+    reach = max(float(xs[-1]) - float(ys[0]), float(ys[-1]) - float(xs[0]))
+    if not np.isfinite(reach * reach):
+        raise NonFiniteValueError(_OVERFLOW)
+    n, k = mu.n, nu.n
+    ca, cb = np.cumsum(mu.weights[order_r]), np.cumsum(nu.weights[order_c])
+    ends = np.concatenate((ca[:-1], cb[:-1]))
+    steps = np.argsort(ends, kind="stable")
+    # at[e] is end e's position in the merge, where the rows' ends and the
+    # columns' ends each stay in order; arc t lies in the row numbered by
+    # the row ends merged before position t
+    at = np.empty(n + k - 2, dtype=np.intp)
+    at[steps] = np.arange(n + k - 2)
+    i = np.searchsorted(at[:n - 1], np.arange(n + k - 1))
+    j = np.arange(n + k - 1) - i
+    # the mass between consecutive ends; the last end is the larger total,
+    # which no earlier end exceeds, so no flow is negative
+    bounds = np.empty(n + k)
+    bounds[0] = 0.0
+    bounds[1:-1] = ends[steps]
+    bounds[-1] = max(ca[-1], cb[-1])
+    flow = bounds[1:] - bounds[:-1]
+    cost = (xs[i] - ys[j]) ** 2
+    step = cost[1:] - cost[:-1]
+    u = np.empty(n)
+    v = np.empty(k)
+    u[order_r[0]] = 0.0
+    v[order_c[0]] = cost[0]
+    u[order_r[1:]] = np.cumsum(step[at[:n - 1]])
+    v[order_c[1:]] = cost[0] + np.cumsum(step[at[n - 1:]])
+    plan = np.zeros((n, k))
+    plan[order_r[i], order_c[j]] = flow
+    return OtSolution(Coupling(mu, nu, plan), float(flow @ cost), "comonotone_1d", 0,
+                      True, (u, v))
 
 
 # ---------------------------------------------------------------------------

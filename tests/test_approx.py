@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import otrepair
+import otrepair.ot
 from otrepair.approx import (
     build,
     decompose_solve,
@@ -199,6 +204,48 @@ def test_build_methods_all_attain_their_bound(rng):
         lb = lower_bound(ap.family, ap.nu0)
         assert abs(ap.achieved_distance_sq - lb) <= 1e-8 * max(1.0, lb)
         assert np.max(np.abs(ap.mean_y - ap.mean_x)) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("method, kw", [
+    ("auto", {}),
+    ("entropic", {"epsilon": 0.05, "max_iter": 300}),
+    ("free", {"k": 3}),
+], ids=["auto", "entropic", "free"])
+def test_build_achieved_distance_is_the_lower_bound(rng, m, method, kw):
+    # both are the p-weighted sum, in atom order, of the couplings' own costs
+    for _ in range(30):
+        ap = build(random_dataset(rng, max_rows=5, m=m), method=method, **kw)
+        assert ap.achieved_distance_sq == lower_bound(ap.family, ap.nu0)
+
+
+def test_cost_matrix_calls_per_atom(rng, monkeypatch):
+    # a 1-D build forms no cost matrix, verify forms one per atom for its
+    # certificate, and a 2-D build one per atom for its transport LP (the
+    # joint barycenter LP forms its own, also one per atom)
+    calls = Counter()
+    real = otrepair.ot.cost_matrix
+    wrapped = set()
+    for info in pkgutil.iter_modules(otrepair.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"otrepair.{info.name}")
+        if getattr(module, "cost_matrix", None) is real:
+            def counted(x, y, name=info.name):
+                calls[name] += 1
+                return real(x, y)
+            monkeypatch.setattr(module, "cost_matrix", counted)
+            wrapped.add(info.name)
+    assert wrapped == {"ot", "barycenter", "diagnostics"}
+    d = random_dataset(rng, n_atoms=3, max_rows=6, m=1)
+    ap = build(d)
+    assert calls == Counter()
+    assert verify(ap, d).passed
+    assert calls == Counter(diagnostics=3)
+    calls.clear()
+    d2 = dataset_from_rows([(g, rng.normal(size=2), 1.0) for g in "aabbbcc"])
+    build(d2)
+    assert calls == Counter(ot=3, barycenter=3)
 
 
 # --- sample_y ---------------------------------------------------------------------

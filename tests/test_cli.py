@@ -229,6 +229,16 @@ def test_barycenter_quantile_auto(tmp_path):
     assert abs(r["objective"] - 0.25) <= 1e-12
 
 
+def test_barycenter_rejects_non_finite_support(tmp_path, capsys):
+    inp = write(tmp_path / "m.csv", "measure,weight,x\nm1,1,0\nm2,1,1\n")
+    grid = write(tmp_path / "g.csv", "x\n0\nnan\n1\n")
+    rep = tmp_path / "r.json"
+    assert main(["barycenter", "--input", inp, "--method", "exact", "--support", grid,
+                 "--report", str(rep)]) == 3
+    assert "support contains the non-finite value nan\n" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 # --- diagnose -------------------------------------------------------------------------
 
 def test_diagnose_round_trip(tmp_path):
@@ -264,6 +274,28 @@ def test_diagnose_rejects_bad_report(tmp_path):
     smp = write(tmp_path / "s.csv", "group,x,weight,u,y1\ng1,0,1,0.5,1\n")
     assert main(["diagnose", "--samples", smp, "--report", rep,
                  "--out", str(tmp_path / "o.json")]) == 3
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("x", "nan", "x contains the non-finite value nan"),
+    ("y1", "nan", "y contains the non-finite value nan"),
+    ("u", "nan", "u contains the non-finite value nan"),
+    ("weight", "nan", "weights contains the non-finite value nan"),
+    ("weight", "-1", "dataset weights must be strictly positive"),
+], ids=["nan-x", "nan-y", "nan-u", "nan-weight", "negative-weight"])
+def test_diagnose_rejects_bad_sample_values(tmp_path, capsys, column, value, message):
+    inp = write(tmp_path / "d.csv", HAND_CSV)
+    rep, smp, out = (str(tmp_path / f) for f in ("r.json", "s.csv", "o.json"))
+    assert main(["approx", "--input", inp, "--report", rep,
+                 "--samples", smp, "--seed", "11"]) == 0
+    lines = Path(smp).read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(cells)
+    write(Path(smp), "\n".join(lines) + "\n")
+    assert main(["diagnose", "--samples", smp, "--report", rep, "--out", out]) == 3
+    assert message in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 # --- console entry point -----------------------------------------------------------------

@@ -9,6 +9,7 @@ from otrepair.errors import (
     DimensionMismatchError,
     DimensionNotOneError,
     NegativeWeightError,
+    NonFiniteValueError,
     SolverFailureError,
     WeightSumError,
 )
@@ -24,6 +25,7 @@ from otrepair.ot import (
 )
 
 from conftest import random_measure
+from northwest import comonotone_reference
 
 
 # --- oracles (independent of the solvers under test) ------------------------
@@ -259,6 +261,105 @@ def test_comonotone_duplicate_ties_deterministic():
     assert a.cost <= 1e-15
     expected = np.array([[0.25, 0.0, 0.0], [0.0, 0.0, 0.25], [0.0, 0.5, 0.0]])
     assert np.array_equal(a.coupling.weights, expected)
+
+
+def _dyadic_weights(rng, n):
+    """n weights, zeros allowed, that are multiples of 1/64 summing to 1, so
+    cumulative sums of two such measures tie exactly."""
+    cuts = np.sort(rng.integers(0, 65, n - 1))
+    return np.diff(np.concatenate(([0], cuts, [64]))) / 64.0
+
+
+def _staircase_case(rng, kind):
+    """A random 1-D pair of one kind: generic, tied and duplicate points,
+    zero weights, a single-point measure, or dyadic weights on distinct
+    integer points."""
+    n, k = (int(t) for t in rng.integers(1, 31, 2))
+    if kind == "single":
+        n, k = (1, k) if rng.random() < 0.5 else (n, 1)
+
+    def points(size):
+        if kind == "ties":
+            return rng.integers(0, 4, size).astype(float)
+        if kind == "dyadic":
+            return rng.permutation(200)[:size].astype(float)
+        return rng.normal(size=size)
+
+    def weights(size):
+        if kind == "dyadic":
+            return _dyadic_weights(rng, size)
+        w = rng.random(size) + 0.05
+        if kind == "zeros":
+            w[rng.random(size) < 0.3] = 0.0
+            if not w.any():
+                w[0] = 1.0
+        return w / w.sum()
+
+    return (DiscreteMeasure(points(n), weights(n)),
+            DiscreteMeasure(points(k), weights(k)))
+
+
+@pytest.mark.parametrize("kind", ["generic", "ties", "zeros", "single", "dyadic"])
+def test_comonotone_matches_loop_oracle(rng, kind):
+    for _ in range(80):
+        mu, nu = _staircase_case(rng, kind)
+        sol = solve_comonotone_1d(mu, nu)
+        plan, _, _, cost = comonotone_reference(mu, nu)
+        assert np.max(np.abs(sol.coupling.weights - plan)) <= 1e-14
+        assert abs(sol.cost - cost) <= 1e-14 * cost
+
+
+def test_comonotone_arcs_match_loop_oracle_on_dyadic_weights(rng):
+    # dyadic weights and integer points make every step exact, so the plan
+    # and the potentials agree bit for bit; the arcs are then the pairs
+    # where u + v meets the cost (distinct points leave no other such pair)
+    for _ in range(80):
+        mu, nu = _staircase_case(rng, "dyadic")
+        sol = solve_comonotone_1d(mu, nu)
+        plan, arcs, (u, v), _ = comonotone_reference(mu, nu)
+        assert np.array_equal(sol.coupling.weights, plan)
+        su, sv = sol.potentials
+        assert np.array_equal(su, u) and np.array_equal(sv, v)
+        C = cost_matrix(mu.support, nu.support)
+        tight = set(zip(*(idx.tolist() for idx in np.nonzero(su[:, None] + sv == C))))
+        assert tight == set(arcs)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6, 1e9])
+def test_comonotone_certified_at_every_cost_scale(rng, scale):
+    for offset in (0.0, 1e4, -1e8, 1e8):
+        for _ in range(8):
+            n, k = (int(t) for t in rng.integers(1, 31, 2))
+            w = rng.random(n) + 0.05
+            mu = DiscreteMeasure(offset + rng.normal(size=n) * np.sqrt(scale), w / w.sum())
+            w = rng.random(k) + 0.05
+            w[rng.random(k) < 0.3] = 0.0
+            if not w.any():
+                w[0] = 1.0
+            nu = DiscreteMeasure(offset + rng.normal(size=k) * np.sqrt(scale), w / w.sum())
+            # solve_comonotone_1d constructs a Coupling, which checks the marginals
+            sol = solve_comonotone_1d(mu, nu)
+            u = sol.potentials[0]
+            bound = mu.weights @ u + nu.weights @ np.min(
+                cost_matrix(mu.support, nu.support) - u[:, None], axis=0)
+            assert abs(sol.cost - bound) <= 1e-8 * sol.cost
+            again = solve_comonotone_1d(mu, nu)
+            assert again.coupling.weights.tobytes() == sol.coupling.weights.tobytes()
+            assert again.cost == sol.cost
+
+
+def test_comonotone_rejects_overflowing_cross_pairs(tmp_path):
+    # every staircase arc joins neighbours, whose squared distances are at
+    # most 1e308, but the pair (1.9e154, 0) overflows
+    mu = make_measure([0.0, 1e154, 1.9e154], [1.0, 1.0, 1.0])
+    with pytest.raises(NonFiniteValueError, match="overflows"):
+        solve_comonotone_1d(mu, mu)
+    inp = tmp_path / "m.csv"
+    inp.write_text("measure,weight,x\nm1,1,0\nm1,1,1e200\nm2,1,0\nm2,1,1e200\n",
+                   encoding="utf-8")
+    assert main(["ot", "--input", str(inp), "--method", "comonotone1d",
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert not (tmp_path / "r.json").exists()
 
 
 # --- solve_entropic ----------------------------------------------------------
