@@ -2,9 +2,11 @@
 
 Given a dataset of (group, x) samples, this module estimates the
 conditional law of x within each group, computes a barycenter nu0 of
-those laws, couples every group law optimally to nu0, disintegrates the
-couplings over the source points and realizes the repaired variable y
-through an inverse-CDF lookup driven by a uniform draw u.  The result
+those laws, couples every group law optimally to nu0 (the fixed-support
+LP's solution already holds these couplings, so that route solves no
+further transport problem), disintegrates the couplings over the source
+points and realizes the repaired variable y through an inverse-CDF
+lookup driven by a uniform draw u.  The result
 is, at sample level, the closest-in-L2 variable that is independent of
 the grouping:
 
@@ -52,7 +54,7 @@ from .measure import (
     dirac,
     mean,
 )
-from .ot import optimal_coupling
+from .ot import Coupling, cost_matrix, optimal_coupling
 
 __all__ = [
     "Disintegration",
@@ -90,8 +92,9 @@ def lower_bound(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
 
     No variable with law nu that is independent of the grouping can be
     closer to x in squared L2 than this value; the pipeline's construction
-    attains it.  Each distance is the cost of :func:`otrepair.ot.optimal_coupling`,
-    the same couplings :func:`build` uses.
+    attains it.  Each distance is the cost of :func:`otrepair.ot.optimal_coupling`.
+    :func:`build` uses the same couplings except on the fixed-support
+    LP route, whose own plans are optimal too but may be other vertices.
     """
     return float(sum(a.p * optimal_coupling(a.law, nu).cost for a in family.atoms))
 
@@ -121,9 +124,13 @@ class IndependentApproximation:
     """Everything needed to sample the repaired variable.
 
     ``achieved_distance_sq`` is the p-weighted sum of the costs of the
-    per-atom optimal couplings to nu0, summed in atom order, so it equals
-    ``lower_bound(family, nu0)`` exactly; ``mean_y`` equals ``mean_x`` by
-    construction of nu0.
+    per-atom optimal couplings to nu0, summed in atom order.  It equals
+    ``lower_bound(family, nu0)`` exactly when the build solved its
+    couplings with :func:`otrepair.ot.optimal_coupling`, as ``lower_bound``
+    does.  With the fixed-support LP's own couplings (the m >= 2 default)
+    it agrees to rounding, since ``lower_bound`` may land on another
+    optimal plan: within 1e-12 relative in the tests, and ``verify``
+    certifies it.  ``mean_y`` equals ``mean_x`` by construction of nu0.
     """
 
     family: ConditionalFamily
@@ -155,23 +162,43 @@ class SampledOutput:
 
 
 def _assemble(
-    family: ConditionalFamily, bary: BarycenterResult, mean_x: np.ndarray
+    family: ConditionalFamily,
+    bary: BarycenterResult,
+    mean_x: np.ndarray,
+    shift: np.ndarray | None = None,
 ) -> IndependentApproximation:
-    nu0 = bary.nu0
+    """Couple every atom to nu0, the barycenter's measure translated by ``shift``.
+
+    An atom the joint LP solved keeps the LP's plan: translating nu0 by t
+    changes C_ij by -2 x_i.t + (2 y_j.t + |t|^2), the same for every
+    coupling, so the plan stays optimal, its row potential becomes
+    u - 2 X t, and the column-only term is absorbed by the c-transform.
+    Every other atom is coupled afresh by :func:`optimal_coupling`.
+    """
+    nu0 = bary.nu0 if shift is None else bary.nu0.translate(shift)
+    lp = bary.couplings or {}
     disintegrations = {}
     achieved = 0.0
     # one atom at a time, so only one dense coupling is alive at once
     for atom in family.atoms:
-        sol = optimal_coupling(atom.law, nu0)
-        achieved += atom.p * sol.cost
-        g = sol.coupling.weights
+        if atom.label in lp:
+            g, potential = lp[atom.label]
+            if shift is not None:
+                potential = potential - 2.0 * (atom.law.support @ shift)
+            g = Coupling(atom.law, nu0, g).weights
+            C = cost_matrix(atom.law.support, nu0.support)
+            cost = float(np.einsum("ij,ij->", g, C))
+        else:
+            sol = optimal_coupling(atom.law, nu0)
+            g, potential, cost = sol.coupling.weights, sol.potentials[0], sol.cost
+        achieved += atom.p * cost
         row_mass = g.sum(axis=1)
         alpha = np.empty_like(g)
         ok = row_mass > 0.0
         alpha[ok] = g[ok] / row_mass[ok, None]
         # zero-mass rows are unconstrained; give them nu0 itself
         alpha[~ok] = nu0.weights
-        disintegrations[atom.label] = Disintegration(atom.law, alpha, sol.potentials[0])
+        disintegrations[atom.label] = Disintegration(atom.law, alpha, potential)
     return IndependentApproximation(
         family=family,
         nu0=nu0,
@@ -196,10 +223,11 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     otherwise.  Whatever the backend returns is translated so its mean
     equals the dataset mean; the translation never increases the
     objective and makes the mean identity exact.  Per-atom couplings to
-    the final nu0 are always exact (the comonotone closed form when
-    m = 1, the HiGHS transport LP otherwise), and :func:`lower_bound` of
-    nu0 is the weighted sum of their costs.  Each disintegration keeps its
-    coupling's row potential, from which
+    the final nu0 are always exact: the fixed-support LP's own plans for
+    the atoms it kept, else the comonotone closed form when m = 1 and
+    the HiGHS transport LP otherwise.  :func:`lower_bound` of nu0 is the
+    weighted sum of their costs, to rounding.  Each disintegration keeps
+    its coupling's row potential, from which
     :func:`otrepair.diagnostics.verify` certifies optimality.
     """
     family = estimate_conditionals(data)
@@ -213,8 +241,7 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     bary = solve_barycenter(family, method, **options)
     # recentring: W2^2 to every atom drops by |shift|^2 jointly, and
     # the mean of nu0 becomes the mean of x exactly
-    nu0 = bary.nu0.translate(mean_x - mean(bary.nu0))
-    return _assemble(family, replace(bary, nu0=nu0), mean_x)
+    return _assemble(family, bary, mean_x, mean_x - mean(bary.nu0))
 
 
 def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:

@@ -5,7 +5,9 @@ one of four routes to (an approximation of) the measure minimizing the
 p-weighted sum of squared Wasserstein distances to the family's atoms:
 
 - ``exact`` (``fixed_support_weights``): the restricted problem on a
-  fixed grid is one joint linear program; solved exactly.
+  fixed grid is one joint linear program over the grid weights and one
+  coupling per atom, solved exactly by interior point with crossover;
+  its couplings come with the result.
 - ``entropic`` (``entropic_weights``): iterative Bregman projections on
   a fixed grid, log-domain.
 - ``free`` (``free_support_points``): fixed-point iteration alternating
@@ -45,7 +47,13 @@ from .measure import (
     coalesce,
     mixture,
 )
-from .ot import _logsumexp, _marginal_blocks, cost_matrix, optimal_coupling
+from .ot import (
+    _HIGHS_OPTIONS,
+    _logsumexp,
+    _marginal_blocks,
+    cost_matrix,
+    optimal_coupling,
+)
 
 __all__ = [
     "BarycenterResult",
@@ -67,7 +75,10 @@ class BarycenterResult:
     iterations, Bregman sweeps or fixed-point rounds (0 for the closed
     forms).  ``lp_objective`` carries the raw joint LP value for the
     fixed-support method (None for the others) and ``history`` the
-    free-support objective of every round.
+    free-support objective of every round.  ``couplings`` maps each atom
+    the joint LP kept to its optimal coupling with ``nu0``, as the pair
+    (plan, row potential) of :func:`fixed_support_weights` (None for the
+    other methods).
     """
 
     nu0: DiscreteMeasure
@@ -76,6 +87,7 @@ class BarycenterResult:
     converged: bool
     lp_objective: float | None = None
     history: tuple = ()
+    couplings: dict | None = None
 
 
 # An atom this light contributes nothing to the objective but can still
@@ -150,8 +162,9 @@ def solve_barycenter(
         return BarycenterResult(nu0, "free_support", it, conv, history=history)
     S = default_support(family) if support is None else support
     if method == "exact":
-        nu0, nit, fun = fixed_support_weights(family, S)
-        return BarycenterResult(nu0, "fixed_support_exact", nit, True, lp_objective=fun)
+        nu0, nit, fun, couplings = fixed_support_weights(family, S)
+        return BarycenterResult(nu0, "fixed_support_exact", nit, True,
+                                lp_objective=fun, couplings=couplings)
     nu0, it, conv = entropic_weights(family, S, epsilon, max_iter, tol)
     return BarycenterResult(nu0, "fixed_support_entropic", it, conv)
 
@@ -198,22 +211,44 @@ def _assemble_joint_lp(family: ConditionalFamily, S: np.ndarray):
 def fixed_support_weights(
     family: ConditionalFamily,
     support,
-) -> tuple[DiscreteMeasure, int, float]:
+) -> tuple[DiscreteMeasure, int, float, dict]:
     """Globally optimal weights on a fixed grid via one joint LP.
 
-    The LP is solved by SciPy's HiGHS dual simplex, which is
-    deterministic.  Returns (measure, LP iterations, raw LP value).
+    The LP is solved by SciPy's HiGHS interior point method with
+    crossover, which is deterministic and ends at a vertex.  Its solution
+    holds, for every atom a, an optimal coupling of a's law with the grid
+    weights w (Anderson, Borgwardt & Miller, "Discrete Wasserstein
+    barycenters", MMOR 2016): the plan is a's slice of the LP's x,
+    clipped at 0, and its row potential is a's row-sum duals divided by
+    the p_a the LP used (after negligible atoms are dropped), so that
+    u_i + v_j <= |x_i - s_j|^2 with equality on the plan's arcs.
+    Returns (measure, LP iterations, raw LP value, couplings), where the
+    iterations are those SciPy reports (interior point iterations, or
+    the simplex clean-up's when HiGHS needs one after crossover) and
+    ``couplings`` maps each kept atom's label to (plan, row potential).
     """
     family = _solvable_family(family)
     S = _check_support(family, support)
     c, A, b = _assemble_joint_lp(family, S)
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
+    # HiGHS's tolerances are absolute (see otrepair.ot), so the costs are
+    # scaled below 1 by a power of two, which rounds no cost
+    scale = 2.0 ** int(np.frexp(c.max(initial=0.0))[1])
+    res = linprog(c / scale, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ipm",
+                  options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise LpInfeasibleError(f"joint LP failed with status {res.status}: {res.message}")
     K = S.shape[0]
     w = np.maximum(res.x[-K:], 0.0)
     w = w / w.sum()
-    return DiscreteMeasure(S, w), int(res.nit), float(res.fun)
+    couplings = {}
+    cell = row = 0
+    for a in family.atoms:
+        n = a.law.n
+        plan = np.maximum(res.x[cell:cell + n * K].reshape(n, K), 0.0)
+        couplings[a.label] = (plan, scale * res.eqlin.marginals[row:row + n] / a.p)
+        cell += n * K
+        row += n
+    return DiscreteMeasure(S, w), int(res.nit), scale * float(res.fun), couplings
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,8 @@ class OtSolution:
 
 # HiGHS's tolerances are absolute, so the LP is solved on C / max(C)
 # (unscaled costs near 1e18 end in a failed status) and to feasibility
-# tolerances tight enough that the plan meets MARGINAL_ATOL.
+# tolerances tight enough that the plan meets MARGINAL_ATOL.  The joint
+# barycenter LP uses the same tolerances, for the same reason.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
 

@@ -37,6 +37,7 @@ from otrepair.measure import (
     mean,
     mixture,
 )
+from otrepair.ot import cost_matrix
 
 from conftest import random_dataset, random_family
 
@@ -168,7 +169,7 @@ def test_build_exact_lp_recentring_identity(rng):
         fam = ap.family
         sup_mean = ap.lp_objective - ap.achieved_distance_sq
         from otrepair.barycenter import default_support, fixed_support_weights
-        raw, _, lp = fixed_support_weights(fam, default_support(fam))
+        raw, _, lp, _ = fixed_support_weights(fam, default_support(fam))
         shift = ap.mean_x - mean(raw)
         assert abs(lp - ap.lp_objective) <= 1e-12 * max(1.0, abs(lp))
         assert abs(sup_mean - float(shift @ shift)) <= 1e-9
@@ -213,16 +214,24 @@ def test_build_methods_all_attain_their_bound(rng):
     ("free", {"k": 3}),
 ], ids=["auto", "entropic", "free"])
 def test_build_achieved_distance_is_the_lower_bound(rng, m, method, kw):
-    # both are the p-weighted sum, in atom order, of the couplings' own costs
+    # both are the p-weighted sum, in atom order, of the couplings' own costs;
+    # the default m = 2 build takes its couplings from the joint LP, while
+    # lower_bound re-solves each one and may land on another optimal vertex
     for _ in range(30):
-        ap = build(random_dataset(rng, max_rows=5, m=m), method=method, **kw)
-        assert ap.achieved_distance_sq == lower_bound(ap.family, ap.nu0)
+        d = random_dataset(rng, max_rows=5, m=m)
+        ap = build(d, method=method, **kw)
+        lb = lower_bound(ap.family, ap.nu0)
+        if method == "auto" and m == 2:
+            assert abs(ap.achieved_distance_sq - lb) <= 1e-12 * lb
+            assert verify(ap, d).passed
+        else:
+            assert ap.achieved_distance_sq == lb
 
 
 def test_cost_matrix_calls_per_atom(rng, monkeypatch):
     # a 1-D build forms no cost matrix, verify forms one per atom for its
-    # certificate, and a 2-D build one per atom for its transport LP (the
-    # joint barycenter LP forms its own, also one per atom)
+    # certificate, and a 2-D build one per atom in the joint barycenter LP
+    # and one per atom to cost the LP's coupling on the recentred nu0
     calls = Counter()
     real = otrepair.ot.cost_matrix
     wrapped = set()
@@ -236,7 +245,7 @@ def test_cost_matrix_calls_per_atom(rng, monkeypatch):
                 return real(x, y)
             monkeypatch.setattr(module, "cost_matrix", counted)
             wrapped.add(info.name)
-    assert wrapped == {"ot", "barycenter", "diagnostics"}
+    assert wrapped == {"ot", "approx", "barycenter", "diagnostics"}
     d = random_dataset(rng, n_atoms=3, max_rows=6, m=1)
     ap = build(d)
     assert calls == Counter()
@@ -245,8 +254,72 @@ def test_cost_matrix_calls_per_atom(rng, monkeypatch):
     calls.clear()
     d2 = dataset_from_rows([(g, rng.normal(size=2), 1.0) for g in "aabbbcc"])
     build(d2)
-    assert calls == Counter(ot=3, barycenter=3)
+    assert calls == Counter(approx=3, barycenter=3)
 
+
+def _spy_solve_exact(monkeypatch):
+    """Count the calls of ``ot.solve_exact``, which every exact coupling
+    outside the joint LP goes through."""
+    calls = []
+    real = otrepair.ot.solve_exact
+
+    def counted(mu, nu):
+        calls.append(mu.n)
+        return real(mu, nu)
+
+    monkeypatch.setattr(otrepair.ot, "solve_exact", counted)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["build", "decompose", "negligible_group"])
+def test_joint_lp_couplings_are_the_m2_build(rng, monkeypatch, route):
+    # the couplings come from the joint LP's solution: no transport LP is
+    # solved for an atom the LP kept, and each coupling costs what a fresh
+    # transport solve does
+    for _ in range(10):
+        d = random_dataset(rng, n_atoms=3, max_rows=5, m=2)
+        dropped = 0
+        if route == "negligible_group":
+            w = d.weights.copy()
+            w[np.array(d.groups) == "g0"] *= 1e-14
+            d = Dataset(d.groups, d.x, w)
+            dropped = 1
+        calls = _spy_solve_exact(monkeypatch)
+        if route == "decompose":
+            ap = decompose_solve(d)
+        elif dropped:
+            with pytest.warns(UserWarning, match="dropping 1 negligible atom"):
+                ap = build(d)
+        else:
+            ap = build(d)
+        # a dropped atom is coupled afresh, everything else comes from the LP
+        assert len(calls) == dropped
+        monkeypatch.undo()
+        assert verify(ap, d).passed
+        for atom in ap.family.atoms:
+            dis = ap.disintegrations[atom.label]
+            plan = atom.law.weights[:, None] * dis.conditional
+            cost = float(np.sum(plan * cost_matrix(atom.law.support, ap.nu0.support)))
+            fresh = otrepair.ot.solve_exact(atom.law, ap.nu0).cost
+            assert abs(cost - fresh) <= 1e-12 * fresh
+
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e6])
+def test_joint_lp_route_survives_light_points_at_every_scale(rng, scale):
+    # a point of weight ~1e-9 sits below HiGHS's default feasibility
+    # tolerance; the joint LP must still give exact-marginal couplings and
+    # a nu0 every group can be transported to
+    for _ in range(10):
+        rows = []
+        for a in range(4):
+            k = int(rng.integers(2, 9))
+            w = rng.random(k) + 0.05
+            w[0] *= 1e-9
+            x = 1e3 + scale * rng.normal(size=(k, 2))
+            rows += [(f"g{a}", xi, float(wi)) for xi, wi in zip(x, w)]
+        d = dataset_from_rows(rows)
+        assert verify(build(d), d).passed
 
 # --- sample_y ---------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import otrepair
@@ -314,6 +315,33 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert rep.exists()
+
+
+def test_approx_2d_is_byte_identical_across_processes(tmp_path):
+    # the joint LP runs HiGHS's interior point method; two interpreters must
+    # still pick the same vertex and write the same bytes
+    rng = np.random.default_rng(5)
+    lines = ["group,x1,x2"] + [
+        f"g{a},{float(x[0])!r},{float(x[1])!r}"
+        for a in range(3) for x in rng.normal(size=(8, 2)) + a
+    ]
+    inp = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    package_root = str(Path(otrepair.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    blobs = []
+    for tag in ("1", "2"):
+        rep, smp = tmp_path / f"r{tag}.json", tmp_path / f"s{tag}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "otrepair", "approx", "--input", inp,
+             "--value-cols", "x1,x2", "--report", str(rep), "--samples", str(smp),
+             "--seed", "11"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((rep.read_bytes(), smp.read_bytes()))
+    assert blobs[0] == blobs[1]
+    assert not load(tmp_path / "r1.json")["checks_failed"]
 
 
 def test_help_documents_exit_codes():
