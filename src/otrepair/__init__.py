@@ -19,7 +19,6 @@ from .measure import (
     make_measure,
     mean,
     mixture,
-    second_moment,
 )
 from .ot import (
     Coupling,
@@ -27,8 +26,6 @@ from .ot import (
     solve_comonotone_1d,
     solve_entropic,
     solve_exact,
-    transport_cost,
-    wasserstein_sq,
 )
 from .barycenter import BarycenterResult, default_support, solve_barycenter
 from .approx import (
@@ -36,7 +33,6 @@ from .approx import (
     IndependentApproximation,
     SampledOutput,
     build,
-    decompose_solve,
     estimate_conditionals,
     lower_bound,
     sample_y,
@@ -46,7 +42,6 @@ from .special_binary import (
     BinaryInstance,
     BinarySolution,
     brute_force,
-    compare_unconstrained,
     solve_half,
     solve_nonhalf,
 )

@@ -18,25 +18,14 @@ the grouping:
 In 1-D the default nu0 is the exact barycenter, so the result is the
 global optimum; for m >= 2 the default nu0 is optimal only among
 measures on the union of the group supports.
-
-``decompose_solve`` runs the same construction through the orthogonal
-split of x into its per-group mean and the centered remainder; its
-optimum coincides with the direct one, which makes it a strong
-self-consistency check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import (
-    BarycenterResult,
-    _check_support,
-    _resolve_method,
-    default_support,
-    solve_barycenter,
-)
+from .barycenter import BarycenterResult, _resolve_method, solve_barycenter
 from .errors import (
     ConfigConflictError,
     DatasetMismatchError,
@@ -66,7 +55,6 @@ __all__ = [
     "sample_y",
     "transform",
     "transform_grid",
-    "decompose_solve",
     "match_rows",
 ]
 
@@ -143,7 +131,6 @@ class IndependentApproximation:
     barycenter_iterations: int = 0
     barycenter_converged: bool = True
     lp_objective: float | None = None
-    decomposition: dict | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,19 +293,19 @@ def _lookup(
     position that adds mass; raising that run to 1 makes u = 1 stop
     there.  A draw is the first ladder position with positive mass whose
     cumulative weight reaches u: u = 0 is raised to the least positive
-    float, which skips leading zero-mass positions.  Complex numbers
-    sort lexicographically, so one exact ``searchsorted`` over the
-    sorted keys ``row + 1j * cum`` finds it for every query
-    ``source + 1j * u``.
+    float, which skips leading zero-mass positions.  Each row is
+    nondecreasing, so that position is the count of the row's entries
+    below u.  Queries go in blocks of max(n, 2^20 / K), so a block's
+    comparisons take no more room than the ladder or 2^20 entries.
     """
     ladder = np.cumsum(approx.disintegrations[label].conditional[:, order], axis=1)
     np.maximum(ladder, 1.0, out=ladder, where=ladder >= ladder[:, -1:])
+    u = np.maximum(u, _LEAST_POSITIVE)
     n, K = ladder.shape
-    keys = np.empty((n, K), dtype=complex)
-    keys.real = np.arange(n)[:, None]
-    keys.imag = ladder
-    query = source + 1j * np.maximum(u, _LEAST_POSITIVE)
-    pos = np.searchsorted(keys.ravel(), query, side="left") - source * K
+    block = max(n, (1 << 20) // K)
+    pos = np.empty(len(source), dtype=np.intp)
+    for s in range(0, len(source), block):
+        pos[s:s + block] = (ladder[source[s:s + block]] < u[s:s + block, None]).sum(axis=1)
     return approx.nu0.support[order[pos]]
 
 
@@ -406,68 +393,4 @@ def transform_grid(
         u=np.tile(grid, data.n_rows),
         y=y,
         weights=np.repeat(data.weights / resolution, resolution),
-    )
-
-
-def decompose_solve(
-    data: Dataset,
-    *,
-    method: str = "auto",
-    support=None,
-    **options,
-) -> IndependentApproximation:
-    """Solve through the orthogonal decomposition of x.
-
-    Further keyword ``options`` are those of :func:`build`.
-
-    Subtracts each group's conditional mean, builds the approximation of
-    the centered data, and translates the result back by the global
-    mean.  The reported achieved distance is the centered build's
-    achieved distance plus the variance of the conditional means; by the
-    orthogonal split it coincides with the direct :func:`build` optimum
-    up to rounding.
-
-    For the fixed-support methods the centered problem is solved on the
-    direct problem's grid shifted by the global mean, which makes the
-    two restricted problems exactly equivalent.
-    """
-    family = estimate_conditionals(data)
-    mean_x = data.mean_x()
-
-    atom_mean = {a.label: mean(a.law) for a in family.atoms}
-    shift = np.stack([atom_mean[g] for g in data.groups])
-    centered = Dataset(data.groups, data.x - shift, data.weights, data.u)
-
-    if _resolve_method(method, data.dim) in ("exact", "entropic"):
-        S = default_support(family) if support is None else support
-        support = _check_support(family, S) - mean_x[None, :]
-
-    inner = build(centered, method=method, support=support, **options)
-
-    between_var = float(
-        sum(a.p * np.sum((atom_mean[a.label] - mean_x) ** 2) for a in family.atoms)
-    )
-    nu0 = inner.nu0.translate(mean_x)
-    disintegrations = {}
-    for atom in family.atoms:
-        dis = inner.disintegrations[atom.label]
-        # the cost to nu0 is the centered cost plus 2 x~.delta + |delta|^2
-        # minus a column-only term, which the c-transform absorbs
-        delta = atom_mean[atom.label] - mean_x
-        potential = dis.potential + 2.0 * (dis.law.support @ delta) + delta @ delta
-        disintegrations[atom.label] = replace(dis, law=atom.law, potential=potential)
-    # barycenter iterations, convergence and LP value carry over from inner
-    return replace(
-        inner,
-        family=family,
-        nu0=nu0,
-        disintegrations=disintegrations,
-        achieved_distance_sq=inner.achieved_distance_sq + between_var,
-        mean_x=mean_x,
-        mean_y=mean(nu0),
-        method=f"decomposed[{inner.method}]",
-        decomposition={
-            "between_variance": between_var,
-            "centered_achieved": inner.achieved_distance_sq,
-        },
     )

@@ -259,8 +259,8 @@ def entropic_weights(
     family: ConditionalFamily,
     support,
     epsilon: float,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
+    max_iter: int,
+    tol: float,
 ) -> tuple[DiscreteMeasure, int, bool]:
     """Entropic barycenter on a fixed grid (log-domain Bregman projections).
 
@@ -312,9 +312,9 @@ def entropic_weights(
 def free_support_points(
     family: ConditionalFamily,
     k: int,
-    init_seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-9,
+    init_seed: int,
+    max_iter: int,
+    tol: float,
 ) -> tuple[DiscreteMeasure, int, bool, tuple]:
     """Local refinement with k movable support points of weight 1/k.
 

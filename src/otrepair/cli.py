@@ -27,7 +27,7 @@ from .errors import (
     OtRepairError,
 )
 from .measure import Dataset, DiscreteMeasure, _finite, make_measure
-from .ot import optimal_coupling, solve
+from .ot import optimal_coupling, solve_comonotone_1d, solve_entropic, solve_exact
 from .special_binary import (
     BinaryInstance,
     brute_force,
@@ -291,9 +291,12 @@ def _two_measures(args) -> tuple[DiscreteMeasure, DiscreteMeasure]:
 
 def cmd_ot(args) -> int:
     mu, nu = _two_measures(args)
-    method = "comonotone_1d" if args.method == "comonotone1d" else args.method
-    sol = solve(mu, nu, method, epsilon=args.epsilon, max_iter=args.max_iter,
-                tol=args.tol)
+    if args.method == "entropic":
+        sol = solve_entropic(mu, nu, args.epsilon, args.max_iter, args.tol)
+    elif args.method == "comonotone1d":
+        sol = solve_comonotone_1d(mu, nu)
+    else:
+        sol = solve_exact(mu, nu)
     payload = {
         "schema": 1,
         "subcommand": "ot",

@@ -151,11 +151,6 @@ def dirac(point) -> DiscreteMeasure:
     return DiscreteMeasure(pt[None, :], np.ones(1))
 
 
-def second_moment(mu: DiscreteMeasure) -> float:
-    """Weighted sum of squared Euclidean norms of the support points."""
-    return float(mu.weights @ np.einsum("ij,ij->i", mu.support, mu.support))
-
-
 def mean(mu: DiscreteMeasure) -> np.ndarray:
     """Barycentric mean of the measure, an m-vector."""
     return mu.weights @ mu.support

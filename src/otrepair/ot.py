@@ -15,9 +15,9 @@ Implements three routes to a coupling between two discrete measures:
   two cumulative-weight vectors and forms only the costs of its
   n + k - 1 arcs, never a cost matrix.
 
-``solve`` picks one of them by name; ``optimal_coupling`` picks the
-cheapest exact one for the dimension.  The two exact solvers also return
-dual potentials, which certify their plans without a second solve.
+``optimal_coupling`` picks the cheapest exact one for the dimension.  The
+two exact solvers also return dual potentials, which certify their plans
+without a second solve.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -46,13 +46,10 @@ __all__ = [
     "Coupling",
     "OtSolution",
     "cost_matrix",
-    "transport_cost",
     "solve_exact",
     "solve_entropic",
     "solve_comonotone_1d",
-    "solve",
     "optimal_coupling",
-    "wasserstein_sq",
 ]
 
 # Per-entry marginal tolerance a Coupling must satisfy.
@@ -113,12 +110,6 @@ class Coupling:
     @property
     def shape(self) -> tuple[int, int]:
         return self.weights.shape
-
-
-def transport_cost(coupling: Coupling) -> float:
-    """Quadratic transport cost sum_ij gamma_ij |x_i - y_j|^2."""
-    c = cost_matrix(coupling.row_measure.support, coupling.col_measure.support)
-    return float(np.einsum("ij,ij->", coupling.weights, c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,41 +364,6 @@ def solve_entropic(
     return OtSolution(coupling, cost, "entropic", iterations, bool(violation < tol))
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def solve(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    method: str = "exact",
-    **params,
-) -> OtSolution:
-    """Couple two measures with the named solver.
-
-    ``method`` is one of ``"exact"``, ``"comonotone_1d"`` or
-    ``"entropic"``; ``params`` (``epsilon`` and optionally
-    ``max_iter``/``tol``) reach only the entropic solver.
-    """
-    if method == "exact":
-        return solve_exact(mu, nu)
-    if method == "comonotone_1d":
-        return solve_comonotone_1d(mu, nu)
-    if method == "entropic":
-        return solve_entropic(mu, nu, **params)
-    raise ConfigConflictError(f"unknown method {method!r}")
-
-
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """An optimal coupling: the 1-D closed form when m = 1, the transport LP otherwise."""
-    return solve(mu, nu, "comonotone_1d" if mu.dim == 1 else "exact")
-
-
-def wasserstein_sq(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    method: str = "exact",
-    **params,
-) -> float:
-    """Squared Wasserstein-2 distance via the chosen solver (see :func:`solve`)."""
-    return solve(mu, nu, method, **params).cost
+    return solve_comonotone_1d(mu, nu) if mu.dim == 1 else solve_exact(mu, nu)

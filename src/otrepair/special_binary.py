@@ -11,9 +11,7 @@ makes the optimum computable in closed form:
 - pA != 1/2: only A and its complement remain as independent events, so
   the optimum is the plain projection y = E[f] on A, E[g] off it.
 
-``brute_force`` checks the closed forms by exhaustive subset search, and
-``compare_unconstrained`` pits the constrained optimum against the full
-pipeline (which may use an auxiliary uniform and can only do better).
+``brute_force`` checks the closed forms by exhaustive subset search.
 """
 from __future__ import annotations
 
@@ -22,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .approx import build
 from .errors import (
     HalfNotAllowedError,
     NegativeComponentError,
@@ -30,7 +27,7 @@ from .errors import (
     TooManyAtomsError,
     WeightSumError,
 )
-from .measure import _finite, dataset_from_rows
+from .measure import _finite
 
 __all__ = [
     "BinaryInstance",
@@ -39,7 +36,6 @@ __all__ = [
     "solve_half",
     "solve_nonhalf",
     "brute_force",
-    "compare_unconstrained",
 ]
 
 _BRUTE_FORCE_CAP = 20
@@ -188,31 +184,3 @@ def brute_force(inst: BinaryInstance) -> BinarySolution:
     chosen = frozenset(inst.labels[i] for i in range(n) if in_b[i])
     dist_sq = 0.5 * (const - best_val)
     return BinarySolution(alpha, beta, chosen, alpha, beta, dist_sq)
-
-
-def instance_dataset(inst: BinaryInstance):
-    """The sample-level dataset equivalent to a binary instance.
-
-    Each atom splits into two rows: x = f with mass p_b * pA and x = g
-    with mass p_b * (1 - pA).
-    """
-    pa = float(inst.p_a)
-    rows = []
-    for label, p_b, f_b, g_b in zip(inst.labels, inst.probs, inst.f, inst.g):
-        rows.append((label, float(f_b), float(p_b) * pa))
-        rows.append((label, float(g_b), float(p_b) * (1.0 - pa)))
-    return dataset_from_rows(rows)
-
-
-def compare_unconstrained(inst: BinaryInstance) -> tuple[float, float]:
-    """(constrained, unconstrained) optimal squared distances.
-
-    The constrained optimum is restricted to two-valued candidates (no
-    auxiliary uniform); the unconstrained one runs the full pipeline on
-    the equivalent dataset, where the exact 1-D quantile barycenter
-    attains the true optimum.  The unconstrained value can never exceed
-    the constrained one.
-    """
-    sol = solve_half(inst) if is_half(inst.p_a) else solve_nonhalf(inst)
-    ap = build(instance_dataset(inst))
-    return sol.distance_sq, ap.achieved_distance_sq

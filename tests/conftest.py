@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from otrepair.measure import dataset_from_rows, family, make_measure
-from otrepair.ot import wasserstein_sq
+from otrepair.approx import build, estimate_conditionals
+from otrepair.barycenter import default_support
+from otrepair.measure import Dataset, dataset_from_rows, family, make_measure, mean
+from otrepair.ot import solve_exact
+from otrepair.special_binary import is_half, solve_half, solve_nonhalf
 
 
 def simplex_objective(fam, nu):
@@ -10,9 +13,45 @@ def simplex_objective(fam, nu):
     transport-LP solves (``solve_exact``, HiGHS dual simplex): a route
     independent of the comonotone couplings that
     ``otrepair.approx.lower_bound`` uses in 1-D."""
-    return float(
-        sum(a.p * wasserstein_sq(a.law, nu, method="exact") for a in fam.atoms)
-    )
+    return float(sum(a.p * solve_exact(a.law, nu).cost for a in fam.atoms))
+
+
+def decomposition(d):
+    """The orthogonal split x = (x - E[x | group]) + E[x | group] of a dataset.
+
+    Returns the group-centered dataset, the support to solve it on and
+    the p-weighted variance of the group means.  For m > 1 the support
+    is the direct problem's default grid shifted by -E[x], which makes
+    the two grid-restricted problems equivalent; in 1-D it is None.  So
+    ``build(centered, support=support).achieved_distance_sq`` plus that
+    variance is the direct ``build`` optimum, to rounding.
+    """
+    fam = estimate_conditionals(d)
+    mean_x = d.mean_x()
+    means = {a.label: mean(a.law) for a in fam.atoms}
+    centered = Dataset(d.groups, d.x - np.stack([means[g] for g in d.groups]), d.weights)
+    support = None if d.dim == 1 else default_support(fam) - mean_x
+    between = float(sum(a.p * np.sum((means[a.label] - mean_x) ** 2) for a in fam.atoms))
+    return centered, support, between
+
+
+def decomposed_distance_sq(d):
+    """The optimum of ``d`` through :func:`decomposition`."""
+    centered, support, between = decomposition(d)
+    return build(centered, support=support).achieved_distance_sq + between
+
+
+def compare_unconstrained(inst):
+    """(constrained, unconstrained) optimal squared distances of a binary
+    instance: its two-valued closed form, and ``build`` on its dataset,
+    where each atom has a row x = f of mass p * pA and a row x = g of mass
+    p * (1 - pA).  The exact 1-D barycenter attains the true optimum, which
+    may use an auxiliary uniform, so it never exceeds the constrained one."""
+    pa = float(inst.p_a)
+    rows = [row for lab, p, f, g in zip(inst.labels, inst.probs, inst.f, inst.g)
+            for row in ((lab, float(f), float(p) * pa), (lab, float(g), float(p) * (1 - pa)))]
+    sol = solve_half(inst) if is_half(inst.p_a) else solve_nonhalf(inst)
+    return sol.distance_sq, build(dataset_from_rows(rows)).achieved_distance_sq
 
 
 def random_measure(rng, n=None, m=1, unit=False):

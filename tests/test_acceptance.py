@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from otrepair.approx import build, decompose_solve, lower_bound, transform, transform_grid
+from otrepair.approx import build, lower_bound, transform, transform_grid
 from otrepair.barycenter import default_support, solve_barycenter
 from otrepair.cli import main
 from otrepair.diagnostics import independence_tv
@@ -18,12 +18,11 @@ from otrepair.ot import cost_matrix, solve_comonotone_1d, solve_entropic, solve_
 from otrepair.special_binary import (
     BinaryInstance,
     brute_force,
-    compare_unconstrained,
     solve_half,
     solve_nonhalf,
 )
 
-from conftest import simplex_objective
+from conftest import compare_unconstrained, decomposed_distance_sq, simplex_objective
 
 
 def _random_dataset(rng, m, n_atoms_lo=2, n_atoms_hi=6, pts_lo=1, pts_hi=30):
@@ -101,8 +100,7 @@ def test_criterion_4_decomposition_consistency(criterion1_set):
     datasets, approxes, _ = criterion1_set
     worst = 0.0
     for d, ap in zip(datasets, approxes):
-        dec = decompose_solve(d)
-        diff = abs(dec.achieved_distance_sq - ap.achieved_distance_sq)
+        diff = abs(decomposed_distance_sq(d) - ap.achieved_distance_sq)
         worst = max(worst, diff)
         assert diff <= 1e-8
     print(f"\nACCEPTANCE 4 (decomposition consistency): PASS worst diff {worst:.2e}")

@@ -10,7 +10,6 @@ import otrepair
 import otrepair.ot
 from otrepair.approx import (
     build,
-    decompose_solve,
     estimate_conditionals,
     lower_bound,
     sample_y,
@@ -39,7 +38,7 @@ from otrepair.measure import (
 )
 from otrepair.ot import cost_matrix
 
-from conftest import random_dataset, random_family
+from conftest import decomposed_distance_sq, decomposition, random_dataset, random_family
 
 
 # --- estimate_conditionals ----------------------------------------------------
@@ -286,7 +285,9 @@ def test_joint_lp_couplings_are_the_m2_build(rng, monkeypatch, route):
             dropped = 1
         calls = _spy_solve_exact(monkeypatch)
         if route == "decompose":
-            ap = decompose_solve(d)
+            # the centered data on the shifted grid: a support off the data
+            d, support, _ = decomposition(d)
+            ap = build(d, support=support)
         elif dropped:
             with pytest.warns(UserWarning, match="dropping 1 negligible atom"):
                 ap = build(d)
@@ -511,48 +512,30 @@ def test_transform_deterministic_under_seed():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.u, b.u)
 
 
-# --- decompose_solve -----------------------------------------------------------------
+# --- orthogonal decomposition ------------------------------------------------------
 
 def test_decompose_measurable_case():
     d = dataset_from_rows([("a", 0.0, 1.0), ("b", 2.0, 1.0)])
-    dec = decompose_solve(d)
-    assert np.allclose(dec.nu0.support[0], [1.0])
-    assert abs(dec.achieved_distance_sq - 1.0) <= 1e-12
-    assert abs(dec.decomposition["centered_achieved"]) <= 1e-15
-    assert abs(dec.decomposition["between_variance"] - 1.0) <= 1e-12
+    centered, support, between = decomposition(d)
+    assert abs(build(centered, support=support).achieved_distance_sq) <= 1e-15
+    assert abs(between - 1.0) <= 1e-12
+    ap = build(d)
+    assert np.allclose(ap.nu0.support[0], [1.0])
+    assert abs(ap.achieved_distance_sq - 1.0) <= 1e-12
 
 
 def test_decompose_independent_case_reduces_to_build():
     rows = [("a", 0.0, 1.0), ("a", 2.0, 1.0), ("b", 0.0, 2.0), ("b", 2.0, 2.0)]
     d = dataset_from_rows(rows)
-    ap, dec = build(d), decompose_solve(d)
-    assert abs(ap.achieved_distance_sq - dec.achieved_distance_sq) <= 1e-12
-    assert dec.decomposition["between_variance"] <= 1e-15
+    assert decomposition(d)[2] <= 1e-15
+    assert abs(build(d).achieved_distance_sq - decomposed_distance_sq(d)) <= 1e-12
 
 
 def test_decompose_matches_build(rng):
     for m in (1, 2):
         for _ in range(5):
             d = random_dataset(rng, m=m)
-            ap, dec = build(d), decompose_solve(d)
-            assert abs(ap.achieved_distance_sq - dec.achieved_distance_sq) <= 1e-8
-            # orthogonal split holds exactly
-            assert abs(
-                dec.achieved_distance_sq
-                - dec.decomposition["centered_achieved"]
-                - dec.decomposition["between_variance"]
-            ) <= 1e-10 * max(1.0, dec.achieved_distance_sq)
-            assert np.max(np.abs(dec.mean_y - dec.mean_x)) <= 1e-8
-
-
-def test_decompose_transform_consistent(rng):
-    d = random_dataset(rng, n_atoms=3, max_rows=4, m=1, with_u=True)
-    dec = decompose_solve(d)
-    out = transform(dec, d)
-    assert out.y.shape == d.x.shape
-    assert all(
-        any(np.array_equal(y, s) for s in dec.nu0.support) for y in out.y
-    )
+            assert abs(build(d).achieved_distance_sq - decomposed_distance_sq(d)) <= 1e-8
 
 
 def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
@@ -560,7 +543,7 @@ def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
     from otrepair.diagnostics import verify
 
     d2 = random_dataset(rng, m=2)
-    built = [(d2, build(d2)), (d2, decompose_solve(d2))]
+    built = [(d2, build(d2))]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("transport LP solved")
@@ -568,7 +551,7 @@ def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
     monkeypatch.setattr(otrepair.ot, "solve_exact", forbidden)
     monkeypatch.setattr(otrepair.ot, "linprog", forbidden)
     d = random_dataset(rng, m=1)
-    built += [(d, build(d)), (d, decompose_solve(d))]
+    built.append((d, build(d)))
     assert all(ap.achieved_distance_sq >= 0.0 for _, ap in built)
     # verify certifies from the build's potentials in every dimension
     for data, ap in built:

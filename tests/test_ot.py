@@ -17,11 +17,10 @@ from otrepair.measure import DiscreteMeasure, coalesce, dirac, make_measure
 from otrepair.ot import (
     Coupling,
     cost_matrix,
+    optimal_coupling,
     solve_comonotone_1d,
     solve_entropic,
     solve_exact,
-    transport_cost,
-    wasserstein_sq,
 )
 
 from conftest import random_measure
@@ -77,7 +76,7 @@ def sq_costs(mu, nu):
     return np.einsum("ijk,ijk->ij", d, d)
 
 
-# --- Coupling / transport_cost ----------------------------------------------
+# --- Coupling ----------------------------------------------------------------
 
 def test_coupling_validation():
     mu = make_measure([0.0, 1.0], [1.0, 1.0])
@@ -92,28 +91,6 @@ def test_coupling_validation():
         Coupling(mu, nu, np.ones((3, 2)) / 6)
     with pytest.raises(DimensionMismatchError):
         Coupling(mu, dirac([0.0, 0.0]), np.array([[0.5], [0.5]]))
-
-
-def test_transport_cost_identity_diagonal():
-    mu = make_measure([0.0, 3.0], [1.0, 1.0])
-    c = Coupling(mu, mu, np.diag(mu.weights))
-    assert transport_cost(c) == 0.0
-
-
-def test_transport_cost_two_diracs():
-    c = Coupling(dirac([0.0]), dirac([1.0]), np.array([[1.0]]))
-    assert transport_cost(c) == 1.0
-
-
-def test_transport_cost_product_coupling():
-    mu = make_measure([0.0, 1.0], [1.0, 1.0])
-    c = Coupling(mu, mu, np.outer(mu.weights, mu.weights))
-    # 4-term hand oracle: sum_ij w_i w_j (x_i - x_j)^2
-    expected = sum(
-        0.25 * (xi - xj) ** 2 for xi in (0.0, 1.0) for xj in (0.0, 1.0)
-    )
-    assert expected == 0.5
-    assert transport_cost(c) == expected
 
 
 # --- solve_exact -------------------------------------------------------------
@@ -427,18 +404,18 @@ def test_entropic_rejects_bad_epsilon():
         solve_entropic(dirac([0.0]), dirac([1.0]), epsilon=0.0)
 
 
-# --- wasserstein_sq ----------------------------------------------------------
+# --- squared W2 distance properties (solve_exact) -------------------------
 
 def test_wasserstein_dispatch_and_symmetry(rng):
     for _ in range(10):
         mu = random_measure(rng, m=2)
         nu = random_measure(rng, m=2)
-        ab = wasserstein_sq(mu, nu)
-        ba = wasserstein_sq(nu, mu)
+        ab = solve_exact(mu, nu).cost
+        ba = solve_exact(nu, mu).cost
         assert abs(ab - ba) <= 1e-10 * max(1.0, ab)
-    assert wasserstein_sq(dirac([1.0]), dirac([3.0])) == 4.0
-    with pytest.raises(ValueError):
-        wasserstein_sq(dirac([0.0]), dirac([0.0]), method="nope")
+        assert optimal_coupling(mu, nu).method == "exact"
+    assert solve_exact(dirac([1.0]), dirac([3.0])).cost == 4.0
+    assert optimal_coupling(dirac([1.0]), dirac([3.0])).method == "comonotone_1d"
 
 
 def test_wasserstein_triangle_inequality(rng):
@@ -446,7 +423,7 @@ def test_wasserstein_triangle_inequality(rng):
         mu = random_measure(rng, n=4, m=2)
         nu = random_measure(rng, n=3, m=2)
         rho = random_measure(rng, n=5, m=2)
-        w = lambda a, b: np.sqrt(wasserstein_sq(a, b))
+        w = lambda a, b: np.sqrt(solve_exact(a, b).cost)
         assert w(mu, rho) <= w(mu, nu) + w(nu, rho) + 1e-9
 
 
@@ -457,7 +434,7 @@ def test_zero_distance_implies_same_law(rng):
     mu = DiscreteMeasure(pts[idx], w)
     perm = rng.permutation(8)
     nu = DiscreteMeasure(pts[idx][perm], w[perm])
-    assert wasserstein_sq(mu, nu) == 0.0
+    assert solve_exact(mu, nu).cost == 0.0
     assert coalesce(mu).equals(coalesce(nu))
 
 
@@ -482,5 +459,6 @@ def test_solution_cost_is_coupling_cost(rng, m):
         if m == 1:
             sols.append(solve_comonotone_1d(mu, nu))
         for sol in sols:
-            ref = transport_cost(sol.coupling)
+            ref = float(np.einsum("ij,ij->", sol.coupling.weights,
+                                  cost_matrix(mu.support, nu.support)))
             assert abs(sol.cost - ref) <= 1e-10 * max(1.0, abs(ref))

@@ -11,11 +11,12 @@ from otrepair.errors import (
 from otrepair.special_binary import (
     BinaryInstance,
     brute_force,
-    compare_unconstrained,
     is_half,
     solve_half,
     solve_nonhalf,
 )
+
+from conftest import compare_unconstrained
 
 
 def random_instance(rng, n=None, p_a=0.5):
