@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterResult, _resolve_method, solve_barycenter
+from .barycenter import BarycenterResult, solve_barycenter
 from .errors import (
     ConfigConflictError,
     DatasetMismatchError,
@@ -40,10 +40,9 @@ from .measure import (
     ConditionalFamily,
     Dataset,
     DiscreteMeasure,
-    dirac,
     mean,
 )
-from .ot import Coupling, cost_matrix, optimal_coupling
+from .ot import cost_matrix, optimal_coupling
 
 __all__ = [
     "Disintegration",
@@ -130,7 +129,6 @@ class IndependentApproximation:
     method: str
     barycenter_iterations: int = 0
     barycenter_converged: bool = True
-    lp_objective: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,32 +150,31 @@ def _assemble(
     family: ConditionalFamily,
     bary: BarycenterResult,
     mean_x: np.ndarray,
-    shift: np.ndarray | None = None,
+    shift: np.ndarray,
 ) -> IndependentApproximation:
     """Couple every atom to nu0, the barycenter's measure translated by ``shift``.
 
-    An atom the joint LP solved keeps the LP's plan: translating nu0 by t
-    changes C_ij by -2 x_i.t + (2 y_j.t + |t|^2), the same for every
-    coupling, so the plan stays optimal, its row potential becomes
+    An atom the joint LP solved keeps the LP's coupling: translating nu0
+    by t changes C_ij by -2 x_i.t + (2 y_j.t + |t|^2), the same for
+    every coupling, so the plan stays optimal, its row potential becomes
     u - 2 X t, and the column-only term is absorbed by the c-transform.
     Every other atom is coupled afresh by :func:`optimal_coupling`.
     """
-    nu0 = bary.nu0 if shift is None else bary.nu0.translate(shift)
+    nu0 = bary.nu0.translate(shift)
     lp = bary.couplings or {}
     disintegrations = {}
     achieved = 0.0
     # one atom at a time, so only one dense coupling is alive at once
     for atom in family.atoms:
-        if atom.label in lp:
-            g, potential = lp[atom.label]
-            if shift is not None:
-                potential = potential - 2.0 * (atom.law.support @ shift)
-            g = Coupling(atom.law, nu0, g).weights
-            C = cost_matrix(atom.law.support, nu0.support)
-            cost = float(np.einsum("ij,ij->", g, C))
-        else:
+        sol = lp.get(atom.label)
+        if sol is None:
             sol = optimal_coupling(atom.law, nu0)
-            g, potential, cost = sol.coupling.weights, sol.potentials[0], sol.cost
+            potential, cost = sol.potentials[0], sol.cost
+        else:
+            potential = sol.potentials[0] - 2.0 * (atom.law.support @ shift)
+            cost = float(np.einsum("ij,ij->", sol.coupling.weights,
+                                   cost_matrix(atom.law.support, nu0.support)))
+        g = sol.coupling.weights
         achieved += atom.p * cost
         row_mass = g.sum(axis=1)
         alpha = np.empty_like(g)
@@ -196,7 +193,6 @@ def _assemble(
         method=bary.method,
         barycenter_iterations=bary.iterations,
         barycenter_converged=bary.converged,
-        lp_objective=bary.lp_objective,
     )
 
 
@@ -210,21 +206,15 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     otherwise.  Whatever the backend returns is translated so its mean
     equals the dataset mean; the translation never increases the
     objective and makes the mean identity exact.  Per-atom couplings to
-    the final nu0 are always exact: the fixed-support LP's own plans for
-    the atoms it kept, else the comonotone closed form when m = 1 and
-    the HiGHS transport LP otherwise.  :func:`lower_bound` of nu0 is the
-    weighted sum of their costs, to rounding.  Each disintegration keeps
-    its coupling's row potential, from which
+    the final nu0 are always exact: the fixed-support LP's own
+    couplings for the atoms it kept, else the comonotone closed form
+    when m = 1 and the HiGHS transport LP otherwise.  :func:`lower_bound`
+    of nu0 is the weighted sum of their costs, to rounding.  Each
+    disintegration keeps its coupling's row potential, from which
     :func:`otrepair.diagnostics.verify` certifies optimality.
     """
     family = estimate_conditionals(data)
     mean_x = data.mean_x()
-    if (_resolve_method(method, data.dim) in ("exact", "quantile1d")
-            and all(a.law.n == 1 for a in family.atoms)):
-        # every conditional law is a point mass: the optimum is the mean
-        point = sum(a.p * a.law.support[0] for a in family.atoms)
-        bary = BarycenterResult(dirac(point), "dirac_closed_form", 0, True)
-        return _assemble(family, bary, mean_x)
     bary = solve_barycenter(family, method, **options)
     # recentring: W2^2 to every atom drops by |shift|^2 jointly, and
     # the mean of nu0 becomes the mean of x exactly

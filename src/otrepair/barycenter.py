@@ -7,7 +7,7 @@ p-weighted sum of squared Wasserstein distances to the family's atoms:
 - ``exact`` (``fixed_support_weights``): the restricted problem on a
   fixed grid is one joint linear program over the grid weights and one
   coupling per atom, solved exactly by interior point with crossover;
-  its couplings come with the result.
+  its couplings come with the result as ``OtSolution``s.
 - ``entropic`` (``entropic_weights``): iterative Bregman projections on
   a fixed grid, log-domain.
 - ``free`` (``free_support_points``): fixed-point iteration alternating
@@ -30,12 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import (
     ConfigConflictError,
     DimensionNotOneError,
-    LpInfeasibleError,
     SolverFailureError,
     SupportDimensionMismatchError,
 )
@@ -45,12 +43,14 @@ from .measure import (
     DiscreteMeasure,
     _finite,
     coalesce,
+    dirac,
     mixture,
 )
 from .ot import (
-    _HIGHS_OPTIONS,
     _logsumexp,
+    _lp_solution,
     _marginal_blocks,
+    _solve_lp,
     cost_matrix,
     optimal_coupling,
 )
@@ -73,19 +73,16 @@ class BarycenterResult:
 
     ``method`` tags the backend that ran; ``iterations`` counts its LP
     iterations, Bregman sweeps or fixed-point rounds (0 for the closed
-    forms).  ``lp_objective`` carries the raw joint LP value for the
-    fixed-support method (None for the others) and ``history`` the
-    free-support objective of every round.  ``couplings`` maps each atom
-    the joint LP kept to its optimal coupling with ``nu0``, as the pair
-    (plan, row potential) of :func:`fixed_support_weights` (None for the
-    other methods).
+    forms) and ``history`` holds the free-support objective of every
+    round.  ``couplings`` maps each atom the joint LP kept to its optimal
+    coupling with ``nu0``, the :class:`otrepair.ot.OtSolution` of
+    :func:`fixed_support_weights` (None for the other methods).
     """
 
     nu0: DiscreteMeasure
     method: str
     iterations: int
     converged: bool
-    lp_objective: float | None = None
     history: tuple = ()
     couplings: dict | None = None
 
@@ -147,9 +144,16 @@ def solve_barycenter(
     (default: :func:`default_support`), ``entropic`` runs at ``epsilon``,
     and ``free`` moves ``k`` points (default: the mixture's size) from a
     draw seeded by ``init_seed``; ``max_iter`` and ``tol`` bound the
-    iterative ones.  No coupling is solved to score the result.
+    iterative ones.  If every atom is a point mass, ``quantile1d`` and
+    ``exact`` without ``support`` return the optimum, the point mass at
+    the weighted mean.  No coupling is solved to score the result.
     """
     method = _resolve_method(method, family.dim)
+    family = _solvable_family(family)
+    if ((method == "quantile1d" or (method == "exact" and support is None))
+            and all(a.law.n == 1 for a in family.atoms)):
+        point = sum(a.p * a.law.support[0] for a in family.atoms)
+        return BarycenterResult(dirac(point), "dirac_closed_form", 0, True)
     if method == "quantile1d":
         if resolution is None:
             nu0, tag = quantile_exact_measure(family), "quantile_exact"
@@ -162,9 +166,9 @@ def solve_barycenter(
         return BarycenterResult(nu0, "free_support", it, conv, history=history)
     S = default_support(family) if support is None else support
     if method == "exact":
-        nu0, nit, fun, couplings = fixed_support_weights(family, S)
+        nu0, nit, couplings = fixed_support_weights(family, S)
         return BarycenterResult(nu0, "fixed_support_exact", nit, True,
-                                lp_objective=fun, couplings=couplings)
+                                couplings=couplings)
     nu0, it, conv = entropic_weights(family, S, epsilon, max_iter, tol)
     return BarycenterResult(nu0, "fixed_support_entropic", it, conv)
 
@@ -186,18 +190,17 @@ def _check_support(family: ConditionalFamily, support) -> np.ndarray:
     return S
 
 
-def _assemble_joint_lp(family: ConditionalFamily, S: np.ndarray):
-    """Joint LP: transport variables per atom plus shared grid weights.
+def _assemble_joint_lp(family: ConditionalFamily, costs: list):
+    """Joint LP on the atoms' cost matrices to the grid: transport
+    variables per atom plus shared grid weights.
 
     Variable layout: [gamma^1 row-major, ..., gamma^A row-major, w].
     Constraints: per-atom row sums fixed to the atom's weights, per-atom
     column sums tied to w, and sum(w) = 1.  Returns (c, A as CSR, b).
     """
-    K = S.shape[0]
+    K = costs[0].shape[1]
     atoms = family.atoms
-    c = np.concatenate(
-        [(a.p * cost_matrix(a.law.support, S)).ravel() for a in atoms] + [np.zeros(K)]
-    )
+    c = np.concatenate([(a.p * C).ravel() for a, C in zip(atoms, costs)] + [np.zeros(K)])
     row_sums, col_sums = zip(*(_marginal_blocks(a.law.n, K) for a in atoms))
     A = sparse.bmat([
         [sparse.block_diag(row_sums), None],
@@ -211,7 +214,7 @@ def _assemble_joint_lp(family: ConditionalFamily, S: np.ndarray):
 def fixed_support_weights(
     family: ConditionalFamily,
     support,
-) -> tuple[DiscreteMeasure, int, float, dict]:
+) -> tuple[DiscreteMeasure, int, dict]:
     """Globally optimal weights on a fixed grid via one joint LP.
 
     The LP is solved by SciPy's HiGHS interior point method with
@@ -219,36 +222,29 @@ def fixed_support_weights(
     holds, for every atom a, an optimal coupling of a's law with the grid
     weights w (Anderson, Borgwardt & Miller, "Discrete Wasserstein
     barycenters", MMOR 2016): the plan is a's slice of the LP's x,
-    clipped at 0, and its row potential is a's row-sum duals divided by
-    the p_a the LP used (after negligible atoms are dropped), so that
-    u_i + v_j <= |x_i - s_j|^2 with equality on the plan's arcs.
-    Returns (measure, LP iterations, raw LP value, couplings), where the
+    clipped at 0, and its potentials are a's row-sum and column-sum
+    duals divided by the p_a the LP used (after negligible atoms are
+    dropped), so that u_i + v_j <= |x_i - s_j|^2 with equality on the
+    plan's arcs.  Returns (measure, LP iterations, couplings), where the
     iterations are those SciPy reports (interior point iterations, or
     the simplex clean-up's when HiGHS needs one after crossover) and
-    ``couplings`` maps each kept atom's label to (plan, row potential).
+    ``couplings`` maps each kept atom's label to its
+    :class:`otrepair.ot.OtSolution`.
     """
     family = _solvable_family(family)
     S = _check_support(family, support)
-    c, A, b = _assemble_joint_lp(family, S)
-    # HiGHS's tolerances are absolute (see otrepair.ot), so the costs are
-    # scaled below 1 by a power of two, which rounds no cost
-    scale = 2.0 ** int(np.frexp(c.max(initial=0.0))[1])
-    res = linprog(c / scale, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ipm",
-                  options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise LpInfeasibleError(f"joint LP failed with status {res.status}: {res.message}")
+    costs = [cost_matrix(a.law.support, S) for a in family.atoms]
+    x, duals, nit = _solve_lp(*_assemble_joint_lp(family, costs), "highs-ipm", "joint")
     K = S.shape[0]
-    w = np.maximum(res.x[-K:], 0.0)
-    w = w / w.sum()
-    couplings = {}
-    cell = row = 0
-    for a in family.atoms:
-        n = a.law.n
-        plan = np.maximum(res.x[cell:cell + n * K].reshape(n, K), 0.0)
-        couplings[a.label] = (plan, scale * res.eqlin.marginals[row:row + n] / a.p)
-        cell += n * K
-        row += n
-    return DiscreteMeasure(S, w), int(res.nit), scale * float(res.fun), couplings
+    w = np.maximum(x[-K:], 0.0)
+    nu0 = DiscreteMeasure(S, w / w.sum())
+    ends = np.cumsum([a.law.n for a in family.atoms])
+    # x and the duals run per atom: plans, then row sums, then column sums
+    plans = np.split(x[:-K], ends[:-1] * K)
+    us = np.split(duals[:ends[-1]], ends[:-1])
+    vs = duals[ends[-1]:-1].reshape(-1, K)
+    return nu0, nit, {a.label: _lp_solution(a.law, nu0, C, g, (u / a.p, v / a.p), nit)
+                      for a, C, g, u, v in zip(family.atoms, costs, plans, us, vs)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +388,9 @@ def _quantile_at(vals: np.ndarray, cum: np.ndarray, t: np.ndarray) -> np.ndarray
     return vals[idx]
 
 
-def _quantile_average(family: ConditionalFamily, t: np.ndarray) -> np.ndarray:
+def _quantile_average(family: ConditionalFamily, data: list, t: np.ndarray) -> np.ndarray:
     total = np.zeros_like(t)
-    for atom in family.atoms:
-        vals, cum = _sorted_quantile_data(atom.law)
+    for atom, (vals, cum) in zip(family.atoms, data):
         total += atom.p * _quantile_at(vals, cum, t)
     return total
 
@@ -413,7 +408,8 @@ def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> Discret
     if resolution < 1:
         raise ConfigConflictError("resolution must be at least 1")
     t = (np.arange(resolution) + 0.5) / resolution
-    values = _quantile_average(family, t)
+    data = [_sorted_quantile_data(a.law) for a in family.atoms]
+    values = _quantile_average(family, data, t)
     return coalesce(
         DiscreteMeasure(values[:, None], np.full(resolution, 1.0 / resolution))
     )
@@ -425,18 +421,17 @@ def quantile_exact_measure(family: ConditionalFamily) -> DiscreteMeasure:
     The quantile average is a step function whose jumps can only sit at
     some atom's cumulative weight; evaluating it once per interval of
     the merged breakpoint grid represents its law exactly, for arbitrary
-    weight patterns.
+    weight patterns.  Each atom is sorted once.
     """
     family = _solvable_family(family)
     if family.dim != 1:
         raise DimensionNotOneError("quantile averaging requires 1-D atoms")
-    cums = [_sorted_quantile_data(a.law)[1] for a in family.atoms]
-    breaks = np.unique(np.concatenate(cums + [np.array([1.0])]))
+    data = [_sorted_quantile_data(a.law) for a in family.atoms]
+    breaks = np.unique(np.concatenate([cum for _, cum in data] + [np.array([1.0])]))
     breaks = breaks[(breaks > 0.0) & (breaks <= 1.0)]
     lo = np.concatenate([[0.0], breaks[:-1]])
     masses = breaks - lo
     keep = masses > 0.0
     mids = (lo[keep] + breaks[keep]) / 2.0
-    values = _quantile_average(family, mids)
+    values = _quantile_average(family, data, mids)
     return coalesce(DiscreteMeasure(values[:, None], masses[keep]))
-

@@ -332,7 +332,9 @@ def cmd_barycenter(args) -> int:
         max_iter=args.max_iter, tol=args.tol, resolution=args.resolution,
         k=args.k, init_seed=args.seed if args.seed is not None else 0,
     )
-    w2 = {a.label: optimal_coupling(a.law, res.nu0).cost for a in fam.atoms}
+    lp = res.couplings or {}
+    w2 = {a.label: (lp.get(a.label) or optimal_coupling(a.law, res.nu0)).cost
+          for a in fam.atoms}
     payload = {
         "schema": 1,
         "subcommand": "barycenter",

@@ -17,7 +17,8 @@ Implements three routes to a coupling between two discrete measures:
 
 ``optimal_coupling`` picks the cheapest exact one for the dimension.  The
 two exact solvers also return dual potentials, which certify their plans
-without a second solve.
+without a second solve.  This LP and the joint barycenter LP are both
+solved by ``_solve_lp``, and ``_lp_solution`` reads their couplings.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -137,13 +138,13 @@ class OtSolution:
 
 
 # ---------------------------------------------------------------------------
-# transportation LP
+# linear programs: the one HiGHS call, and the transportation LP
 # ---------------------------------------------------------------------------
 
-# HiGHS's tolerances are absolute, so the LP is solved on C / max(C)
-# (unscaled costs near 1e18 end in a failed status) and to feasibility
-# tolerances tight enough that the plan meets MARGINAL_ATOL.  The joint
-# barycenter LP uses the same tolerances, for the same reason.
+# HiGHS's tolerances are absolute, so every LP is solved on its costs
+# scaled below 1 by a power of two, which rounds no cost (unscaled costs
+# near 1e18 end in a failed status), and to feasibility tolerances tight
+# enough that its plans meet MARGINAL_ATOL.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
 
@@ -155,6 +156,25 @@ def _marginal_blocks(n: int, k: int):
     ones = np.ones(n * k)
     return (sparse.coo_matrix((ones, (cells // k, cells)), shape=(n, n * k)),
             sparse.coo_matrix((ones, (cells % k, cells)), shape=(k, n * k)))
+
+
+def _solve_lp(c: np.ndarray, A, b: np.ndarray, method: str, name: str):
+    """(x, equality duals, iterations) of min c.x s.t. A x = b, x >= 0, by
+    HiGHS ``method``; a :class:`SolverFailureError` names the ``name`` LP."""
+    scale = 2.0 ** int(np.frexp(c.max(initial=0.0))[1])
+    res = linprog(c / scale, A_eq=A, b_eq=b, bounds=(0, None), method=method,
+                  options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise SolverFailureError(f"{name} LP failed with status {res.status}: {res.message}")
+    return res.x, scale * res.eqlin.marginals, int(res.nit)
+
+
+def _lp_solution(mu, nu, C, x, potentials, nit: int) -> OtSolution:
+    """The coupling of mu and nu held by an LP's solution: the plan x clipped
+    at 0, checked by :class:`Coupling` and costed on C, with its dual pair."""
+    plan = np.maximum(x.reshape(C.shape), 0.0)
+    cost = float(np.einsum("ij,ij->", plan, C))
+    return OtSolution(Coupling(mu, nu, plan), cost, "exact", nit, True, potentials)
 
 
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
@@ -171,18 +191,10 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
         raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
     C = cost_matrix(mu.support, nu.support)
     n, k = C.shape
-    scale = float(C.max(initial=0.0)) or 1.0
-    res = linprog((C / scale).ravel(), A_eq=sparse.vstack(_marginal_blocks(n, k)),
-                  b_eq=np.concatenate([mu.weights, nu.weights]), bounds=(0, None),
-                  method="highs-ds", options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise SolverFailureError(f"transport LP failed with status {res.status}: "
-                                 f"{res.message}")
-    plan = np.maximum(res.x.reshape(n, k), 0.0)
-    duals = scale * res.eqlin.marginals
-    coupling = Coupling(mu, nu, plan)
-    cost = float(np.einsum("ij,ij->", plan, C))
-    return OtSolution(coupling, cost, "exact", int(res.nit), True, (duals[:n], duals[n:]))
+    b = np.concatenate([mu.weights, nu.weights])
+    x, duals, nit = _solve_lp(C.ravel(), sparse.vstack(_marginal_blocks(n, k)), b,
+                              "highs-ds", "transport")
+    return _lp_solution(mu, nu, C, x, (duals[:n], duals[n:]), nit)
 
 
 # ---------------------------------------------------------------------------

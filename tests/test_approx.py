@@ -166,12 +166,12 @@ def test_build_exact_lp_recentring_identity(rng):
         d = random_dataset(rng, m=2)
         ap = build(d)
         fam = ap.family
-        sup_mean = ap.lp_objective - ap.achieved_distance_sq
         from otrepair.barycenter import default_support, fixed_support_weights
-        raw, _, lp, _ = fixed_support_weights(fam, default_support(fam))
+        raw, _, couplings = fixed_support_weights(fam, default_support(fam))
+        lp = sum(a.p * couplings[a.label].cost for a in fam.atoms)
         shift = ap.mean_x - mean(raw)
-        assert abs(lp - ap.lp_objective) <= 1e-12 * max(1.0, abs(lp))
-        assert abs(sup_mean - float(shift @ shift)) <= 1e-9
+        assert np.array_equal(ap.nu0.support, raw.support + shift)
+        assert abs(lp - ap.achieved_distance_sq - float(shift @ shift)) <= 1e-9
 
 
 def test_build_perturbation_optimality_1d(rng):

@@ -16,7 +16,7 @@ from otrepair.measure import (
     mean,
     mixture,
 )
-from otrepair.ot import optimal_coupling, solve_exact
+from otrepair.ot import cost_matrix, optimal_coupling, solve_exact
 
 from conftest import random_family, simplex_objective
 from densesimplex import solve_standard_form
@@ -25,10 +25,15 @@ from densesimplex import solve_standard_form
 def bland_fixed_support(fam, support):
     """The joint LP solved by the dense Bland simplex oracle: (nu0, LP value)."""
     S = np.asarray(support, dtype=float).reshape(len(support), -1)
-    c, A, b = _assemble_joint_lp(fam, S)
+    c, A, b = _assemble_joint_lp(fam, [cost_matrix(a.law.support, S) for a in fam.atoms])
     out = solve_standard_form(c, A.toarray(), b)
     w = np.maximum(out.x[-len(S):], 0.0)
     return DiscreteMeasure(S, w / w.sum()), out.fun
+
+
+def lp_value(fam, res):
+    """The joint LP's value: the p-weighted costs of its couplings."""
+    return sum(a.p * res.couplings[a.label].cost for a in fam.atoms)
 
 
 def dirac_grid_oracle(probs, centers, support, resolution=400):
@@ -100,7 +105,8 @@ def test_joint_lp_layout_on_a_product_plan():
     fam = family([("a", 0.25, mus[0]), ("b", 0.75, mus[1])])
     S = np.array([[0.0], [1.5], [-2.0]])
     w = np.array([0.5, 0.125, 0.375])
-    c, A, b = _assemble_joint_lp(fam, S)
+    sq = [(a.law.support[:, None, 0] - S[None, :, 0]) ** 2 for a in fam.atoms]
+    c, A, b = _assemble_joint_lp(fam, sq)
     K, n = len(S), sum(mu.n for mu in mus)
     assert A.shape == (n + len(mus) * K + 1, n * K + K)
     assert A.nnz == 2 * n * K + (len(mus) + 1) * K
@@ -110,7 +116,7 @@ def test_joint_lp_layout_on_a_product_plan():
     assert np.array_equal(b, np.concatenate([mus[0].weights, mus[1].weights,
                                              np.zeros(2 * K), [1.0]]))
     # costs are p_a |x_i - S_j|^2, row-major per atom, and w is free
-    expect = [a.p * (a.law.support[:, None, 0] - S[None, :, 0]) ** 2 for a in fam.atoms]
+    expect = [a.p * C for a, C in zip(fam.atoms, sq)]
     assert np.array_equal(c, np.concatenate([e.ravel() for e in expect] + [np.zeros(K)]))
 
 
@@ -154,7 +160,7 @@ def test_fixed_support_engines_agree(rng):
         obj = lower_bound(fam, a.nu0)
         b, b_lp = bland_fixed_support(fam, sup)
         assert abs(obj - simplex_objective(fam, b)) <= 1e-9 * max(1.0, obj)
-        assert abs(a.lp_objective - b_lp) <= 1e-9 * max(1.0, obj)
+        assert abs(lp_value(fam, a) - b_lp) <= 1e-9 * max(1.0, obj)
 
 
 def test_fixed_support_lp_value_matches_exact_evaluation(rng):
@@ -162,9 +168,33 @@ def test_fixed_support_lp_value_matches_exact_evaluation(rng):
         fam = random_family(rng, n_atoms=3, max_pts=5, m=2)
         res = solve_barycenter(fam, "exact", support=default_support(fam))
         obj = lower_bound(fam, res.nu0)
-        assert abs(res.lp_objective - obj) <= 1e-8 * max(1.0, obj)
+        assert abs(lp_value(fam, res) - obj) <= 1e-8 * max(1.0, obj)
         total = simplex_objective(fam, res.nu0)
         assert abs(obj - total) <= 1e-10 * max(1.0, total)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_joint_lp_couplings_are_certified(rng, scale):
+    # every coupling the joint LP hands out is an OtSolution on nu0 whose
+    # dual pair is feasible within 1e-9 of the cost scale and closes the
+    # duality gap, the checks solve_exact's potentials get
+    for _ in range(10):
+        fam = random_family(rng, n_atoms=3, max_pts=6, m=2)
+        fam = family([(a.label, a.p, DiscreteMeasure(a.law.support * np.sqrt(scale),
+                                                     a.law.weights))
+                      for a in fam.atoms])
+        res = solve_barycenter(fam, "exact", support=default_support(fam))
+        assert list(res.couplings) == [a.label for a in fam.atoms]
+        for a in fam.atoms:
+            sol = res.couplings[a.label]
+            assert sol.coupling.row_measure is a.law
+            assert sol.coupling.col_measure is res.nu0
+            C = cost_matrix(a.law.support, res.nu0.support)
+            assert sol.cost == float(np.einsum("ij,ij->", sol.coupling.weights, C))
+            u, v = sol.potentials
+            assert np.max(u[:, None] + v[None, :] - C) <= 1e-9 * C.max()
+            gap = a.law.weights @ u + res.nu0.weights @ v - sol.cost
+            assert abs(gap) <= 1e-10 * sol.cost
 
 
 def test_fixed_support_beats_random_candidates(rng):

@@ -230,6 +230,51 @@ def test_barycenter_quantile_auto(tmp_path):
     assert abs(r["objective"] - 0.25) <= 1e-12
 
 
+THREE_2D_CSV = ("measure,weight,x1,x2\n"
+                "m1,1,0,0\nm1,2,1,0.5\nm1,1,0.25,2\n"
+                "m2,3,2,1\nm2,1,-1,0.75\n"
+                "m3,1,0.5,-1\nm3,1,1.5,1.5\nm3,2,-0.5,0.5\n")
+
+
+def test_barycenter_exact_reports_the_joint_lp_couplings(tmp_path, monkeypatch):
+    # the joint LP's couplings are optimal already: per_measure_w2 is
+    # their costs and no transport LP is solved again
+    inp = write(tmp_path / "m.csv", THREE_2D_CSV)
+    rep = str(tmp_path / "r.json")
+    calls = []
+    real = otrepair.ot.solve_exact
+
+    def counted(mu, nu):
+        calls.append(mu.n)
+        return real(mu, nu)
+
+    monkeypatch.setattr(otrepair.ot, "solve_exact", counted)
+    assert main(["barycenter", "--input", inp, "--value-cols", "x1,x2",
+                 "--method", "exact", "--report", rep]) == 0
+    assert calls == []
+    monkeypatch.undo()
+    r = load(rep)
+    t = cli._read_csv(inp, ["measure"], ["weight", "x1", "x2"])
+    fam = otrepair.estimate_conditionals(
+        otrepair.Dataset(tuple(t["measure"]), cli._points(t, ["x1", "x2"]), t["weight"]))
+    res = otrepair.solve_barycenter(fam, "exact")
+    assert r["per_measure_w2"] == {a.label: res.couplings[a.label].cost for a in fam.atoms}
+    assert r["objective"] == sum(a.p * res.couplings[a.label].cost for a in fam.atoms)
+
+
+def test_barycenter_of_point_masses_is_their_weighted_mean(tmp_path):
+    # the closed form, not the best point of the union grid
+    inp = write(tmp_path / "m.csv", "measure,weight,x1,x2\nm1,1,0,0\nm2,3,4,8\n")
+    rep = str(tmp_path / "r.json")
+    assert main(["barycenter", "--input", inp, "--value-cols", "x1,x2",
+                 "--method", "exact", "--report", rep]) == 0
+    r = load(rep)
+    assert r["method"] == "dirac_closed_form"
+    assert r["nu0"] == {"support": [[3.0, 6.0]], "weights": [1.0]}
+    assert r["per_measure_w2"] == {"m1": 45.0, "m2": 5.0}
+    assert r["objective"] == 15.0
+
+
 def test_barycenter_rejects_non_finite_support(tmp_path, capsys):
     inp = write(tmp_path / "m.csv", "measure,weight,x\nm1,1,0\nm2,1,1\n")
     grid = write(tmp_path / "g.csv", "x\n0\nnan\n1\n")

@@ -198,6 +198,10 @@ def test_exact_reports_a_failed_lp(tmp_path, monkeypatch, capsys):
     assert main(["ot", "--input", str(inp), "--method", "exact",
                  "--report", str(tmp_path / "r.json")]) == 4
     assert capsys.readouterr().err.startswith("error: transport LP failed")
+    # the joint barycenter LP goes through the same HiGHS call
+    assert main(["barycenter", "--input", str(inp), "--method", "exact",
+                 "--report", str(tmp_path / "b.json")]) == 4
+    assert capsys.readouterr().err.startswith("error: joint LP failed")
 
 
 # --- solve_comonotone_1d -----------------------------------------------------
