@@ -4,9 +4,10 @@ Given a dataset of (group, x) samples, this module estimates the
 conditional law of x within each group, computes a barycenter nu0 of
 those laws, couples every group law optimally to nu0 (the fixed-support
 LP's solution already holds these couplings, so that route solves no
-further transport problem), disintegrates the couplings over the source
-points and realizes the repaired variable y through an inverse-CDF
-lookup driven by a uniform draw u.  The result
+further transport problem; in 1-D one batched staircase couples every
+group at once), stores the couplings' disintegrations over the source
+points in one sparse structure and realizes the repaired variable y
+through an inverse-CDF lookup driven by a uniform draw u.  The result
 is, at sample level, the closest-in-L2 variable that is independent of
 the grouping:
 
@@ -42,7 +43,13 @@ from .measure import (
     DiscreteMeasure,
     mean,
 )
-from .ot import cost_matrix, optimal_coupling
+from .ot import (
+    _search_segments,
+    _segment_cumsum,
+    _segment_sum,
+    comonotone_staircases,
+    optimal_coupling,
+)
 
 __all__ = [
     "Disintegration",
@@ -74,36 +81,124 @@ def estimate_conditionals(data: Dataset) -> ConditionalFamily:
     return ConditionalFamily(tuple(atoms))
 
 
+def _total(family: ConditionalFamily, costs: np.ndarray) -> float:
+    """sum_a p_a * costs[a], added in atom order."""
+    return float(np.cumsum(family.probabilities * costs)[-1])
+
+
 def lower_bound(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
     """Weighted sum of exact squared Wasserstein distances to nu.
 
     No variable with law nu that is independent of the grouping can be
     closer to x in squared L2 than this value; the pipeline's construction
-    attains it.  Each distance is the cost of :func:`otrepair.ot.optimal_coupling`.
-    :func:`build` uses the same couplings except on the fixed-support
-    LP route, whose own plans are optimal too but may be other vertices.
+    attains it.  In 1-D the distances are the costs of
+    :func:`otrepair.ot.comonotone_staircases`, the couplings :func:`build`
+    uses, so the two agree bit for bit; otherwise each is the cost of
+    :func:`otrepair.ot.optimal_coupling`.  :func:`build` on the
+    fixed-support LP route keeps the LP's own plans, which are optimal
+    too but may be other vertices.
     """
-    return float(sum(a.p * optimal_coupling(a.law, nu).cost for a in family.atoms))
+    if family.dim == 1:
+        costs = np.concatenate([st.costs for st in _staircases(family, nu)])
+    else:
+        costs = np.array([optimal_coupling(a.law, nu).cost for a in family.atoms])
+    return _total(family, costs)
+
+
+# the 1-D couplings are formed for batches of consecutive atoms with
+# about this many staircase arcs each, which bounds the flat arrays
+_BATCH_ARCS = 1 << 14
+
+
+def _staircases(family: ConditionalFamily, nu: DiscreteMeasure):
+    """:func:`otrepair.ot.comonotone_staircases` of the family's atoms to
+    nu, one :class:`otrepair.ot.Staircase` per batch of atoms; a batch
+    starts where the arcs before it pass a multiple of ``_BATCH_ARCS``.
+    Every float is the one of the atom coupled alone."""
+    laws = [a.law for a in family.atoms]
+    arcs = np.cumsum([0] + [mu.n + nu.n - 1 for mu in laws])
+    cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, len(laws)]):
+        yield comonotone_staircases(laws[lo:hi], nu)
+
+
+def _support_order(nu0: DiscreteMeasure) -> np.ndarray:
+    """nu0's support indices in lexicographic order, the samplers' fixed order."""
+    return np.lexsort(nu0.support.T[::-1])
 
 
 @dataclass(frozen=True, eq=False)
 class Disintegration:
-    """Row-wise conditional laws of one atom's optimal coupling.
+    """Every atom's optimal coupling to nu0 as row-wise conditional laws,
+    stored sparse in one CSR structure.
 
-    ``conditional[i]`` is the probability vector (over nu0's support in
-    its natural index order) of the target given source point i; it is
-    the only stored form of the coupling, and the samplers derive their
-    cumulative ladders from it.  Reconstructing the column marginal,
-    sum_i mu_a(i) * conditional[i], gives back nu0's weights.
-    ``potential[i]`` is the coupling's dual potential at source point i;
-    with its c-transform over nu0's support it certifies the coupling's
-    cost as the squared Wasserstein distance (see
-    :func:`otrepair.diagnostics.verify`).
+    Rows are the atoms' source points, atom by atom in family order:
+    atom a holds rows ``starts[a]:starts[a + 1]``, in its law's order.
+    Row r's arcs are ``indptr[r]:indptr[r + 1]``, sorted in the samplers'
+    support order (see :func:`_support_order`): ``cols`` holds their nu0
+    indices and ``mass`` the positive probabilities of the target given
+    source point r.  A coupling's zeros are not stored, so a 1-D
+    staircase keeps at most n_a + K - 1 arcs per atom.  Reconstructing
+    the column marginal, sum_i mu_a(i) * mass over each atom's arcs,
+    gives back nu0's weights.  ``potential[r]`` is the coupling's dual
+    potential at source point r; with its c-transform over nu0's support
+    it certifies the coupling's cost as the squared Wasserstein distance
+    (see :func:`otrepair.diagnostics.verify`).
     """
 
-    law: DiscreteMeasure
-    conditional: np.ndarray
+    starts: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
     potential: np.ndarray
+
+    @classmethod
+    def from_arcs(cls, rows, cols, flow, potential, starts, nu0: DiscreteMeasure):
+        """The store of couplings given as arcs (row, nu0 index, flow).
+
+        Each row's positive flows are divided by their sum.  A row
+        without mass is unconstrained and gets nu0 itself.
+        """
+        keep = flow > 0.0
+        rows, cols, flow = rows[keep], cols[keep], flow[keep]
+        charged = np.zeros(starts[-1], dtype=bool)
+        charged[rows] = True
+        empty = np.flatnonzero(~charged)
+        order = _support_order(nu0)
+        fill = order[nu0.weights[order] > 0.0]
+        rows = np.concatenate([rows, np.repeat(empty, len(fill))])
+        cols = np.concatenate([cols, np.tile(fill, len(empty))])
+        flow = np.concatenate([flow, np.tile(nu0.weights[fill], len(empty))])
+        rank = np.empty(nu0.n, dtype=np.intp)
+        rank[order] = np.arange(nu0.n)
+        arcs = np.lexsort((rank[cols], rows))
+        rows, cols, flow = rows[arcs], cols[arcs], flow[arcs]
+        counts = np.bincount(rows, minlength=starts[-1])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        row_mass = _segment_sum(flow, indptr)
+        row_mass[empty] = 1.0
+        return cls(starts, indptr, cols, flow / np.repeat(row_mass, counts),
+                   np.asarray(potential, dtype=float))
+
+    @classmethod
+    def concatenate(cls, parts):
+        """One store of the rows of ``parts`` in turn."""
+        rows = np.cumsum([0] + [p.starts[-1] for p in parts])
+        arcs = np.cumsum([0] + [p.indptr[-1] for p in parts])
+        return cls(
+            np.concatenate([[0]] + [p.starts[1:] + r for p, r in zip(parts, rows)]),
+            np.concatenate([[0]] + [p.indptr[1:] + a for p, a in zip(parts, arcs)]),
+            np.concatenate([p.cols for p in parts]),
+            np.concatenate([p.mass for p in parts]),
+            np.concatenate([p.potential for p in parts]),
+        )
+
+    def dense(self, k: int) -> np.ndarray:
+        """The conditionals as a dense (rows, k) matrix over nu0's index
+        order, for inspection and tests; the samplers read the arcs."""
+        out = np.zeros((len(self.indptr) - 1, k))
+        out[np.repeat(np.arange(len(out)), np.diff(self.indptr)), self.cols] = self.mass
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,23 +207,31 @@ class IndependentApproximation:
 
     ``achieved_distance_sq`` is the p-weighted sum of the costs of the
     per-atom optimal couplings to nu0, summed in atom order.  It equals
-    ``lower_bound(family, nu0)`` exactly when the build solved its
-    couplings with :func:`otrepair.ot.optimal_coupling`, as ``lower_bound``
-    does.  With the fixed-support LP's own couplings (the m >= 2 default)
-    it agrees to rounding, since ``lower_bound`` may land on another
-    optimal plan: within 1e-12 relative in the tests, and ``verify``
-    certifies it.  ``mean_y`` equals ``mean_x`` by construction of nu0.
+    ``lower_bound(family, nu0)`` exactly when the build coupled every
+    atom as ``lower_bound`` does, as it always does in 1-D without the
+    fixed-support LP.  With the fixed-support LP's own couplings (the
+    m >= 2 default) it agrees to rounding, since ``lower_bound`` may land
+    on another optimal plan: within 1e-12 relative in the tests, and
+    ``verify`` certifies it.  ``mean_y`` equals ``mean_x`` by
+    construction of nu0.
     """
 
     family: ConditionalFamily
     nu0: DiscreteMeasure
-    disintegrations: dict
+    disintegration: Disintegration
     achieved_distance_sq: float
     mean_x: np.ndarray
     mean_y: np.ndarray
     method: str
     barycenter_iterations: int = 0
     barycenter_converged: bool = True
+
+    def conditional(self, label) -> np.ndarray:
+        """One atom's conditionals as a dense matrix: row i is the law of
+        y given the atom's i-th source point, over nu0's index order."""
+        a = self.family.labels.index(label)
+        s = self.disintegration.starts
+        return self.disintegration.dense(self.nu0.n)[s[a]:s[a + 1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,48 +249,63 @@ class SampledOutput:
         return len(self.groups)
 
 
+def _coupled_arcs(family: ConditionalFamily, bary: BarycenterResult,
+                  nu0: DiscreteMeasure, shift: np.ndarray):
+    """(rows, cols, flow, row potentials, costs) of every atom's exact
+    coupling to nu0, the barycenter's measure translated by ``shift``.
+
+    An atom the joint LP solved keeps the LP's coupling: translating nu0
+    by t changes C_ij by -2 (x_i - s_j).t + |t|^2, so the plan stays
+    optimal, its row potential becomes u - 2 x.t (the column-only terms
+    are absorbed by the c-transform), and its cost follows from the LP's
+    cost and the plan's arcs without a second cost matrix.  Every other
+    atom is coupled afresh by :func:`optimal_coupling`.
+    """
+    lp = bary.couplings or {}
+    sols = [lp.get(a.label) or optimal_coupling(a.law, nu0) for a in family.atoms]
+    plan = np.concatenate([s.coupling.weights for s in sols])
+    rows, cols = np.nonzero(plan)
+    flow = plan[rows, cols]
+    sizes = [a.law.n for a in family.atoms]
+    x = np.concatenate([a.law.support for a in family.atoms])
+    from_lp = np.array([a.label in lp for a in family.atoms])
+    potential = (np.concatenate([s.potentials[0] for s in sols])
+                 - 2.0 * np.where(np.repeat(from_lp, sizes), x @ shift, 0.0))
+    owner = np.repeat(np.arange(len(sizes)), sizes)[rows]
+    drift = np.bincount(owner, flow * ((x[rows] - bary.nu0.support[cols]) @ shift), len(sizes))
+    moved = np.bincount(owner, flow, len(sizes)) * (shift @ shift) - 2.0 * drift
+    costs = np.array([s.cost for s in sols]) + np.where(from_lp, moved, 0.0)
+    return rows, cols, flow, potential, costs
+
+
 def _assemble(
     family: ConditionalFamily,
     bary: BarycenterResult,
     mean_x: np.ndarray,
     shift: np.ndarray,
 ) -> IndependentApproximation:
-    """Couple every atom to nu0, the barycenter's measure translated by ``shift``.
+    """Couple every atom to nu0, the barycenter's measure translated by
+    ``shift``, and store the couplings as one :class:`Disintegration`.
 
-    An atom the joint LP solved keeps the LP's coupling: translating nu0
-    by t changes C_ij by -2 x_i.t + (2 y_j.t + |t|^2), the same for
-    every coupling, so the plan stays optimal, its row potential becomes
-    u - 2 X t, and the column-only term is absorbed by the c-transform.
-    Every other atom is coupled afresh by :func:`optimal_coupling`.
+    In 1-D without the joint LP, :func:`otrepair.ot.comonotone_staircases`
+    couples the atoms batch by batch (see :func:`_staircases`);
+    otherwise see :func:`_coupled_arcs`.
     """
     nu0 = bary.nu0.translate(shift)
-    lp = bary.couplings or {}
-    disintegrations = {}
-    achieved = 0.0
-    # one atom at a time, so only one dense coupling is alive at once
-    for atom in family.atoms:
-        sol = lp.get(atom.label)
-        if sol is None:
-            sol = optimal_coupling(atom.law, nu0)
-            potential, cost = sol.potentials[0], sol.cost
-        else:
-            potential = sol.potentials[0] - 2.0 * (atom.law.support @ shift)
-            cost = float(np.einsum("ij,ij->", sol.coupling.weights,
-                                   cost_matrix(atom.law.support, nu0.support)))
-        g = sol.coupling.weights
-        achieved += atom.p * cost
-        row_mass = g.sum(axis=1)
-        alpha = np.empty_like(g)
-        ok = row_mass > 0.0
-        alpha[ok] = g[ok] / row_mass[ok, None]
-        # zero-mass rows are unconstrained; give them nu0 itself
-        alpha[~ok] = nu0.weights
-        disintegrations[atom.label] = Disintegration(atom.law, alpha, potential)
+    if bary.couplings is None and family.dim == 1:
+        batches = [(Disintegration.from_arcs(st.rows, st.cols, st.flow, st.u, st.starts, nu0),
+                    st.costs) for st in _staircases(family, nu0)]
+        disintegration = Disintegration.concatenate([dis for dis, _ in batches])
+        costs = np.concatenate([c for _, c in batches])
+    else:
+        rows, cols, flow, potential, costs = _coupled_arcs(family, bary, nu0, shift)
+        starts = np.concatenate(([0], np.cumsum([a.law.n for a in family.atoms])))
+        disintegration = Disintegration.from_arcs(rows, cols, flow, potential, starts, nu0)
     return IndependentApproximation(
         family=family,
         nu0=nu0,
-        disintegrations=disintegrations,
-        achieved_distance_sq=achieved,
+        disintegration=disintegration,
+        achieved_distance_sq=_total(family, costs),
         mean_x=np.asarray(mean_x, dtype=float),
         mean_y=mean(nu0),
         method=bary.method,
@@ -209,8 +327,8 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     the final nu0 are always exact: the fixed-support LP's own
     couplings for the atoms it kept, else the comonotone closed form
     when m = 1 and the HiGHS transport LP otherwise.  :func:`lower_bound`
-    of nu0 is the weighted sum of their costs, to rounding.  Each
-    disintegration keeps its coupling's row potential, from which
+    of nu0 is the weighted sum of their costs, to rounding.  The
+    disintegration keeps each coupling's row potential, from which
     :func:`otrepair.diagnostics.verify` certifies optimality.
     """
     family = estimate_conditionals(data)
@@ -221,82 +339,85 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     return _assemble(family, bary, mean_x, mean_x - mean(bary.nu0))
 
 
-def match_rows(approx: IndependentApproximation, data: Dataset) -> dict:
-    """Each group's row positions, checked to be the rows the approximation
-    was built from (rows pair with atom support points by index).
+def match_rows(approx: IndependentApproximation, data: Dataset) -> np.ndarray:
+    """The dataset row of every source point, in the disintegration's row
+    order, checked to be the rows the approximation was built from (rows
+    pair with atom support points by index).
 
     A group's x values must equal its atom's support exactly, and each
     row's share of the dataset's total weight must equal its atom's
     probability times the row's conditional weight, to 1e-12 relative,
     which absorbs only the rounding of :func:`estimate_conditionals`.
     So both the weights within a group and the group's probability must
-    match.  Raises
-    :class:`DatasetMismatchError`, or its subclasses
+    match.  All groups are checked by one comparison per quantity.
+    Raises :class:`DatasetMismatchError`, or its subclasses
     :class:`UnknownGroupError` and :class:`UnseenValueError`.
     """
-    rows_of = {}
-    probs = {a.label: a.p for a in approx.family.atoms}
-    total = data.weights.sum()
+    fam = approx.family
+    known = set(fam.labels)
     for label in data.labels:
-        dis = approx.disintegrations.get(label)
-        if dis is None:
+        if label not in known:
             raise UnknownGroupError(label)
-        rows = data.group_rows(label)
-        if len(rows) != dis.law.n or not np.array_equal(data.x[rows], dis.law.support):
-            raise UnseenValueError(
-                f"group {label!r} does not match the support the "
-                "approximation was built from"
-            )
-        w = data.weights[rows]
-        if (np.abs(w - total * probs[label] * dis.law.weights) > 1e-12 * w).any():
-            raise DatasetMismatchError(
-                f"group {label!r} does not match the weights the "
-                "approximation was built from"
-            )
-        rows_of[label] = rows
-    if len(rows_of) != len(approx.disintegrations):
+    if len(data.labels) != len(fam.labels):
         raise DatasetMismatchError("dataset groups differ from the approximation's")
-    return rows_of
+    groups = [data.group_rows(label) for label in fam.labels]
+    sizes = [len(g) for g in groups]
+    starts = approx.disintegration.starts
+
+    def mismatch(row, what):
+        label = fam.labels[int(np.searchsorted(starts, row, side="right")) - 1]
+        return f"group {label!r} does not match the {what} the approximation was built from"
+
+    if sizes != [a.law.n for a in fam.atoms]:
+        a = next(a for a, atom in enumerate(fam.atoms) if sizes[a] != atom.law.n)
+        raise UnseenValueError(mismatch(starts[a], "support"))
+    rows = np.concatenate(groups)
+    x = np.concatenate([a.law.support for a in fam.atoms])
+    bad = (data.x[rows] != x).any(axis=1)
+    if bad.any():
+        raise UnseenValueError(mismatch(np.argmax(bad), "support"))
+    w = data.weights[rows]
+    share = np.repeat(data.weights.sum() * fam.probabilities, sizes)
+    law_w = np.concatenate([a.law.weights for a in fam.atoms])
+    bad = np.abs(w - share * law_w) > 1e-12 * w
+    if bad.any():
+        raise DatasetMismatchError(mismatch(np.argmax(bad), "weights"))
+    return rows
 
 
 # the least positive float: a u = 0 draw skips leading zero-mass positions
 _LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
-def _support_order(nu0: DiscreteMeasure) -> np.ndarray:
-    """nu0's support indices in lexicographic order, the samplers' fixed order."""
-    return np.lexsort(nu0.support.T[::-1])
+def _lookup(approx: IndependentApproximation, source: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """nu0 points drawn at ``u[q]`` from the conditional law of the
+    disintegration's row ``source[q]``, for all queries at once.
 
-
-def _lookup(
-    approx: IndependentApproximation,
-    order: np.ndarray,
-    label,
-    source: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """nu0 points drawn at ``u[i]`` from the conditional row ``source[i]`` of ``label``.
-
-    Each row's ladder is its cumulative conditional in the support
-    ``order`` (see :func:`_support_order`).  A row whose sum rounds
-    below 1 ends in a run of equal values, which starts at the last
-    position that adds mass; raising that run to 1 makes u = 1 stop
-    there.  A draw is the first ladder position with positive mass whose
-    cumulative weight reaches u: u = 0 is raised to the least positive
-    float, which skips leading zero-mass positions.  Each row is
-    nondecreasing, so that position is the count of the row's entries
-    below u.  Queries go in blocks of max(n, 2^20 / K), so a block's
-    comparisons take no more room than the ladder or 2^20 entries.
+    Each row's ladder is the running sum of its stored masses in the
+    support order (see :func:`_support_order`): the dense row's cumsum
+    without the exact zeros between arcs, so the same floats.  A row
+    whose sum rounds below 1 ends in a run of equal values, which starts
+    at the last arc; raising that run to 1 makes u = 1 stop there.  A
+    draw is the first arc whose cumulative weight reaches u: u = 0 is
+    raised to the least positive float, which skips no arc, since every
+    stored mass is positive.  One bisection over every query's row finds
+    it.
     """
-    ladder = np.cumsum(approx.disintegrations[label].conditional[:, order], axis=1)
-    np.maximum(ladder, 1.0, out=ladder, where=ladder >= ladder[:, -1:])
+    dis = approx.disintegration
+    ladder = _segment_cumsum(dis.mass, dis.indptr)
+    top = np.repeat(ladder[dis.indptr[1:] - 1], np.diff(dis.indptr))
+    np.maximum(ladder, 1.0, out=ladder, where=ladder >= top)
     u = np.maximum(u, _LEAST_POSITIVE)
-    n, K = ladder.shape
-    block = max(n, (1 << 20) // K)
-    pos = np.empty(len(source), dtype=np.intp)
-    for s in range(0, len(source), block):
-        pos[s:s + block] = (ladder[source[s:s + block]] < u[s:s + block, None]).sum(axis=1)
-    return approx.nu0.support[order[pos]]
+    pos = _search_segments(ladder, dis.indptr[source], dis.indptr[source + 1], u)
+    return approx.nu0.support[dis.cols[pos]]
+
+
+def _source_rows(approx: IndependentApproximation, data: Dataset) -> np.ndarray:
+    """The disintegration's row of every dataset row (see :func:`match_rows`)."""
+    rows = match_rows(approx, data)
+    source = np.empty(data.n_rows, dtype=np.intp)
+    source[rows] = np.arange(data.n_rows)
+    return source
 
 
 def sample_y(
@@ -311,17 +432,17 @@ def sample_y(
     lexicographic support order) whose cumulative conditional weight
     reaches u.
     """
-    dis = approx.disintegrations.get(group)
-    if dis is None:
+    if group not in approx.family.labels:
         raise UnknownGroupError(group)
-    if not 0 <= source_index < dis.law.n:
+    a = approx.family.labels.index(group)
+    start, stop = approx.disintegration.starts[a:a + 2]
+    if not 0 <= source_index < stop - start:
         raise IndexOutOfRangeError(
-            f"source index {source_index} outside atom of size {dis.law.n}"
+            f"source index {source_index} outside atom of size {stop - start}"
         )
     if not 0.0 <= u <= 1.0:
         raise UOutOfRangeError(f"u={u!r} outside [0, 1]")
-    return _lookup(approx, _support_order(approx.nu0), group,
-                   np.array([source_index]), np.array([u], dtype=float))[0]
+    return _lookup(approx, np.array([start + source_index]), np.array([u], dtype=float))[0]
 
 
 def transform(
@@ -338,20 +459,16 @@ def transform(
     with neither, sampling is refused rather than silently
     nondeterministic.
     """
-    rows_of = match_rows(approx, data)
+    source = _source_rows(approx, data)
     if data.u is not None:
         u = np.asarray(data.u, dtype=float)
     elif seed is not None:
         u = np.random.default_rng(seed).random(data.n_rows)
     else:
         raise MissingUError("dataset has no u column and no seed was given")
-
-    order = _support_order(approx.nu0)
-    y = np.empty((data.n_rows, approx.nu0.dim))
-    for label, rows in rows_of.items():
-        y[rows] = _lookup(approx, order, label, np.arange(len(rows)), u[rows])
     return SampledOutput(
-        groups=data.groups, x=data.x, u=u, y=y, weights=data.weights
+        groups=data.groups, x=data.x, u=u, y=_lookup(approx, source, u),
+        weights=data.weights,
     )
 
 
@@ -369,14 +486,9 @@ def transform_grid(
     """
     if resolution < 1:
         raise ConfigConflictError("resolution must be at least 1")
-    rows_of = match_rows(approx, data)
+    source = _source_rows(approx, data)
     grid = (np.arange(resolution) + 0.5) / resolution
-    order = _support_order(approx.nu0)
-    y = np.empty((data.n_rows * resolution, approx.nu0.dim))
-    for label, rows in rows_of.items():
-        out_rows = (rows[:, None] * resolution + np.arange(resolution)).ravel()
-        source = np.repeat(np.arange(len(rows)), resolution)
-        y[out_rows] = _lookup(approx, order, label, source, np.tile(grid, len(rows)))
+    y = _lookup(approx, np.repeat(source, resolution), np.tile(grid, data.n_rows))
     return SampledOutput(
         groups=tuple(g for g in data.groups for _ in range(resolution)),
         x=np.repeat(data.x, resolution, axis=0),

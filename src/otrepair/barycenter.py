@@ -50,7 +50,9 @@ from .ot import (
     _logsumexp,
     _lp_solution,
     _marginal_blocks,
+    _search_segments,
     _solve_lp,
+    _sorted_1d,
     cost_matrix,
     optimal_coupling,
 )
@@ -375,23 +377,39 @@ def free_support_points(
 # one-dimensional closed form
 # ---------------------------------------------------------------------------
 
-def _sorted_quantile_data(law: DiscreteMeasure):
-    order = np.argsort(law.support[:, 0], kind="stable")
-    vals = law.support[order, 0]
-    cum = np.cumsum(law.weights[order])
-    cum[-1] = max(cum[-1], 1.0)
-    return vals, cum
+# the quantile functions are read in blocks of at most this many
+# (atom, level) pairs
+_BLOCK = 1 << 16
 
 
-def _quantile_at(vals: np.ndarray, cum: np.ndarray, t: np.ndarray) -> np.ndarray:
-    idx = np.minimum(np.searchsorted(cum, t, side="left"), len(vals) - 1)
-    return vals[idx]
+def _sorted_quantiles(family: ConditionalFamily):
+    """Every atom's support sorted ascending and its cumulative weights, in
+    flat arrays atom by atom (see :func:`otrepair.ot._sorted_1d`), with
+    each atom's last cumulative weight raised to 1 so that t = 1 finds its
+    top point.  Returns (starts, sorted values, cumulative weights)."""
+    starts, _, vals, cum = _sorted_1d([a.law for a in family.atoms])
+    top = starts[1:] - 1
+    cum[top] = np.maximum(cum[top], 1.0)
+    return starts, vals, cum
 
 
-def _quantile_average(family: ConditionalFamily, data: list, t: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(t)
-    for atom, (vals, cum) in zip(family.atoms, data):
-        total += atom.p * _quantile_at(vals, cum, t)
+def _quantile_average(family: ConditionalFamily, sorted_atoms, t: np.ndarray) -> np.ndarray:
+    """sum_a p_a F_a^{-1}(t) at every level t, added in atom order.
+
+    F_a^{-1}(t) is atom a's first sorted point whose cumulative weight
+    reaches t; one bisection finds it for every (atom, level) pair.
+    """
+    starts, vals, cum = sorted_atoms
+    A = len(family)
+    probs = family.probabilities[:, None]
+    total = np.empty(len(t))
+    block = max(1, _BLOCK // A)
+    for s in range(0, len(t), block):
+        level = t[s:s + block]
+        lo = np.repeat(starts[:-1], len(level))
+        hi = np.repeat(starts[1:], len(level))
+        pos = np.minimum(_search_segments(cum, lo, hi, np.tile(level, A)), hi - 1)
+        total[s:s + block] = np.cumsum(probs * vals[pos].reshape(A, -1), axis=0)[-1]
     return total
 
 
@@ -408,8 +426,7 @@ def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> Discret
     if resolution < 1:
         raise ConfigConflictError("resolution must be at least 1")
     t = (np.arange(resolution) + 0.5) / resolution
-    data = [_sorted_quantile_data(a.law) for a in family.atoms]
-    values = _quantile_average(family, data, t)
+    values = _quantile_average(family, _sorted_quantiles(family), t)
     return coalesce(
         DiscreteMeasure(values[:, None], np.full(resolution, 1.0 / resolution))
     )
@@ -421,17 +438,17 @@ def quantile_exact_measure(family: ConditionalFamily) -> DiscreteMeasure:
     The quantile average is a step function whose jumps can only sit at
     some atom's cumulative weight; evaluating it once per interval of
     the merged breakpoint grid represents its law exactly, for arbitrary
-    weight patterns.  Each atom is sorted once.
+    weight patterns.  All atoms are sorted together, once.
     """
     family = _solvable_family(family)
     if family.dim != 1:
         raise DimensionNotOneError("quantile averaging requires 1-D atoms")
-    data = [_sorted_quantile_data(a.law) for a in family.atoms]
-    breaks = np.unique(np.concatenate([cum for _, cum in data] + [np.array([1.0])]))
+    sorted_atoms = _sorted_quantiles(family)
+    breaks = np.unique(np.concatenate([sorted_atoms[2], [1.0]]))
     breaks = breaks[(breaks > 0.0) & (breaks <= 1.0)]
     lo = np.concatenate([[0.0], breaks[:-1]])
     masses = breaks - lo
     keep = masses > 0.0
     mids = (lo[keep] + breaks[keep]) / 2.0
-    values = _quantile_average(family, data, mids)
+    values = _quantile_average(family, sorted_atoms, mids)
     return coalesce(DiscreteMeasure(values[:, None], masses[keep]))

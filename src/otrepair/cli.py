@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -232,19 +233,42 @@ def cmd_approx(args) -> int:
     if args.samples:
         out = approx_mod.transform(ap, data, seed=args.seed)
         with open(args.samples, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
+            csv.writer(fh, lineterminator="\n").writerow(
                 [args.group_col] + value_cols + ["weight", "u"]
                 + [f"y{i + 1}" for i in range(data.dim)]
             )
-            for r in range(out.n_rows):
-                writer.writerow(
-                    [out.groups[r]]
-                    + [_fmt_float(v) for v in out.x[r]]
-                    + [_fmt_float(out.weights[r]), _fmt_float(out.u[r])]
-                    + [_fmt_float(v) for v in out.y[r]]
-                )
+            _write_samples(fh, out)
     return EXIT_OK
+
+
+def _csv_cells(values) -> dict:
+    """Each distinct value as ``csv.writer`` writes it as a cell of a row
+    of several cells (quoted where it holds a comma, quote or newline)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = {}
+    for value in dict.fromkeys(values):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([value, ""])
+        cells[value] = buf.getvalue()[:-len(",\n")]
+    return cells
+
+
+# sample rows are formatted this many at a time
+_SAMPLE_BLOCK = 1024
+
+
+def _write_samples(fh, out: approx_mod.SampledOutput) -> None:
+    """The sample rows: group, x, weight, u and y, one ``%`` format per
+    row; floats as :func:`_fmt_float` prints them."""
+    numbers = np.column_stack([out.x, out.weights, out.u, out.y])
+    row = "%s" + ",%.17g" * numbers.shape[1] + "\n"
+    cells = _csv_cells(out.groups)
+    for s in range(0, out.n_rows, _SAMPLE_BLOCK):
+        values = numbers[s:s + _SAMPLE_BLOCK].tolist()
+        fh.writelines(row % (cells[g], *v)
+                      for g, v in zip(out.groups[s:s + _SAMPLE_BLOCK], values))
 
 
 def cmd_binary_case(args) -> int:

@@ -6,7 +6,8 @@ reconstruction) and reports them as pass/fail checks; it never raises
 on a failed check, only on a dataset that does not match the
 approximation.  It runs no solver: optimality of each coupling is
 certified by linear-programming duality from the potentials the build
-kept, so checking costs one cost matrix per atom.  The sample-level helpers measure the same
+kept, so checking costs one pass over the cost entries, taken in
+bounded blocks of rows.  The sample-level helpers measure the same
 quantities on transformed output, where discretization of the uniform
 draw adds O(1/R) error.
 
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import IndependentApproximation, SampledOutput, match_rows
+from .approx import IndependentApproximation, SampledOutput, _total, match_rows
 from .errors import UnknownSupportPointError
 from .measure import Dataset, DiscreteMeasure, coalesce
-from .ot import cost_matrix
+from .ot import _segment_dot, cost_matrix
 
 __all__ = [
     "CheckResult",
@@ -66,36 +67,60 @@ class Report:
         return all(c.passed for c in self.checks)
 
 
+# the c-transforms are taken over blocks of rows with at most this many
+# cost entries (or one row), so a block takes no more memory than one
+# small atom's cost matrix, whatever the number of atoms
+_BLOCK = 1 << 13
+
+
 def verify(approx: IndependentApproximation, data: Dataset) -> Report:
     """Check all construction invariants without solving anything again.
 
     Each atom's lower bound is the dual objective
-    D_a = mu_a . u + nu0 . u^c of its disintegration's potential u, where
+    D_a = mu_a . u + nu0 . u^c of its coupling's row potential u, where
     u^c_j = min_i (C_ij - u_i) is the c-transform.  The pair (u, u^c) is
     dual-feasible by construction, so D_a <= W2^2(mu_a, nu0) holds for
     any u (Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 3).
     Bound attainment compares the achieved distance with sum_a p_a D_a:
     equality certifies every coupling optimal, and a suboptimal coupling
-    or a wrong potential leaves a gap.  Raises DatasetMismatchError
-    unless ``data`` passes :func:`match_rows`.
+    or a wrong potential leaves a gap.  The c-transforms of all atoms are
+    taken together over blocks of the disintegration's rows, each with
+    at most 2^13 cost entries (or one row): a block's minima are reduced
+    per atom with ``np.minimum.reduceat`` and merged into the atoms'
+    running minima.  The reconstructed column marginals are summed over
+    the stored arcs with one ``np.bincount``.  Raises
+    DatasetMismatchError unless ``data`` passes :func:`match_rows`.
     """
     match_rows(approx, data)
-    fam = approx.family
-    nu0 = approx.nu0
+    fam, nu0, dis = approx.family, approx.nu0, approx.disintegration
+    starts = dis.starts
+    A, K = len(fam), nu0.n
+    x = np.concatenate([a.law.support for a in fam.atoms])
+    w = np.concatenate([a.law.weights for a in fam.atoms])
+    owner = np.repeat(np.arange(A), np.diff(starts))
 
-    per_atom = {}
-    tv = {}
-    recon_err = 0.0
-    for a in fam.atoms:
-        dis = approx.disintegrations[a.label]
-        C = cost_matrix(a.law.support, nu0.support)
-        u_c = np.min(C - dis.potential[:, None], axis=0)
-        per_atom[a.label] = float(a.law.weights @ dis.potential + nu0.weights @ u_c)
-        recon = a.law.weights @ dis.conditional
-        tv[a.label] = 0.5 * float(np.abs(recon - nu0.weights).sum())
-        recon_err = max(recon_err, float(np.max(np.abs(recon - nu0.weights))))
+    u_c = np.full((A, K), np.inf)
+    block = max(1, _BLOCK // K)
+    for s in range(0, len(x), block):
+        e = min(s + block, len(x))
+        C = cost_matrix(x[s:e], nu0.support)
+        C -= dis.potential[s:e, None]
+        first, last = owner[s], owner[e - 1] + 1
+        cuts = np.maximum(starts[first:last], s) - s
+        # reduceat down the columns is slow on a block of one atom's rows
+        mins = C.min(axis=0) if len(cuts) == 1 else np.minimum.reduceat(C, cuts, axis=0)
+        np.minimum(u_c[first:last], mins, out=u_c[first:last])
+    dual = (_segment_dot(w, dis.potential, starts)
+            + _segment_dot(u_c.ravel(), np.tile(nu0.weights, A), np.arange(A + 1) * K))
+    per_atom = dict(zip(fam.labels, dual.tolist()))
 
-    lower = float(sum(a.p * per_atom[a.label] for a in fam.atoms))
+    arc_rows = np.repeat(np.arange(len(x)), np.diff(dis.indptr))
+    recon = np.bincount(owner[arc_rows] * K + dis.cols, w[arc_rows] * dis.mass, A * K)
+    deviation = np.abs(recon.reshape(A, K) - nu0.weights)
+    tv = dict(zip(fam.labels, (0.5 * deviation.sum(axis=1)).tolist()))
+    recon_err = float(deviation.max())
+
+    lower = _total(fam, dual)
     achieved = approx.achieved_distance_sq
     gap = achieved - lower
 

@@ -78,10 +78,6 @@ class NumericalUnderflowError(SolverFailureError, FloatingPointError):
     """The entropic solver produced non-finite values (epsilon too small)."""
 
 
-class LpInfeasibleError(SolverFailureError):
-    """The barycenter linear program reported infeasibility (defensive)."""
-
-
 class SupportDimensionMismatchError(DimensionMismatchError):
     """A fixed support grid does not match the family's dimension."""
 

@@ -10,10 +10,11 @@ Implements three routes to a coupling between two discrete measures:
   halve down to the target).  The returned plan is rounded onto the
   transport polytope so its marginals are exact; the reported cost is
   the unregularized evaluation of that plan.
-- ``solve_comonotone_1d``: the closed-form north-west-corner plan on
-  supports sorted ascending, optimal in one dimension.  It merges the
-  two cumulative-weight vectors and forms only the costs of its
-  n + k - 1 arcs, never a cost matrix.
+- ``comonotone_staircases``: the closed-form north-west-corner plans of
+  many 1-D measures to one, optimal in one dimension, as flat arcs.  It
+  merges cumulative-weight vectors and forms only the costs of each
+  plan's n + k - 1 arcs, never a cost matrix.  ``solve_comonotone_1d``
+  is its one-pair case, with the plan laid out dense.
 
 ``optimal_coupling`` picks the cheapest exact one for the dimension.  The
 two exact solvers also return dual potentials, which certify their plans
@@ -50,6 +51,8 @@ __all__ = [
     "solve_exact",
     "solve_entropic",
     "solve_comonotone_1d",
+    "comonotone_staircases",
+    "Staircase",
     "optimal_coupling",
 ]
 
@@ -198,63 +201,255 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
 
 
 # ---------------------------------------------------------------------------
+# flat segments: many measures in one array, measure by measure
+# ---------------------------------------------------------------------------
+
+def _length_groups(indptr: np.ndarray):
+    """The segments ``indptr[s]:indptr[s + 1]`` of a flat array, grouped by
+    length: yields the numbers of the segments of one length and the
+    (segments, length) matrix of their positions.  A row-wise numpy call
+    on such a matrix adds in the same order as on each segment alone."""
+    lengths = np.diff(indptr)
+    counts = np.bincount(lengths)
+    ends = np.cumsum(counts)
+    by_length = np.argsort(lengths, kind="stable")
+    for n in np.flatnonzero(counts):
+        seg = by_length[ends[n] - counts[n]:ends[n]]
+        yield seg, indptr[seg][:, None] + np.arange(n)
+
+
+def _segment_cumsum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of every segment, each the same floats as alone."""
+    out = np.empty(len(values))
+    for _, idx in _length_groups(indptr):
+        out[idx] = np.cumsum(values[idx], axis=1)
+    return out
+
+
+def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The sum of every segment, each the same float as its ``sum()``."""
+    out = np.empty(len(indptr) - 1)
+    for seg, idx in _length_groups(indptr):
+        out[seg] = values[idx].sum(axis=1)
+    return out
+
+
+def _segment_dot(a: np.ndarray, b: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``a[s] @ b[s]`` for every segment s, each the same float as alone
+    (a stacked matmul of vectors makes one dot product per segment)."""
+    out = np.empty(len(indptr) - 1)
+    for seg, idx in _length_groups(indptr):
+        out[seg] = np.matmul(a[idx][:, None, :], b[idx][:, :, None])[:, 0, 0]
+    return out
+
+
+def _search_segments(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     q: np.ndarray) -> np.ndarray:
+    """For every query, lo plus the count of ``values[lo:hi]`` below q: the
+    first position that reaches q in an ascending segment, found by one
+    bisection over all queries at once.
+
+    The answer lies in [pos, pos + n]; each round tests the last of the
+    first n // 2 candidates and keeps the half that holds the answer.
+    """
+    pos, n = lo, hi - lo
+    while int(np.max(n, initial=0)) > 1:
+        half = n // 2
+        pos = np.where(values[pos + half - 1] < q, pos + half, pos)
+        n = n - half
+    return pos + (values[np.minimum(pos, len(values) - 1)] < q) * n
+
+
+def _sorted_1d(laws) -> tuple:
+    """Every 1-D measure's points sorted ascending (ties in index order) in
+    one flat array, measure by measure.  Returns (starts, order, sorted
+    values, cumulative weights): measure a holds ``starts[a]:starts[a + 1]``,
+    and ``order`` maps each sorted slot to its point in the measures'
+    concatenation."""
+    sizes = np.array([mu.n for mu in laws])
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    x = np.concatenate([mu.support for mu in laws])[:, 0]
+    w = np.concatenate([mu.weights for mu in laws])
+    order = np.lexsort((x, np.repeat(np.arange(len(laws)), sizes)))
+    return starts, order, x[order], _segment_cumsum(w[order], starts)
+
+
+# ---------------------------------------------------------------------------
 # comonotone 1-D closed form
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Staircase:
+    """The comonotone couplings of 1-D measures mu_1..mu_A with one nu.
+
+    The measures' points are numbered through their concatenation, mu_a
+    holding ``starts[a]:starts[a + 1]``.  Arcs
+    ``arc_starts[a]:arc_starts[a + 1]`` are mu_a's n_a + K - 1 staircase
+    arcs in staircase order: ``rows`` numbers their source points,
+    ``cols`` their points of nu and ``flow`` their mass.  Zero-flow arcs
+    are kept, so each coupling's arcs form a spanning tree.  ``costs[a]``
+    is mu_a's transport cost, ``u`` holds the row potential of every
+    source point and ``v[a]`` mu_a's column potentials over nu.
+    """
+
+    starts: np.ndarray
+    arc_starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    flow: np.ndarray
+    costs: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def comonotone_staircases(laws, nu: DiscreteMeasure) -> Staircase:
+    """North-west-corner plans of every 1-D measure in ``laws`` to ``nu``,
+    all at once; each is optimal for m = 1.
+
+    nu is sorted once and every measure on its own.  A plan is the
+    staircase that merges the measure's cumulative weights with nu's, so
+    no cost matrix is formed.  Each row and each column but the last
+    ends at its cumulative weight, and the n + K - 2 ends, sorted stably
+    with rows first, are the staircase's steps: a row end moves to the
+    next row, a column end to the next column.  A row end's place in the
+    merge is its own rank plus the count of column ends below it, so one
+    ``searchsorted`` against nu's ends merges every measure.  Arc t
+    carries the mass between the t-th and the (t+1)-th end.  The
+    potentials solve u[i] + v[j] = cost on every arc with u = 0 at each
+    measure's lowest point: at a step the new potential is its side's
+    previous one plus the change in arc cost.  Ties among equal support
+    values keep their index order, which pins every plan down uniquely.
+    Every float is the one the same merge computes for that measure
+    alone.  The marginals are checked like a :class:`Coupling`'s, for all
+    plans together.  Raises :class:`NonFiniteValueError` when a squared
+    distance overflows.
+    """
+    if nu.dim != 1 or any(mu.dim != 1 for mu in laws):
+        raise DimensionNotOneError("comonotone coupling requires 1-D measures")
+    starts, order_r, xs, ca = _sorted_1d(laws)
+    order_c = np.argsort(nu.support[:, 0], kind="stable")
+    ys = nu.support[order_c, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.maximum(xs[starts[1:] - 1] - ys[0], ys[-1] - xs[starts[:-1]])
+        if not np.isfinite(reach * reach).all():
+            raise NonFiniteValueError(_OVERFLOW)
+    A, K = len(laws), nu.n
+    cb = np.cumsum(nu.weights[order_c])
+    arc_starts = starts + np.arange(A + 1) * (K - 1)
+    is_row, flow = _merged_flows(starts, ca, cb, arc_starts)
+    rows, cols, cost = _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys)
+    u, v = _tree_potentials(cost, is_row, starts, arc_starts, order_r, order_c)
+    _check_marginals(rows, cols, flow, arc_starts, laws, nu)
+    return Staircase(starts, arc_starts, rows, cols, flow,
+                     _segment_dot(flow, cost, arc_starts), u, v)
+
+
+def _merged_flows(starts, ca, cb, arc_starts):
+    """Every measure's ends merged with nu's, and the arcs' flows.
+
+    Returns ``is_row``, which marks the merged ends that are row ends
+    (measure a's n_a + K - 2 ends come after those of the measures
+    before it), and each arc's flow, the mass between the ends on either
+    side of it: a measure's first arc starts at 0 and its last one ends
+    at the larger of the two totals, which no earlier end exceeds, so no
+    flow is negative.
+    """
+    A = len(starts) - 1
+    end_starts = arc_starts - np.arange(A + 1)
+    # a row end is every sorted slot but each measure's last; its place in
+    # the merge is its rank plus the count of column ends below it
+    row_end = np.ones(len(ca), dtype=bool)
+    row_end[starts[1:] - 1] = False
+    owner = np.repeat(np.arange(A), np.diff(starts))[row_end]
+    place = (end_starts[owner] + np.arange(len(ca))[row_end] - starts[owner]
+             + np.searchsorted(cb[:-1], ca[row_end]))
+    is_row = np.zeros(int(end_starts[-1]), dtype=bool)
+    is_row[place] = True
+    ends = np.empty(len(is_row))
+    ends[is_row] = ca[row_end]
+    ends[~is_row] = np.tile(cb[:-1], A)
+    n_arcs = int(arc_starts[-1])
+    first = np.zeros(n_arcs, dtype=bool)
+    first[arc_starts[:-1]] = True
+    last = np.zeros(n_arcs, dtype=bool)
+    last[arc_starts[1:] - 1] = True
+    flow = np.empty(n_arcs)
+    flow[~last] = ends
+    flow[last] = np.maximum(ca[starts[1:] - 1], cb[-1])
+    below = np.zeros(n_arcs)
+    below[~first] = ends
+    flow -= below
+    return is_row, flow
+
+
+def _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys):
+    """(rows, cols, cost) of every arc.  Arc g of measure a follows g - a
+    merged ends: its sorted row is a's first plus the row ends among them,
+    its sorted column the column ends among them."""
+    A = len(arc_starts) - 1
+    K = len(ys)
+    owner = np.repeat(np.arange(A), np.diff(arc_starts))
+    g = np.arange(len(owner))
+    slot = np.concatenate(([0], np.cumsum(is_row)))[g - owner] + owner
+    j = g - slot - owner * (K - 1)
+    return order_r[slot], order_c[j], (xs[slot] - ys[j]) ** 2
+
+
+def _tree_potentials(cost, is_row, starts, arc_starts, order_r, order_c):
+    """(u, v) with u[i] + v[j] = cost on every arc and u = 0 at each
+    measure's lowest point; ``v[a]`` is measure a's over nu.  At each end
+    the new potential is its side's previous one plus the change in arc
+    cost there, so each side's potentials are running sums of those
+    changes."""
+    A, K = len(starts) - 1, len(order_c)
+    # an end follows every arc but each measure's last
+    followed = np.ones(len(cost), dtype=bool)
+    followed[arc_starts[1:] - 1] = False
+    step = np.diff(cost)[followed[:-1]]
+    u_sorted = np.zeros(int(starts[-1]))
+    lowest = np.zeros(len(u_sorted), dtype=bool)
+    lowest[starts[:-1]] = True
+    u_sorted[~lowest] = _segment_cumsum(step[is_row], starts - np.arange(A + 1))
+    u = np.empty(len(u_sorted))
+    u[order_r] = u_sorted
+    first_cost = cost[arc_starts[:-1], None]
+    v = np.empty((A, K))
+    v[:, order_c[0]] = first_cost[:, 0]
+    v[:, order_c[1:]] = first_cost + np.cumsum(step[~is_row].reshape(A, K - 1), axis=1)
+    return u, v
+
+
+def _check_marginals(rows, cols, flow, arc_starts, laws, nu) -> None:
+    """The checks of :class:`Coupling` on the plans of every measure in
+    ``laws`` to ``nu`` at once, given as arcs: measure a's arcs are
+    ``arc_starts[a]:arc_starts[a + 1]``, and ``rows`` numbers their source
+    points through the concatenation of ``laws``."""
+    A, K = len(laws), nu.n
+    w = np.concatenate([mu.weights for mu in laws])
+    if np.any(flow < 0.0):
+        raise NegativeWeightError("coupling entries must be nonnegative")
+    if np.max(np.abs(np.bincount(rows, flow, len(w)) - w)) > MARGINAL_ATOL:
+        raise WeightSumError("row sums do not match the row measure")
+    cells = np.repeat(np.arange(A) * K, np.diff(arc_starts)) + cols
+    col_sums = np.bincount(cells, flow, A * K).reshape(A, K)
+    if np.max(np.abs(col_sums - nu.weights)) > MARGINAL_ATOL:
+        raise WeightSumError("column sums do not match the column measure")
+    if np.max(np.abs(col_sums.sum(axis=1) - 1.0)) > 1e-9:
+        raise WeightSumError("coupling total mass is not 1")
+
 
 def solve_comonotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """North-west-corner plan on ascending supports; optimal for m = 1.
 
-    The plan is the staircase that merges the two cumulative-weight
-    vectors, so no cost matrix is formed.  Each row and each column but
-    the last ends at its cumulative weight, and the n + k - 2 ends,
-    sorted stably with rows first, are the staircase's steps: a row end
-    moves to the next row, a column end to the next column.  Arc t
-    carries the mass between the t-th and the (t+1)-th end; zero-flow
-    arcs are kept, so the n + k - 1 arcs form a spanning tree.  The
-    potentials solve u[i] + v[j] = cost on every arc with u[0] = 0: at a
-    step the new potential is its side's previous one plus the change in
-    arc cost.  Ties among equal support values keep their original index
-    order (stable sort), which pins the plan down uniquely.  Raises
-    :class:`NonFiniteValueError` when any squared distance overflows.
+    The one-pair case of :func:`comonotone_staircases`, with the plan
+    laid out as a dense matrix.  Raises :class:`NonFiniteValueError` when
+    any squared distance overflows.
     """
-    if mu.dim != 1 or nu.dim != 1:
-        raise DimensionNotOneError("comonotone coupling requires 1-D measures")
-    order_r = np.argsort(mu.support[:, 0], kind="stable")
-    order_c = np.argsort(nu.support[:, 0], kind="stable")
-    xs, ys = mu.support[order_r, 0], nu.support[order_c, 0]
-    reach = max(float(xs[-1]) - float(ys[0]), float(ys[-1]) - float(xs[0]))
-    if not np.isfinite(reach * reach):
-        raise NonFiniteValueError(_OVERFLOW)
-    n, k = mu.n, nu.n
-    ca, cb = np.cumsum(mu.weights[order_r]), np.cumsum(nu.weights[order_c])
-    ends = np.concatenate((ca[:-1], cb[:-1]))
-    steps = np.argsort(ends, kind="stable")
-    # at[e] is end e's position in the merge, where the rows' ends and the
-    # columns' ends each stay in order; arc t lies in the row numbered by
-    # the row ends merged before position t
-    at = np.empty(n + k - 2, dtype=np.intp)
-    at[steps] = np.arange(n + k - 2)
-    i = np.searchsorted(at[:n - 1], np.arange(n + k - 1))
-    j = np.arange(n + k - 1) - i
-    # the mass between consecutive ends; the last end is the larger total,
-    # which no earlier end exceeds, so no flow is negative
-    bounds = np.empty(n + k)
-    bounds[0] = 0.0
-    bounds[1:-1] = ends[steps]
-    bounds[-1] = max(ca[-1], cb[-1])
-    flow = bounds[1:] - bounds[:-1]
-    cost = (xs[i] - ys[j]) ** 2
-    step = cost[1:] - cost[:-1]
-    u = np.empty(n)
-    v = np.empty(k)
-    u[order_r[0]] = 0.0
-    v[order_c[0]] = cost[0]
-    u[order_r[1:]] = np.cumsum(step[at[:n - 1]])
-    v[order_c[1:]] = cost[0] + np.cumsum(step[at[n - 1:]])
-    plan = np.zeros((n, k))
-    plan[order_r[i], order_c[j]] = flow
-    return OtSolution(Coupling(mu, nu, plan), float(flow @ cost), "comonotone_1d", 0,
-                      True, (u, v))
+    st = comonotone_staircases([mu], nu)
+    plan = np.zeros((mu.n, nu.n))
+    plan[st.rows, st.cols] = st.flow
+    return OtSolution(Coupling(mu, nu, plan), float(st.costs[0]), "comonotone_1d", 0,
+                      True, (st.u, st.v[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from otrepair.approx import build, estimate_conditionals
+from densesimplex import solve_standard_form
+from otrepair.approx import Disintegration, build, estimate_conditionals
 from otrepair.barycenter import default_support
 from otrepair.measure import Dataset, dataset_from_rows, family, make_measure, mean
-from otrepair.ot import solve_exact
+from otrepair.ot import cost_matrix, solve_exact
 from otrepair.special_binary import is_half, solve_half, solve_nonhalf
 
 
@@ -14,6 +17,34 @@ def simplex_objective(fam, nu):
     independent of the comonotone couplings that
     ``otrepair.approx.lower_bound`` uses in 1-D."""
     return float(sum(a.p * solve_exact(a.law, nu).cost for a in fam.atoms))
+
+
+def dense_simplex_objective(fam, nu):
+    """The same objective with every transport LP solved by the dense
+    Bland simplex of ``densesimplex.py``, an engine apart from HiGHS.
+    At desk sizes (a few points per atom, a dozen in nu) it skips
+    SciPy's per-call overhead; it slows down quickly beyond."""
+    total = 0.0
+    for a in fam.atoms:
+        C = cost_matrix(a.law.support, nu.support)
+        n, k = C.shape
+        # row sums, then column sums, of the plan stored row-major
+        A = np.vstack([np.kron(np.eye(n), np.ones(k)), np.tile(np.eye(k), n)])
+        b = np.concatenate([a.law.weights, nu.weights])
+        total += a.p * solve_standard_form(C.ravel(), A, b).fun
+    return total
+
+
+def with_conditional(ap, label, conditional):
+    """``ap`` with one atom's conditionals replaced by the rows of a dense
+    matrix over nu0's index order; the potentials are kept."""
+    dis = ap.disintegration
+    dense = dis.dense(ap.nu0.n)
+    a = ap.family.labels.index(label)
+    dense[dis.starts[a]:dis.starts[a + 1]] = conditional
+    rows, cols = np.nonzero(dense)
+    return replace(ap, disintegration=Disintegration.from_arcs(
+        rows, cols, dense[rows, cols], dis.potential, dis.starts, ap.nu0))
 
 
 def decomposition(d):

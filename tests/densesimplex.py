@@ -16,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from otrepair.errors import LpInfeasibleError, SolverFailureError
+from otrepair.errors import SolverFailureError
 
 _TOL = 1e-9
 _REFACTOR_EVERY = 64
+
+
+class LpInfeasibleError(SolverFailureError):
+    """Phase 1 ended with artificial mass left: the LP has no solution."""
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import importlib
 import pkgutil
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +38,13 @@ from otrepair.measure import (
 )
 from otrepair.ot import cost_matrix
 
-from conftest import decomposed_distance_sq, decomposition, random_dataset, random_family
+from conftest import (
+    decomposed_distance_sq,
+    decomposition,
+    random_dataset,
+    random_family,
+    with_conditional,
+)
 
 
 # --- estimate_conditionals ----------------------------------------------------
@@ -154,8 +160,7 @@ def test_build_bound_attained_and_means_match(rng):
             assert abs(ap.achieved_distance_sq - lb) <= 1e-8 * max(1.0, lb)
             assert np.max(np.abs(ap.mean_y - ap.mean_x)) <= 1e-8
             for a in ap.family.atoms:
-                dis = ap.disintegrations[a.label]
-                recon = a.law.weights @ dis.conditional
+                recon = a.law.weights @ ap.conditional(a.label)
                 assert np.max(np.abs(recon - ap.nu0.weights)) <= 1e-8
 
 
@@ -228,9 +233,10 @@ def test_build_achieved_distance_is_the_lower_bound(rng, m, method, kw):
 
 
 def test_cost_matrix_calls_per_atom(rng, monkeypatch):
-    # a 1-D build forms no cost matrix, verify forms one per atom for its
-    # certificate, and a 2-D build one per atom in the joint barycenter LP
-    # and one per atom to cost the LP's coupling on the recentred nu0
+    # a 1-D build forms no cost matrix, verify forms one per block of rows
+    # for its certificate (one block here), and a 2-D build one per atom
+    # in the joint barycenter LP; the recentred coupling's cost follows
+    # from the LP's without another
     calls = Counter()
     real = otrepair.ot.cost_matrix
     wrapped = set()
@@ -244,16 +250,16 @@ def test_cost_matrix_calls_per_atom(rng, monkeypatch):
                 return real(x, y)
             monkeypatch.setattr(module, "cost_matrix", counted)
             wrapped.add(info.name)
-    assert wrapped == {"ot", "approx", "barycenter", "diagnostics"}
+    assert wrapped == {"ot", "barycenter", "diagnostics"}
     d = random_dataset(rng, n_atoms=3, max_rows=6, m=1)
     ap = build(d)
     assert calls == Counter()
     assert verify(ap, d).passed
-    assert calls == Counter(diagnostics=3)
+    assert calls == Counter(diagnostics=1)
     calls.clear()
     d2 = dataset_from_rows([(g, rng.normal(size=2), 1.0) for g in "aabbbcc"])
     build(d2)
-    assert calls == Counter(approx=3, barycenter=3)
+    assert calls == Counter(barycenter=3)
 
 
 def _spy_solve_exact(monkeypatch):
@@ -298,8 +304,7 @@ def test_joint_lp_couplings_are_the_m2_build(rng, monkeypatch, route):
         monkeypatch.undo()
         assert verify(ap, d).passed
         for atom in ap.family.atoms:
-            dis = ap.disintegrations[atom.label]
-            plan = atom.law.weights[:, None] * dis.conditional
+            plan = atom.law.weights[:, None] * ap.conditional(atom.label)
             cost = float(np.sum(plan * cost_matrix(atom.law.support, ap.nu0.support)))
             fresh = otrepair.ot.solve_exact(atom.law, ap.nu0).cost
             assert abs(cost - fresh) <= 1e-12 * fresh
@@ -346,13 +351,13 @@ def test_sample_y_inverse_cdf_thresholds():
 
     nu0 = make_measure([10.0, 20.0], [0.25, 0.75])
     law = dirac([0.0])
-    dis = Disintegration(
-        law, conditional=np.array([[0.25, 0.75]]), potential=np.array([0.0])
-    )
+    dis = Disintegration.from_arcs(np.array([0, 0]), np.array([0, 1]),
+                                   np.array([0.25, 0.75]), np.array([0.0]),
+                                   np.array([0, 1]), nu0)
     ap = IndependentApproximation(
         family=make_family([("g", 1.0, law)]),
         nu0=nu0,
-        disintegrations={"g": dis},
+        disintegration=dis,
         achieved_distance_sq=0.0,
         mean_x=np.array([0.0]),
         mean_y=np.array([17.5]),
@@ -375,14 +380,14 @@ def test_sample_y_grid_law_matches_conditional(rng):
     R = 10_000
     grid = (np.arange(R) + 0.5) / R
     for label in ("g1", "g2"):
-        dis = ap.disintegrations[label]
-        for i in range(dis.law.n):
+        conditional = ap.conditional(label)
+        for i in range(len(conditional)):
             emp = np.zeros(ap.nu0.n)
-            cum = np.cumsum(dis.conditional[i][order])
+            cum = np.cumsum(conditional[i][order])
             pos = np.minimum(np.searchsorted(cum, grid, side="left"), len(cum) - 1)
             np.add.at(emp, order[pos], 1.0 / R)
             tv = 0.5 * np.abs(
-                emp - dis.conditional[i][np.argsort(np.arange(ap.nu0.n))]
+                emp - conditional[i][np.argsort(np.arange(ap.nu0.n))]
             ).sum()
             assert tv <= 1e-4
 
@@ -489,10 +494,8 @@ def test_transform_grid_samples_a_replaced_conditional(rng, m):
         d = random_dataset(rng, n_atoms=3, max_rows=5, m=m)
         ap = build(d)
     label = d.labels[0]
-    dis = ap.disintegrations[label]
-    conditional = rng.dirichlet(np.ones(ap.nu0.n), size=dis.law.n)
-    changed = replace(ap, disintegrations={
-        **ap.disintegrations, label: replace(dis, conditional=conditional)})
+    conditional = rng.dirichlet(np.ones(ap.nu0.n), size=len(d.group_rows(label)))
+    changed = with_conditional(ap, label, conditional)
     R = 1000
     out = transform_grid(changed, d, R)
     for i, r in enumerate(d.group_rows(label)):
@@ -538,6 +541,27 @@ def test_decompose_matches_build(rng):
             assert abs(build(d).achieved_distance_sq - decomposed_distance_sq(d)) <= 1e-8
 
 
+def test_1d_build_verify_transform_stay_sparse_at_10x1000(rng):
+    # 10 groups of 1,000 rows give nu0 about 10,000 points; the dense
+    # couplings of old needed about 1 GiB here
+    G, n = 10, 1000
+    groups = tuple(f"g{a}" for a in range(G) for _ in range(n))
+    x = rng.normal(size=(G * n, 1)) + 0.7 * np.repeat(np.arange(G), n)[:, None]
+    d = Dataset(groups, x, rng.random(G * n) + 0.05)
+    tracemalloc.start()
+    try:
+        ap = build(d)
+        report = verify(ap, d)
+        out = transform(ap, d, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert len(ap.disintegration.mass) <= G * (n + ap.nu0.n - 1)
+    assert peak < 150 * 2**20
+    assert out.y.shape == (G * n, 1)
+
+
 def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
     import otrepair.ot
     from otrepair.diagnostics import verify
@@ -563,7 +587,7 @@ def _per_row_lookup(ap, label, i, u):
     that adds mass and whose cumulative weight reaches each u, else the
     last position that adds mass."""
     order = _lex_order(ap)
-    cum = np.cumsum(ap.disintegrations[label].conditional[i][order])
+    cum = np.cumsum(ap.conditional(label)[i][order])
     grows = np.flatnonzero(np.diff(cum, prepend=0.0) > 0.0)
     pos = [next((j for j in grows if cum[j] >= t), grows[-1])
            for t in np.atleast_1d(u)]
@@ -584,7 +608,7 @@ def test_samplers_match_per_row_searchsorted(rng):
             for i, r in enumerate(d.group_rows(label)):
                 assert np.array_equal(out.y[r * R:(r + 1) * R],
                                       _per_row_lookup(ap, label, i, grid))
-                cum = np.cumsum(ap.disintegrations[label].conditional[i][order])
+                cum = np.cumsum(ap.conditional(label)[i][order])
                 u[r] = cum[rng.integers(ap.nu0.n)]
         u = np.minimum(u, 1.0)
         sampled = transform(ap, Dataset(d.groups, d.x, d.weights, u=u))
@@ -605,8 +629,8 @@ def test_samplers_draw_only_positive_mass_points(rng, m, u_value):
         u = np.full(d.n_rows, u_value)
         out = transform(ap, Dataset(d.groups, d.x, d.weights, u=u))
         for label in d.labels:
-            dis = ap.disintegrations[label]
+            conditional = ap.conditional(label)
             for i, r in enumerate(d.group_rows(label)):
                 for y in (out.y[r], sample_y(ap, label, i, u_value)):
                     (j,) = np.flatnonzero((ap.nu0.support == y).all(axis=1))
-                    assert dis.conditional[i, j] > 0.0
+                    assert conditional[i, j] > 0.0

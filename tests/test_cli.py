@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -51,6 +53,28 @@ def test_approx_measurable_case_samples(tmp_path):
     assert lines[0] == "group,x,weight,u,y1"
     ys = {line.split(",")[-1] for line in lines[1:]}
     assert ys == {"1"}
+
+
+def test_samples_quote_labels_as_csv_writer_does(tmp_path):
+    # labels with a comma, a quote, a line break or nothing are written as
+    # csv.writer writes each row, the float cells as 17 significant digits
+    labels = ["a,b", 'say "hi"', "two\nlines", "", "plain"]
+    buf = io.StringIO()
+    rows = csv.writer(buf, lineterminator="\n")
+    rows.writerow(["group", "x"])
+    for a, label in enumerate(labels):
+        rows.writerows([[label, a], [label, a + 0.5]])
+    inp = write(tmp_path / "d.csv", buf.getvalue())
+    smp = tmp_path / "s.csv"
+    assert main(["approx", "--input", inp, "--report", str(tmp_path / "r.json"),
+                 "--samples", str(smp), "--seed", "3"]) == 0
+    text = smp.read_text(encoding="utf-8")
+    with open(smp, encoding="utf-8", newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert [row[0] for row in parsed[1:]] == [label for label in labels for _ in range(2)]
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(parsed)
+    assert text == again.getvalue()
 
 
 def test_approx_hand_instance_objective(tmp_path):

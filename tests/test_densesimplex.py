@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from densesimplex import solve_standard_form
-from otrepair.errors import LpInfeasibleError
+from densesimplex import LpInfeasibleError, solve_standard_form
 
 
 def test_known_optimum():

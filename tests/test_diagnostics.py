@@ -19,7 +19,7 @@ from otrepair.errors import DatasetMismatchError, UnknownSupportPointError
 from otrepair.measure import dataset_from_rows, make_measure
 from otrepair.ot import cost_matrix
 
-from conftest import random_dataset
+from conftest import random_dataset, with_conditional
 
 
 def hand_dataset():
@@ -100,8 +100,7 @@ def _perturbed(ap):
     """
     best = None
     for a in ap.family.atoms:
-        dis = ap.disintegrations[a.label]
-        g = a.law.weights[:, None] * dis.conditional
+        g = a.law.weights[:, None] * ap.conditional(a.label)
         C = cost_matrix(a.law.support, ap.nu0.support)
         cells = list(zip(*np.nonzero(g > 1e-9)))
         for (i, j), (k, l) in itertools.combinations(cells, 2):
@@ -109,26 +108,20 @@ def _perturbed(ap):
                 t = min(g[i, j], g[k, l])
                 rise = a.p * t * (C[i, l] + C[k, j] - C[i, j] - C[k, l])
                 if best is None or rise > best[0]:
-                    best = (rise, a, dis, g, (i, j, k, l), t)
-    rise, a, dis, g, (i, j, k, l), t = best
+                    best = (rise, a, g, (i, j, k, l), t)
+    rise, a, g, (i, j, k, l), t = best
     g = g.copy()
     g[i, j] -= t
     g[k, l] -= t
     g[i, l] += t
     g[k, j] += t
-    conditional = g / a.law.weights[:, None]
-    disintegrations = {
-        **ap.disintegrations,
-        a.label: dataclasses.replace(dis, conditional=conditional),
-    }
+    tampered = with_conditional(ap, a.label, g / a.law.weights[:, None])
     achieved = 0.0
     for b in ap.family.atoms:
         C = cost_matrix(b.law.support, ap.nu0.support)
-        cond = disintegrations[b.label].conditional
+        cond = tampered.conditional(b.label)
         achieved += b.p * float(np.einsum("i,ij,ij->", b.law.weights, cond, C))
-    bad = dataclasses.replace(
-        ap, disintegrations=disintegrations, achieved_distance_sq=achieved
-    )
+    bad = dataclasses.replace(tampered, achieved_distance_sq=achieved)
     return bad, rise
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from otrepair.approx import build, transform
 from otrepair.diagnostics import verify
-from otrepair.measure import Dataset
-from otrepair.ot import solve_comonotone_1d
+from otrepair.measure import Dataset, make_measure
+from otrepair.ot import comonotone_staircases, solve_comonotone_1d
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -35,6 +35,13 @@ ROWS_2D = st.lists(
     min_size=1,
     max_size=12,
 )
+# (x, weight) points of a 1-D measure: few values, so ties and duplicate
+# points are common, and weights that may be 0 (at least one is positive)
+POINTS = st.lists(
+    st.tuples(st.integers(-3, 3).map(float), st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
+    min_size=1,
+    max_size=6,
+).filter(lambda pts: any(w > 0.0 for _, w in pts))
 # HiGHS's primal feasibility tolerance
 LP_RTOL = 1e-7
 
@@ -136,3 +143,29 @@ def test_build_and_transform_reruns_are_byte_identical(rows, rows_2d, seed):
             runs.append((ap.nu0.support.tobytes(), ap.nu0.weights.tobytes(),
                          out.u.tobytes(), out.y.tobytes()))
         assert runs[0] == runs[1]
+
+
+def measure(points):
+    return make_measure([x for x, _ in points], [w for _, w in points])
+
+
+@PROPERTY
+@given(atoms=st.lists(POINTS, min_size=1, max_size=5), target=POINTS)
+def test_batched_staircase_is_each_pair_alone(atoms, target):
+    # one-point atoms, tied values, duplicate points and zero weights: the
+    # batched kernel gives every atom the plan, cost and potentials of the
+    # one-pair solve, bit for bit
+    laws = [measure(points) for points in atoms]
+    nu = measure(target)
+    batch = comonotone_staircases(laws, nu)
+    for a, mu in enumerate(laws):
+        alone = solve_comonotone_1d(mu, nu)
+        rows = slice(*batch.starts[a:a + 2])
+        arcs = slice(*batch.arc_starts[a:a + 2])
+        assert arcs.stop - arcs.start == mu.n + nu.n - 1
+        plan = np.zeros((mu.n, nu.n))
+        plan[batch.rows[arcs] - rows.start, batch.cols[arcs]] = batch.flow[arcs]
+        assert np.array_equal(plan, alone.coupling.weights)
+        assert batch.costs[a] == alone.cost
+        assert np.array_equal(batch.u[rows], alone.potentials[0])
+        assert np.array_equal(batch.v[a], alone.potentials[1])
