@@ -37,10 +37,12 @@ from .errors import (
     UOutOfRangeError,
 )
 from .measure import (
+    WEIGHT_SUM_ATOL,
     ConditionalAtom,
     ConditionalFamily,
     Dataset,
     DiscreteMeasure,
+    _freeze,
     mean,
 )
 from .ot import (
@@ -71,14 +73,34 @@ def estimate_conditionals(data: Dataset) -> ConditionalFamily:
     Atom probabilities are the groups' total weights; each conditional
     law keeps its rows in dataset order (duplicates included), so the
     i-th row of a group is the i-th support point of its atom.
+
+    All groups are estimated in one pass over the rows grouped by label.
+    The checks of :class:`DiscreteMeasure` run here, once over the flat
+    weights; only when they fail is each law built by the constructor in
+    turn, which reports the first bad group.  Every law is a read-only
+    slice of the flat arrays and holds the same floats as
+    ``DiscreteMeasure(data.x[rows], w / p)`` of its group's rows, since
+    the segmented sums equal each group's own ``sum()``.
     """
-    atoms = []
-    for label in data.labels:
-        rows = data.group_rows(label)
-        w = data.weights[rows]
-        p = float(w.sum())
-        atoms.append(ConditionalAtom(label, p, DiscreteMeasure(data.x[rows], w / p)))
-    return ConditionalFamily(tuple(atoms))
+    rows, indptr = data.grouped_rows()
+    sizes = np.diff(indptr)
+    x = data.x[rows]
+    w = data.weights[rows]
+    p = _segment_sum(w, indptr)
+    w /= np.repeat(p, sizes)
+    totals = _segment_sum(w, indptr)
+    bounds = indptr.tolist()
+    segments = list(zip(bounds, bounds[1:]))
+    if not (np.all(w >= 0.0) and np.all(np.abs(totals - 1.0) <= WEIGHT_SUM_ATOL)):
+        for lo, hi in segments:
+            DiscreteMeasure(x[lo:hi], w[lo:hi])
+    x, w = _freeze(x), _freeze(w / np.repeat(totals, sizes))
+    # a tuple from a list: one from an iterator of unknown length grows by
+    # resizing, and repeated builds then grew the resident memory (CPython 3.11)
+    return ConditionalFamily(tuple([
+        ConditionalAtom(label, p_a, DiscreteMeasure._of_checked(x[lo:hi], w[lo:hi]))
+        for label, p_a, (lo, hi) in zip(data.labels, p.tolist(), segments)
+    ]))
 
 
 def _total(family: ConditionalFamily, costs: np.ndarray) -> float:

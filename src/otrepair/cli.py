@@ -2,8 +2,11 @@
 
 Reports are byte-identical across runs for identical inputs and flags:
 fields are emitted in a fixed order, floats are printed with 17
-significant digits, and sampling randomness comes only from the u
-column or an explicit --seed.
+significant digits, strings are escaped as ``json.dumps(s,
+ensure_ascii=False)`` escapes them, and sampling randomness comes only
+from the u column or an explicit --seed.  The emitters work a whole
+column or container at a time; any change to them must keep every
+report and ``samples.csv`` byte for byte (the golden tests pin them).
 """
 from __future__ import annotations
 
@@ -57,27 +60,35 @@ point, no thousands separators.
 # deterministic JSON / CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
+# a float as 17 significant digits, the report's and the samples' format
+_fmt_float = "{:.17g}".format
+# a string as json.dumps(s, ensure_ascii=False) writes it
+_json_str = json.encoder.encode_basestring
 
 
 def _emit_json(value) -> str:
-    if value is None or isinstance(value, (bool, str)):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    """``value`` as compact JSON with floats as :func:`_fmt_float` prints
+    them (so nan and inf as ``nan`` and ``inf``); one type test per value,
+    the commonest first."""
+    if isinstance(value, float):
         return _fmt_float(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, dict):
+        return "{" + ",".join([_json_str(str(k)) + ":" + _emit_json(v)
+                               for k, v in value.items()]) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_emit_json, value)) + "]"
     if isinstance(value, np.ndarray):
         return _emit_json(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit_json(v) for v in value) + "]"
-    if isinstance(value, dict):
-        parts = [
-            json.dumps(str(k), ensure_ascii=False) + ":" + _emit_json(v)
-            for k, v in value.items()
-        ]
-        return "{" + ",".join(parts) + "}"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, np.floating):
+        return _fmt_float(float(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -107,7 +118,7 @@ def _read_csv(path: str, text=(), numeric=(), optional=()) -> dict:
             raise CsvParseError(f"{path}: empty file, header row required")
         rows, lines = [], []
         for row in reader:
-            if any(cell.strip() for cell in row):
+            if "".join(row).strip():
                 rows.append(row)
                 lines.append(reader.line_num)
     index = {}
@@ -119,16 +130,25 @@ def _read_csv(path: str, text=(), numeric=(), optional=()) -> dict:
             raise MissingColumnError(f"{path}: column {name!r} not found in {header}")
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    for row, line in zip(rows, lines):
-        for name, i in index.items():
-            if i >= len(row):
-                raise CsvParseError(f"{path}: row {line} has no cell for column "
-                                    f"{name!r}", row=line, column=name)
+    if min(map(len, rows)) <= max(index.values(), default=-1):
+        # the first short row in file order, its first missing column
+        for row, line in zip(rows, lines):
+            for name, i in index.items():
+                if i >= len(row):
+                    raise CsvParseError(f"{path}: row {line} has no cell for column "
+                                        f"{name!r}", row=line, column=name)
     out = dict.fromkeys(columns)
     for name, i in index.items():
-        out[name] = (np.array([_parse_float(row[i], line, name)
-                               for row, line in zip(rows, lines)])
-                     if name in numeric else [row[i].strip() for row in rows])
+        cells = [row[i] for row in rows]
+        if name not in numeric:
+            out[name] = list(map(str.strip, cells))
+            continue
+        try:
+            out[name] = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError:
+            # the first malformed cell, with its row
+            for cell, line in zip(cells, lines):
+                _parse_float(cell, line, name)
     return out
 
 
@@ -259,16 +279,26 @@ def _csv_cells(values) -> dict:
 _SAMPLE_BLOCK = 1024
 
 
+def _fmt_column(values: np.ndarray) -> list:
+    """Every float of a column as :func:`_fmt_float` prints it, each
+    distinct value formatted once (y holds only nu0's points, and unit
+    weights one value).  Values are keyed by their bits, not by ``==``,
+    so -0.0 is still printed ``-0``."""
+    bits = values.view(np.int64).tolist()
+    cells = {b: _fmt_float(v) for b, v in dict(zip(bits, values.tolist())).items()}
+    return list(map(cells.__getitem__, bits))
+
+
 def _write_samples(fh, out: approx_mod.SampledOutput) -> None:
-    """The sample rows: group, x, weight, u and y, one ``%`` format per
-    row; floats as :func:`_fmt_float` prints them."""
-    numbers = np.column_stack([out.x, out.weights, out.u, out.y])
-    row = "%s" + ",%.17g" * numbers.shape[1] + "\n"
+    """The sample rows: group, x, weight, u and y, with floats as
+    :func:`_fmt_float` prints them; each block of rows is formatted one
+    column at a time."""
+    columns = [*out.x.T, out.weights, out.u, *out.y.T]
     cells = _csv_cells(out.groups)
     for s in range(0, out.n_rows, _SAMPLE_BLOCK):
-        values = numbers[s:s + _SAMPLE_BLOCK].tolist()
-        fh.writelines(row % (cells[g], *v)
-                      for g, v in zip(out.groups[s:s + _SAMPLE_BLOCK], values))
+        block = [_fmt_column(c[s:s + _SAMPLE_BLOCK]) for c in columns]
+        groups = map(cells.__getitem__, out.groups[s:s + _SAMPLE_BLOCK])
+        fh.write("\n".join(map(",".join, zip(groups, *block))) + "\n")
 
 
 def cmd_binary_case(args) -> int:

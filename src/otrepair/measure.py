@@ -77,6 +77,11 @@ class DiscreteMeasure:
         Nonnegative weights summing to 1 within ``WEIGHT_SUM_ATOL``;
         they are renormalized to sum exactly 1.  Use :func:`make_measure`
         for inputs on an arbitrary scale.
+
+    The constructor checks and freezes its inputs.  A family of laws cut
+    from one flat array (:func:`otrepair.approx.estimate_conditionals`)
+    is checked once over the flat arrays instead, and each law wraps its
+    read-only slices through :meth:`_of_checked`.
     """
 
     support: np.ndarray
@@ -98,6 +103,17 @@ class DiscreteMeasure:
             )
         object.__setattr__(self, "support", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w / total))
+
+    @classmethod
+    def _of_checked(cls, support: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
+        """The measure of arrays that already are what the constructor
+        makes of its inputs (a read-only (n, m) float support without -0.0
+        and read-only finite weights >= 0 that were divided by their sum),
+        taken as they are, unchecked."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "support", support)
+        object.__setattr__(mu, "weights", weights)
+        return mu
 
     @property
     def n(self) -> int:
@@ -272,6 +288,7 @@ class Dataset:
     weights: np.ndarray
     u: np.ndarray | None = None
     _rows: dict = field(init=False, repr=False)  # label -> row positions
+    _grouping: tuple = field(init=False, repr=False)  # see grouped_rows
 
     def __post_init__(self):
         groups = tuple(self.groups)
@@ -303,9 +320,11 @@ class Dataset:
             rows.setdefault(g, []).append(i)
         # one read-only array of the positions grouped by label, sliced per label
         flat = _freeze(np.fromiter(chain(*rows.values()), dtype=int, count=len(groups)))
-        ends = np.cumsum([len(r) for r in rows.values()]).tolist()
-        index = {g: flat[e - len(r):e] for (g, r), e in zip(rows.items(), ends)}
+        indptr = _freeze(np.cumsum([0, *map(len, rows.values())]))
+        bounds = indptr.tolist()
+        index = {g: flat[lo:hi] for g, lo, hi in zip(rows, bounds, bounds[1:])}
         object.__setattr__(self, "_rows", index)
+        object.__setattr__(self, "_grouping", (flat, indptr))
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "weights", _freeze(w / total))
@@ -327,6 +346,12 @@ class Dataset:
     def group_rows(self, label) -> np.ndarray:
         """Row positions of one group, in dataset order (read-only)."""
         return self._rows[label]
+
+    def grouped_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row position grouped by label, and the groups' bounds:
+        ``labels[a]`` holds ``rows[indptr[a]:indptr[a + 1]]``, in dataset
+        order (both read-only)."""
+        return self._grouping
 
     def mean_x(self) -> np.ndarray:
         return self.weights @ self.x

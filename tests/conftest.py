@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,53 @@ import pytest
 from densesimplex import solve_standard_form
 from otrepair.approx import Disintegration, build, estimate_conditionals
 from otrepair.barycenter import default_support
-from otrepair.measure import Dataset, dataset_from_rows, family, make_measure, mean
+from otrepair.measure import (
+    ConditionalAtom,
+    ConditionalFamily,
+    Dataset,
+    DiscreteMeasure,
+    dataset_from_rows,
+    family,
+    make_measure,
+    mean,
+)
 from otrepair.ot import cost_matrix, solve_exact
 from otrepair.special_binary import is_half, solve_half, solve_nonhalf
+
+
+def reference_conditionals(data):
+    """The group-by estimate one group at a time, each law through the
+    checking :class:`DiscreteMeasure` constructor: the oracle of
+    ``otrepair.approx.estimate_conditionals``."""
+    atoms = []
+    for label in data.labels:
+        rows = data.group_rows(label)
+        w = data.weights[rows]
+        p = float(w.sum())
+        atoms.append(ConditionalAtom(label, p, DiscreteMeasure(data.x[rows], w / p)))
+    return ConditionalFamily(tuple(atoms))
+
+
+def reference_emit_json(value) -> str:
+    """Compact JSON by one ``json.dumps`` per string and key and floats
+    as 17 significant digits: the oracle of ``otrepair.cli._emit_json``."""
+    if value is None or isinstance(value, (bool, str)):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    if isinstance(value, np.ndarray):
+        return reference_emit_json(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_emit_json(v) for v in value) + "]"
+    if isinstance(value, dict):
+        parts = [
+            json.dumps(str(k), ensure_ascii=False) + ":" + reference_emit_json(v)
+            for k, v in value.items()
+        ]
+        return "{" + ",".join(parts) + "}"
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def simplex_objective(fam, nu):

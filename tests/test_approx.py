@@ -22,6 +22,7 @@ from otrepair.errors import (
     DatasetMismatchError,
     IndexOutOfRangeError,
     MissingUError,
+    NonFiniteValueError,
     UnknownGroupError,
     UnseenValueError,
     UOutOfRangeError,
@@ -43,6 +44,7 @@ from conftest import (
     decomposition,
     random_dataset,
     random_family,
+    reference_conditionals,
     with_conditional,
 )
 
@@ -83,6 +85,44 @@ def test_estimate_preserves_row_order_with_duplicates():
     law = estimate_conditionals(d).atoms[0].law
     assert law.support.ravel().tolist() == [1.0, 1.0, 0.0]
     assert np.allclose(law.weights, [0.25, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_estimate_is_bitwise_the_per_group_estimate(m):
+    # group sizes cross numpy's pairwise-summation blocks of 8 and 128,
+    # labels are interleaved and weights span 24 orders of magnitude
+    rng = np.random.default_rng(m)
+    edges = [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 300]
+    for trial in range(6):
+        sizes = [*edges, *rng.integers(1, 301, size=8)] if trial == 0 \
+            else rng.integers(1, 301, size=int(rng.integers(1, 10)))
+        labels = np.repeat([f"g{a}" for a in range(len(sizes))], sizes)
+        rng.shuffle(labels)
+        n = len(labels)
+        d = Dataset(tuple(labels.tolist()), rng.normal(size=(n, m)),
+                    10.0 ** rng.uniform(-12.0, 12.0, size=n))
+        fam, ref = estimate_conditionals(d), reference_conditionals(d)
+        assert fam.labels == ref.labels == d.labels
+        for a, b in zip(fam.atoms, ref.atoms):
+            assert a.p == b.p
+            assert a.law.support.shape == b.law.support.shape == (len(d.group_rows(a.label)), m)
+            assert np.array_equal(a.law.support, b.law.support)
+            assert np.array_equal(a.law.weights, b.law.weights)
+            assert not a.law.support.flags.writeable and not a.law.weights.flags.writeable
+
+
+def test_estimate_reports_a_bad_group_as_the_constructor_does():
+    # group a's weights underflow to 0 once the dataset normalizes them, so
+    # its conditional weights are 0 / 0; the flat checks fail and the
+    # constructor names the fault of the first bad group, as it did per group
+    d = dataset_from_rows([("b", 1.0, 1e300), ("a", 0.0, 1e-320), ("a", 2.0, 1e-320),
+                           ("c", 1.0, 1e-320)])
+    assert d.weights.tolist() == [1.0, 0.0, 0.0, 0.0]
+    with np.errstate(invalid="ignore"):
+        for estimate in (estimate_conditionals, reference_conditionals):
+            with pytest.raises(NonFiniteValueError,
+                               match="^weights contains the non-finite value nan$"):
+                estimate(d)
 
 
 # --- lower_bound ---------------------------------------------------------------

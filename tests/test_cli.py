@@ -77,6 +77,30 @@ def test_samples_quote_labels_as_csv_writer_does(tmp_path):
     assert text == again.getvalue()
 
 
+def test_samples_keep_signed_zero_u(tmp_path):
+    # u = -0.0 is a valid draw and is printed "-0", as one "%.17g" per row
+    # prints it, in every block of rows; equal floats of other bits are
+    # never merged
+    rows = 2500
+    u = [0.5 if i % 7 == 0 else -0.0 if i % 3 == 1 else 0.0 for i in range(rows)]
+    text = "group,x,u\n" + "".join(
+        f"g{i % 5},{i % 11 - 5.0!r},{v!r}\n" for i, v in enumerate(u))
+    inp = write(tmp_path / "d.csv", text)
+    smp = tmp_path / "s.csv"
+    assert main(["approx", "--input", inp, "--u-col", "u", "--report",
+                 str(tmp_path / "r.json"), "--samples", str(smp)]) == 0
+    data = cli._load_dataset(inp, "group", ["x"], None, "u")
+    out = otrepair.transform(otrepair.build(data), data)
+    numbers = np.column_stack([out.x, out.weights, out.u, out.y])
+    row = "%s" + ",%.17g" * numbers.shape[1] + "\n"
+    expected = "group,x,weight,u,y1\n" + "".join(
+        row % (g, *v) for g, v in zip(out.groups, numbers.tolist()))
+    written = smp.read_text(encoding="utf-8")
+    assert written == expected
+    assert [line.split(",")[3] for line in written.splitlines()[1:]] == \
+        ["-0" if np.signbit(v) else f"{v:g}" for v in u]
+
+
 def test_approx_hand_instance_objective(tmp_path):
     inp = write(tmp_path / "d.csv", HAND_CSV)
     rep = str(tmp_path / "r.json")
@@ -467,6 +491,52 @@ def test_short_csv_row_is_a_parse_error(tmp_path, capsys, subcommand, text):
     with pytest.raises(CsvParseError) as exc:
         cli._read_csv(inp, numeric=["x"])
     assert (exc.value.row, exc.value.column) == (3, "x")
+
+
+def test_read_csv_names_the_first_short_row_in_file_order(tmp_path):
+    # the columns are checked in the order asked for, A (header place 1)
+    # before B (place 3), but row 2 lacks only B and row 3 lacks A too
+    inp = write(tmp_path / "d.csv", "z,A,y,B\n0,a\n0\n0,a,0,1\n")
+    with pytest.raises(CsvParseError, match="row 2 has no cell for column 'B'") as exc:
+        cli._read_csv(inp, ["A"], ["B"])
+    assert (exc.value.row, exc.value.column) == (2, "B")
+
+
+@pytest.mark.parametrize("numeric, bad", [
+    (["a", "b"], (5, "a", "bad2")),
+    (["b", "a"], (4, "b", "bad1")),
+], ids=["a-first", "b-first"])
+def test_read_csv_names_the_first_malformed_cell_column_by_column(tmp_path, numeric, bad):
+    # columns in the order asked for, rows in file order within a column;
+    # rows are named by their CSV line, after a quoted two-line cell
+    inp = write(tmp_path / "d.csv",
+                'g,a,b\n"two\nlines",1,2\nq,1,bad1\nq,bad2,2\nq,bad3,bad4\n')
+    line, column, cell = bad
+    with pytest.raises(CsvParseError) as exc:
+        cli._read_csv(inp, ["g"], numeric)
+    assert (exc.value.row, exc.value.column) == (line, column)
+    assert str(exc.value) == f"row {line}: cannot parse {cell!r} in column {column!r}"
+
+
+def test_read_csv_skips_whitespace_only_rows(tmp_path):
+    inp = write(tmp_path / "d.csv", "g,x\n , \na,1\n\n\t,\nb, 2\n   \n")
+    t = cli._read_csv(inp, ["g"], ["x"])
+    assert t["g"] == ["a", "b"]
+    assert t["x"].tolist() == [1.0, 2.0]
+
+
+def test_read_csv_parses_cells_as_float_does(tmp_path, capsys):
+    cells = [" 2.5 ", "1_000", "inf", "-0", "1e-310", "-nan", "\t7e3\n"]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["g", "x"], *(["a", c] for c in cells)])
+    inp = write(tmp_path / "d.csv", buf.getvalue())
+    x = cli._read_csv(inp, ["g"], ["x"])["x"]
+    assert x.dtype == np.float64
+    assert x.view(np.int64).tolist() == \
+        np.array([float(c) for c in cells]).view(np.int64).tolist()
+    inp = write(tmp_path / "inf.csv", "group,x\na,1\na,inf\nb,0\n")
+    assert main(["approx", "--input", inp, "--report", str(tmp_path / "r.json")]) == 3
+    assert "x contains the non-finite value inf" in capsys.readouterr().err
 
 
 def test_invalid_option_values_exit_5(tmp_path):

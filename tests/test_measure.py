@@ -228,9 +228,11 @@ def test_dataset_group_index_matches_naive_scan(rng):
             if g not in first_seen:
                 first_seen.append(g)
         assert d.labels == tuple(first_seen)
-        for label in first_seen:
+        rows, indptr = d.grouped_rows()
+        for a, label in enumerate(first_seen):
             naive = [i for i, g in enumerate(groups) if g == label]
             assert d.group_rows(label).tolist() == naive
+            assert rows[indptr[a]:indptr[a + 1]].tolist() == naive
         with pytest.raises(KeyError):
             d.group_rows("absent")
 

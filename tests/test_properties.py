@@ -1,4 +1,5 @@
-"""Property tests for ``build`` in 1-D and 2-D.
+"""Property tests for ``build`` in 1-D and 2-D and for the CLI's JSON
+emitter.
 
 The examples come from hypothesis with a fixed derivation
 (``derandomize=True``), so every run checks the same datasets.  In 2-D
@@ -10,9 +11,12 @@ import numpy as np
 import pytest
 
 from otrepair.approx import build, transform
+from otrepair.cli import _emit_json
 from otrepair.diagnostics import verify
 from otrepair.measure import Dataset, make_measure
 from otrepair.ot import comonotone_staircases, solve_comonotone_1d
+
+from conftest import reference_emit_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -169,3 +173,30 @@ def test_batched_staircase_is_each_pair_alone(atoms, target):
         assert batch.costs[a] == alone.cost
         assert np.array_equal(batch.u[rows], alone.potentials[0])
         assert np.array_equal(batch.v[a], alone.potentials[1])
+
+
+# strings with JSON's escapes, control characters, non-ASCII text and
+# the line separators JavaScript reads as line breaks
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029é€😀'),
+                         st.characters()), max_size=6)
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 1e-310, float("nan"), float("inf")]))
+ARRAYS = st.one_of(
+    st.lists(FLOATS, max_size=4).map(np.array),
+    st.lists(st.tuples(FLOATS, FLOATS), max_size=3).map(lambda r: np.array(r, dtype=float)),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=4).map(lambda r: np.array(r, dtype=np.int64)),
+)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    FLOATS, FLOATS.map(np.float64), TEXT, ARRAYS,
+)
+PAYLOADS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(TEXT, st.integers()), inner, max_size=4),
+), max_leaves=24)
+
+
+@hypothesis.settings(PROPERTY, max_examples=300)
+@given(payload=PAYLOADS)
+def test_emit_json_is_byte_identical_to_json_dumps_per_string(payload):
+    assert _emit_json(payload) == reference_emit_json(payload)
