@@ -37,7 +37,6 @@ from .errors import (
     UOutOfRangeError,
 )
 from .measure import (
-    WEIGHT_SUM_ATOL,
     ConditionalAtom,
     ConditionalFamily,
     Dataset,
@@ -75,10 +74,9 @@ def estimate_conditionals(data: Dataset) -> ConditionalFamily:
     i-th row of a group is the i-th support point of its atom.
 
     All groups are estimated in one pass over the rows grouped by label.
-    The checks of :class:`DiscreteMeasure` run here, once over the flat
-    weights; only when they fail is each law built by the constructor in
-    turn, which reports the first bad group.  Every law is a read-only
-    slice of the flat arrays and holds the same floats as
+    The dataset's checks (finite x, weights still positive once
+    normalized) are the laws' checks, so each law is taken unchecked as a
+    read-only slice of the flat arrays.  It holds the same floats as
     ``DiscreteMeasure(data.x[rows], w / p)`` of its group's rows, since
     the segmented sums equal each group's own ``sum()``.
     """
@@ -90,16 +88,12 @@ def estimate_conditionals(data: Dataset) -> ConditionalFamily:
     w /= np.repeat(p, sizes)
     totals = _segment_sum(w, indptr)
     bounds = indptr.tolist()
-    segments = list(zip(bounds, bounds[1:]))
-    if not (np.all(w >= 0.0) and np.all(np.abs(totals - 1.0) <= WEIGHT_SUM_ATOL)):
-        for lo, hi in segments:
-            DiscreteMeasure(x[lo:hi], w[lo:hi])
     x, w = _freeze(x), _freeze(w / np.repeat(totals, sizes))
     # a tuple from a list: one from an iterator of unknown length grows by
     # resizing, and repeated builds then grew the resident memory (CPython 3.11)
     return ConditionalFamily(tuple([
         ConditionalAtom(label, p_a, DiscreteMeasure._of_checked(x[lo:hi], w[lo:hi]))
-        for label, p_a, (lo, hi) in zip(data.labels, p.tolist(), segments)
+        for label, p_a, lo, hi in zip(data.labels, p.tolist(), bounds, bounds[1:])
     ]))
 
 
@@ -134,14 +128,17 @@ _BATCH_ARCS = 1 << 14
 
 def _staircases(family: ConditionalFamily, nu: DiscreteMeasure):
     """:func:`otrepair.ot.comonotone_staircases` of the family's atoms to
-    nu, one :class:`otrepair.ot.Staircase` per batch of atoms; a batch
-    starts where the arcs before it pass a multiple of ``_BATCH_ARCS``.
-    Every float is the one of the atom coupled alone."""
-    laws = [a.law for a in family.atoms]
-    arcs = np.cumsum([0] + [mu.n + nu.n - 1 for mu in laws])
+    nu, one :class:`otrepair.ot.Staircase` per batch of atoms, each a
+    slice of the family's flat arrays; a batch starts where the arcs
+    before it pass a multiple of ``_BATCH_ARCS``.  Every float is the one
+    of the atom coupled alone."""
+    starts = family.starts
+    arcs = starts + np.arange(len(starts)) * (nu.n - 1)
     cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
-    for lo, hi in zip([0, *cuts], [*cuts, len(laws)]):
-        yield comonotone_staircases(laws[lo:hi], nu)
+    for lo, hi in zip([0, *cuts], [*cuts, len(family)]):
+        s, e = starts[lo], starts[hi]
+        yield comonotone_staircases(family.support[s:e], family.weights[s:e],
+                                    starts[lo:hi + 1] - s, nu)
 
 
 def _support_order(nu0: DiscreteMeasure) -> np.ndarray:
@@ -154,8 +151,9 @@ class Disintegration:
     """Every atom's optimal coupling to nu0 as row-wise conditional laws,
     stored sparse in one CSR structure.
 
-    Rows are the atoms' source points, atom by atom in family order:
-    atom a holds rows ``starts[a]:starts[a + 1]``, in its law's order.
+    Rows are the atoms' source points in the family's flat layout: atom
+    a holds rows ``family.starts[a]:family.starts[a + 1]``, in its law's
+    order (see :class:`otrepair.measure.ConditionalFamily`).
     Row r's arcs are ``indptr[r]:indptr[r + 1]``, sorted in the samplers'
     support order (see :func:`_support_order`): ``cols`` holds their nu0
     indices and ``mass`` the positive probabilities of the target given
@@ -168,22 +166,22 @@ class Disintegration:
     (see :func:`otrepair.diagnostics.verify`).
     """
 
-    starts: np.ndarray
     indptr: np.ndarray
     cols: np.ndarray
     mass: np.ndarray
     potential: np.ndarray
 
     @classmethod
-    def from_arcs(cls, rows, cols, flow, potential, starts, nu0: DiscreteMeasure):
-        """The store of couplings given as arcs (row, nu0 index, flow).
+    def from_arcs(cls, rows, cols, flow, potential, nu0: DiscreteMeasure):
+        """The store of couplings given as arcs (row, nu0 index, flow),
+        with one row per entry of ``potential``.
 
         Each row's positive flows are divided by their sum.  A row
         without mass is unconstrained and gets nu0 itself.
         """
         keep = flow > 0.0
         rows, cols, flow = rows[keep], cols[keep], flow[keep]
-        charged = np.zeros(starts[-1], dtype=bool)
+        charged = np.zeros(len(potential), dtype=bool)
         charged[rows] = True
         empty = np.flatnonzero(~charged)
         order = _support_order(nu0)
@@ -195,20 +193,18 @@ class Disintegration:
         rank[order] = np.arange(nu0.n)
         arcs = np.lexsort((rank[cols], rows))
         rows, cols, flow = rows[arcs], cols[arcs], flow[arcs]
-        counts = np.bincount(rows, minlength=starts[-1])
+        counts = np.bincount(rows, minlength=len(potential))
         indptr = np.concatenate(([0], np.cumsum(counts)))
         row_mass = _segment_sum(flow, indptr)
         row_mass[empty] = 1.0
-        return cls(starts, indptr, cols, flow / np.repeat(row_mass, counts),
+        return cls(indptr, cols, flow / np.repeat(row_mass, counts),
                    np.asarray(potential, dtype=float))
 
     @classmethod
     def concatenate(cls, parts):
         """One store of the rows of ``parts`` in turn."""
-        rows = np.cumsum([0] + [p.starts[-1] for p in parts])
         arcs = np.cumsum([0] + [p.indptr[-1] for p in parts])
         return cls(
-            np.concatenate([[0]] + [p.starts[1:] + r for p, r in zip(parts, rows)]),
             np.concatenate([[0]] + [p.indptr[1:] + a for p, a in zip(parts, arcs)]),
             np.concatenate([p.cols for p in parts]),
             np.concatenate([p.mass for p in parts]),
@@ -252,7 +248,7 @@ class IndependentApproximation:
         """One atom's conditionals as a dense matrix: row i is the law of
         y given the atom's i-th source point, over nu0's index order."""
         a = self.family.labels.index(label)
-        s = self.disintegration.starts
+        s = self.family.starts
         return self.disintegration.dense(self.nu0.n)[s[a]:s[a + 1]]
 
 
@@ -288,8 +284,8 @@ def _coupled_arcs(family: ConditionalFamily, bary: BarycenterResult,
     plan = np.concatenate([s.coupling.weights for s in sols])
     rows, cols = np.nonzero(plan)
     flow = plan[rows, cols]
-    sizes = [a.law.n for a in family.atoms]
-    x = np.concatenate([a.law.support for a in family.atoms])
+    sizes = np.diff(family.starts)
+    x = family.support
     from_lp = np.array([a.label in lp for a in family.atoms])
     potential = (np.concatenate([s.potentials[0] for s in sols])
                  - 2.0 * np.where(np.repeat(from_lp, sizes), x @ shift, 0.0))
@@ -315,14 +311,13 @@ def _assemble(
     """
     nu0 = bary.nu0.translate(shift)
     if bary.couplings is None and family.dim == 1:
-        batches = [(Disintegration.from_arcs(st.rows, st.cols, st.flow, st.u, st.starts, nu0),
-                    st.costs) for st in _staircases(family, nu0)]
+        batches = [(Disintegration.from_arcs(st.rows, st.cols, st.flow, st.u, nu0), st.costs)
+                   for st in _staircases(family, nu0)]
         disintegration = Disintegration.concatenate([dis for dis, _ in batches])
         costs = np.concatenate([c for _, c in batches])
     else:
         rows, cols, flow, potential, costs = _coupled_arcs(family, bary, nu0, shift)
-        starts = np.concatenate(([0], np.cumsum([a.law.n for a in family.atoms])))
-        disintegration = Disintegration.from_arcs(rows, cols, flow, potential, starts, nu0)
+        disintegration = Disintegration.from_arcs(rows, cols, flow, potential, nu0)
     return IndependentApproximation(
         family=family,
         nu0=nu0,
@@ -362,9 +357,11 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
 
 
 def match_rows(approx: IndependentApproximation, data: Dataset) -> np.ndarray:
-    """The dataset row of every source point, in the disintegration's row
-    order, checked to be the rows the approximation was built from (rows
-    pair with atom support points by index).
+    """The dataset row of every source point, in the family's flat order
+    (which the disintegration's rows follow), checked to be the rows the
+    approximation was built from (rows pair with atom support points by
+    index).  One gather puts :meth:`Dataset.grouped_rows` in the family's
+    label order, whatever order the groups first appear in.
 
     A group's x values must equal its atom's support exactly, and each
     row's share of the dataset's total weight must equal its atom's
@@ -375,33 +372,31 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> np.ndarray:
     Raises :class:`DatasetMismatchError`, or its subclasses
     :class:`UnknownGroupError` and :class:`UnseenValueError`.
     """
-    fam = approx.family
+    fam, starts = approx.family, approx.family.starts
     known = set(fam.labels)
-    for label in data.labels:
+    for label in data._index:
         if label not in known:
             raise UnknownGroupError(label)
-    if len(data.labels) != len(fam.labels):
+    if len(data._index) != len(fam):
         raise DatasetMismatchError("dataset groups differ from the approximation's")
-    groups = [data.group_rows(label) for label in fam.labels]
-    sizes = [len(g) for g in groups]
-    starts = approx.disintegration.starts
 
     def mismatch(row, what):
         label = fam.labels[int(np.searchsorted(starts, row, side="right")) - 1]
         return f"group {label!r} does not match the {what} the approximation was built from"
 
-    if sizes != [a.law.n for a in fam.atoms]:
-        a = next(a for a, atom in enumerate(fam.atoms) if sizes[a] != atom.law.n)
-        raise UnseenValueError(mismatch(starts[a], "support"))
-    rows = np.concatenate(groups)
-    x = np.concatenate([a.law.support for a in fam.atoms])
-    bad = (data.x[rows] != x).any(axis=1)
+    rows, indptr = data.grouped_rows()
+    group = np.array(list(map(data._index.get, fam.labels)))
+    sizes = np.diff(indptr)[group]
+    wrong = np.flatnonzero(sizes - np.diff(starts))
+    if len(wrong):
+        raise UnseenValueError(mismatch(starts[wrong[0]], "support"))
+    rows = rows[np.repeat(indptr[group] - starts[:-1], sizes) + np.arange(starts[-1])]
+    bad = (data.x[rows] != fam.support).any(axis=1)
     if bad.any():
         raise UnseenValueError(mismatch(np.argmax(bad), "support"))
     w = data.weights[rows]
     share = np.repeat(data.weights.sum() * fam.probabilities, sizes)
-    law_w = np.concatenate([a.law.weights for a in fam.atoms])
-    bad = np.abs(w - share * law_w) > 1e-12 * w
+    bad = np.abs(w - share * fam.weights) > 1e-12 * w
     if bad.any():
         raise DatasetMismatchError(mismatch(np.argmax(bad), "weights"))
     return rows
@@ -457,7 +452,7 @@ def sample_y(
     if group not in approx.family.labels:
         raise UnknownGroupError(group)
     a = approx.family.labels.index(group)
-    start, stop = approx.disintegration.starts[a:a + 2]
+    start, stop = approx.family.starts[a:a + 2]
     if not 0 <= source_index < stop - start:
         raise IndexOutOfRangeError(
             f"source index {source_index} outside atom of size {stop - start}"

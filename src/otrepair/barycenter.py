@@ -203,13 +203,13 @@ def _assemble_joint_lp(family: ConditionalFamily, costs: list):
     K = costs[0].shape[1]
     atoms = family.atoms
     c = np.concatenate([(a.p * C).ravel() for a, C in zip(atoms, costs)] + [np.zeros(K)])
-    row_sums, col_sums = zip(*(_marginal_blocks(a.law.n, K) for a in atoms))
+    row_sums, col_sums = zip(*(_marginal_blocks(n, K) for n in np.diff(family.starts).tolist()))
     A = sparse.bmat([
         [sparse.block_diag(row_sums), None],
         [sparse.block_diag(col_sums), -sparse.vstack([sparse.eye(K)] * len(atoms))],
         [None, np.ones((1, K))],
     ], format="csr")
-    b = np.concatenate([a.law.weights for a in atoms] + [np.zeros(len(atoms) * K), [1.0]])
+    b = np.concatenate([family.weights, np.zeros(len(atoms) * K), [1.0]])
     return c, A, b
 
 
@@ -240,7 +240,7 @@ def fixed_support_weights(
     K = S.shape[0]
     w = np.maximum(x[-K:], 0.0)
     nu0 = DiscreteMeasure(S, w / w.sum())
-    ends = np.cumsum([a.law.n for a in family.atoms])
+    ends = family.starts[1:]
     # x and the duals run per atom: plans, then row sums, then column sums
     plans = np.split(x[:-K], ends[:-1] * K)
     us = np.split(duals[:ends[-1]], ends[:-1])
@@ -384,13 +384,13 @@ _BLOCK = 1 << 16
 
 def _sorted_quantiles(family: ConditionalFamily):
     """Every atom's support sorted ascending and its cumulative weights, in
-    flat arrays atom by atom (see :func:`otrepair.ot._sorted_1d`), with
+    the family's flat layout (see :func:`otrepair.ot._sorted_1d`), with
     each atom's last cumulative weight raised to 1 so that t = 1 finds its
     top point.  Returns (starts, sorted values, cumulative weights)."""
-    starts, _, vals, cum = _sorted_1d([a.law for a in family.atoms])
-    top = starts[1:] - 1
+    _, vals, cum = _sorted_1d(family.support[:, 0], family.weights, family.starts)
+    top = family.starts[1:] - 1
     cum[top] = np.maximum(cum[top], 1.0)
-    return starts, vals, cum
+    return family.starts, vals, cum
 
 
 def _quantile_average(family: ConditionalFamily, sorted_atoms, t: np.ndarray) -> np.ndarray:

@@ -83,20 +83,19 @@ def verify(approx: IndependentApproximation, data: Dataset) -> Report:
     any u (Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 3).
     Bound attainment compares the achieved distance with sum_a p_a D_a:
     equality certifies every coupling optimal, and a suboptimal coupling
-    or a wrong potential leaves a gap.  The c-transforms of all atoms are
-    taken together over blocks of the disintegration's rows, each with
-    at most 2^13 cost entries (or one row): a block's minima are reduced
-    per atom with ``np.minimum.reduceat`` and merged into the atoms'
+    or a wrong potential leaves a gap.  Points, weights and atom bounds
+    are the family's flat arrays, whose rows the disintegration's follow.
+    The c-transforms of all atoms are taken together over blocks of rows,
+    each with at most 2^13 cost entries (or one row): a block's minima
+    are reduced per atom with ``np.minimum.reduceat`` and merged into the atoms'
     running minima.  The reconstructed column marginals are summed over
     the stored arcs with one ``np.bincount``.  Raises
     DatasetMismatchError unless ``data`` passes :func:`match_rows`.
     """
     match_rows(approx, data)
     fam, nu0, dis = approx.family, approx.nu0, approx.disintegration
-    starts = dis.starts
+    x, w, starts = fam.support, fam.weights, fam.starts
     A, K = len(fam), nu0.n
-    x = np.concatenate([a.law.support for a in fam.atoms])
-    w = np.concatenate([a.law.weights for a in fam.atoms])
     owner = np.repeat(np.arange(A), np.diff(starts))
 
     u_c = np.full((A, K), np.inf)

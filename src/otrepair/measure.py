@@ -210,9 +210,19 @@ class ConditionalFamily:
     mixture of the atoms reproduces the marginal law of X (this is a
     property of :func:`otrepair.approx.estimate_conditionals`, not a
     constructor check, since families can also be built by hand).
+
+    The constructor lays the family out flat once, for every stage to
+    read: ``labels``, ``probabilities``, and the laws' ``support`` and
+    conditional ``weights`` atom by atom, atom a owning rows
+    ``starts[a]:starts[a + 1]`` (read-only, the atoms' own floats).
     """
 
     atoms: tuple[ConditionalAtom, ...]
+    labels: tuple = field(init=False, repr=False)
+    probabilities: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
@@ -227,24 +237,19 @@ class ConditionalFamily:
         dims = {a.law.dim for a in atoms}
         if len(dims) != 1:
             raise DimensionMismatchError(f"atoms have mixed dimensions {sorted(dims)}")
-        labels = [a.label for a in atoms]
+        labels = tuple([a.label for a in atoms])
         if len(set(labels)) != len(labels):
             raise DimensionMismatchError("atom labels must be distinct")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probabilities", _freeze(probs))
+        object.__setattr__(self, "starts", _freeze(np.cumsum([0] + [a.law.n for a in atoms])))
+        object.__setattr__(self, "support", _freeze(np.concatenate([a.law.support for a in atoms])))
+        object.__setattr__(self, "weights", _freeze(np.concatenate([a.law.weights for a in atoms])))
 
     @property
     def dim(self) -> int:
-        return self.atoms[0].law.dim
-
-    @property
-    def labels(self) -> tuple:
-        # from a list: with a generator here, repeated verify and transform
-        # calls grew the process's resident memory by ~0.7 MiB (CPython 3.11)
-        return tuple([a.label for a in self.atoms])
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([a.p for a in self.atoms], dtype=float)
+        return self.support.shape[1]
 
     def atom(self, label) -> ConditionalAtom:
         for a in self.atoms:
@@ -265,29 +270,28 @@ def family(atoms: Iterable[tuple[Hashable, float, DiscreteMeasure]]) -> Conditio
 
 
 def mixture(fam: ConditionalFamily) -> DiscreteMeasure:
-    """The marginal law: concatenated supports with weights scaled by p_a."""
-    pts = np.concatenate([a.law.support for a in fam.atoms], axis=0)
-    w = np.concatenate([a.p * a.law.weights for a in fam.atoms])
-    return DiscreteMeasure(pts, w)
+    """The marginal law: the flat supports with weights scaled by p_a."""
+    p = np.repeat(fam.probabilities, np.diff(fam.starts))
+    return DiscreteMeasure(fam.support, p * fam.weights)
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Ingested sample rows: group label, point x, weight, optional u.
 
-    Weights must be strictly positive and are renormalized to sum 1 on
-    load.  If any row carries a uniform draw u, every row must, and each
-    u must lie in [0, 1].  x, weights and u must be finite.  Row order is
-    significant: within a group, the i-th row is paired with the i-th
-    support point of the estimated conditional law, which is what makes
-    duplicate x values unambiguous.
+    Weights must be strictly positive, also once they are renormalized
+    to sum 1 on load.  If any row carries a uniform draw u, every row
+    must, and each u must lie in [0, 1].  x, weights and u must be
+    finite.  Row order is significant: within a group, the i-th row is
+    paired with the i-th support point of the estimated conditional law,
+    which is what makes duplicate x values unambiguous.
     """
 
     groups: tuple
     x: np.ndarray
     weights: np.ndarray
     u: np.ndarray | None = None
-    _rows: dict = field(init=False, repr=False)  # label -> row positions
+    _index: dict = field(init=False, repr=False)  # label -> group number
     _grouping: tuple = field(init=False, repr=False)  # see grouped_rows
 
     def __post_init__(self):
@@ -307,6 +311,12 @@ class Dataset:
         total = float(w.sum())
         if not np.isfinite(total) or total <= 0.0:
             raise WeightSumError("dataset weights must have positive total")
+        normalized = w / total
+        if np.any(normalized <= 0.0):
+            i = int(np.argmax(normalized <= 0.0))
+            raise NegativeWeightError(
+                f"the weight {float(w[i])!r} of a row of group {groups[i]!r} underflows to 0 "
+                f"when divided by the weights' total {total!r}; rescale the weights")
         u = self.u
         if u is not None:
             u = _finite("u", u).ravel()
@@ -318,16 +328,13 @@ class Dataset:
         rows: dict = {}
         for i, g in enumerate(groups):
             rows.setdefault(g, []).append(i)
-        # one read-only array of the positions grouped by label, sliced per label
         flat = _freeze(np.fromiter(chain(*rows.values()), dtype=int, count=len(groups)))
         indptr = _freeze(np.cumsum([0, *map(len, rows.values())]))
-        bounds = indptr.tolist()
-        index = {g: flat[lo:hi] for g, lo, hi in zip(rows, bounds, bounds[1:])}
-        object.__setattr__(self, "_rows", index)
+        object.__setattr__(self, "_index", dict(zip(rows, range(len(rows)))))
         object.__setattr__(self, "_grouping", (flat, indptr))
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "x", _freeze(x))
-        object.__setattr__(self, "weights", _freeze(w / total))
+        object.__setattr__(self, "weights", _freeze(normalized))
         object.__setattr__(self, "u", u)
 
     @property
@@ -341,11 +348,13 @@ class Dataset:
     @property
     def labels(self) -> tuple:
         """Distinct group labels in first-appearance order."""
-        return tuple(self._rows)
+        return tuple(self._index)
 
     def group_rows(self, label) -> np.ndarray:
         """Row positions of one group, in dataset order (read-only)."""
-        return self._rows[label]
+        a = self._index[label]
+        rows, indptr = self._grouping
+        return rows[indptr[a]:indptr[a + 1]]
 
     def grouped_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row position grouped by label, and the groups' bounds:

@@ -260,18 +260,12 @@ def _search_segments(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return pos + (values[np.minimum(pos, len(values) - 1)] < q) * n
 
 
-def _sorted_1d(laws) -> tuple:
-    """Every 1-D measure's points sorted ascending (ties in index order) in
-    one flat array, measure by measure.  Returns (starts, order, sorted
-    values, cumulative weights): measure a holds ``starts[a]:starts[a + 1]``,
-    and ``order`` maps each sorted slot to its point in the measures'
-    concatenation."""
-    sizes = np.array([mu.n for mu in laws])
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    x = np.concatenate([mu.support for mu in laws])[:, 0]
-    w = np.concatenate([mu.weights for mu in laws])
-    order = np.lexsort((x, np.repeat(np.arange(len(laws)), sizes)))
-    return starts, order, x[order], _segment_cumsum(w[order], starts)
+def _sorted_1d(x: np.ndarray, w: np.ndarray, starts: np.ndarray) -> tuple:
+    """1-D points x sorted ascending (ties in index order) within each
+    measure ``starts[a]:starts[a + 1]``: (order, sorted values, cumulative
+    weights w), where ``order`` maps each sorted slot to its point."""
+    order = np.lexsort((x, np.repeat(np.arange(len(starts) - 1), np.diff(starts))))
+    return order, x[order], _segment_cumsum(w[order], starts)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +276,8 @@ def _sorted_1d(laws) -> tuple:
 class Staircase:
     """The comonotone couplings of 1-D measures mu_1..mu_A with one nu.
 
-    The measures' points are numbered through their concatenation, mu_a
-    holding ``starts[a]:starts[a + 1]``.  Arcs
+    The measures' points are numbered as in the flat arrays they were
+    given in, mu_a holding ``starts[a]:starts[a + 1]``.  Arcs
     ``arc_starts[a]:arc_starts[a + 1]`` are mu_a's n_a + K - 1 staircase
     arcs in staircase order: ``rows`` numbers their source points,
     ``cols`` their points of nu and ``flow`` their mass.  Zero-flow arcs
@@ -292,7 +286,6 @@ class Staircase:
     source point and ``v[a]`` mu_a's column potentials over nu.
     """
 
-    starts: np.ndarray
     arc_starts: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -302,10 +295,13 @@ class Staircase:
     v: np.ndarray
 
 
-def comonotone_staircases(laws, nu: DiscreteMeasure) -> Staircase:
-    """North-west-corner plans of every 1-D measure in ``laws`` to ``nu``,
-    all at once; each is optimal for m = 1.
+def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+                          nu: DiscreteMeasure) -> Staircase:
+    """North-west-corner plans of many 1-D measures to ``nu``, all at once;
+    each is optimal for m = 1.
 
+    Measure a is ``support[starts[a]:starts[a + 1]]``, (n_a, 1) points,
+    with the weights there: flat, as in :class:`otrepair.measure.ConditionalFamily`.
     nu is sorted once and every measure on its own.  A plan is the
     staircase that merges the measure's cumulative weights with nu's, so
     no cost matrix is formed.  Each row and each column but the last
@@ -324,23 +320,23 @@ def comonotone_staircases(laws, nu: DiscreteMeasure) -> Staircase:
     plans together.  Raises :class:`NonFiniteValueError` when a squared
     distance overflows.
     """
-    if nu.dim != 1 or any(mu.dim != 1 for mu in laws):
+    if nu.dim != 1 or support.shape[1] != 1:
         raise DimensionNotOneError("comonotone coupling requires 1-D measures")
-    starts, order_r, xs, ca = _sorted_1d(laws)
+    order_r, xs, ca = _sorted_1d(support[:, 0], weights, starts)
     order_c = np.argsort(nu.support[:, 0], kind="stable")
     ys = nu.support[order_c, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         reach = np.maximum(xs[starts[1:] - 1] - ys[0], ys[-1] - xs[starts[:-1]])
         if not np.isfinite(reach * reach).all():
             raise NonFiniteValueError(_OVERFLOW)
-    A, K = len(laws), nu.n
+    A, K = len(starts) - 1, nu.n
     cb = np.cumsum(nu.weights[order_c])
     arc_starts = starts + np.arange(A + 1) * (K - 1)
     is_row, flow = _merged_flows(starts, ca, cb, arc_starts)
     rows, cols, cost = _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys)
     u, v = _tree_potentials(cost, is_row, starts, arc_starts, order_r, order_c)
-    _check_marginals(rows, cols, flow, arc_starts, laws, nu)
-    return Staircase(starts, arc_starts, rows, cols, flow,
+    _check_marginals(rows, cols, flow, arc_starts, weights, nu)
+    return Staircase(arc_starts, rows, cols, flow,
                      _segment_dot(flow, cost, arc_starts), u, v)
 
 
@@ -419,13 +415,12 @@ def _tree_potentials(cost, is_row, starts, arc_starts, order_r, order_c):
     return u, v
 
 
-def _check_marginals(rows, cols, flow, arc_starts, laws, nu) -> None:
-    """The checks of :class:`Coupling` on the plans of every measure in
-    ``laws`` to ``nu`` at once, given as arcs: measure a's arcs are
+def _check_marginals(rows, cols, flow, arc_starts, w, nu) -> None:
+    """The checks of :class:`Coupling` on the plans of many measures to
+    ``nu`` at once, given as arcs: measure a's arcs are
     ``arc_starts[a]:arc_starts[a + 1]``, and ``rows`` numbers their source
-    points through the concatenation of ``laws``."""
-    A, K = len(laws), nu.n
-    w = np.concatenate([mu.weights for mu in laws])
+    points in the flat weights ``w`` of all the measures."""
+    A, K = len(arc_starts) - 1, nu.n
     if np.any(flow < 0.0):
         raise NegativeWeightError("coupling entries must be nonnegative")
     if np.max(np.abs(np.bincount(rows, flow, len(w)) - w)) > MARGINAL_ATOL:
@@ -441,11 +436,11 @@ def _check_marginals(rows, cols, flow, arc_starts, laws, nu) -> None:
 def solve_comonotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """North-west-corner plan on ascending supports; optimal for m = 1.
 
-    The one-pair case of :func:`comonotone_staircases`, with the plan
-    laid out as a dense matrix.  Raises :class:`NonFiniteValueError` when
-    any squared distance overflows.
+    The one-pair case of :func:`comonotone_staircases` (a batch of one),
+    with the plan laid out as a dense matrix.  Raises
+    :class:`NonFiniteValueError` when any squared distance overflows.
     """
-    st = comonotone_staircases([mu], nu)
+    st = comonotone_staircases(mu.support, mu.weights, np.array([0, mu.n]), nu)
     plan = np.zeros((mu.n, nu.n))
     plan[st.rows, st.cols] = st.flow
     return OtSolution(Coupling(mu, nu, plan), float(st.costs[0]), "comonotone_1d", 0,

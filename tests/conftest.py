@@ -86,10 +86,11 @@ def with_conditional(ap, label, conditional):
     dis = ap.disintegration
     dense = dis.dense(ap.nu0.n)
     a = ap.family.labels.index(label)
-    dense[dis.starts[a]:dis.starts[a + 1]] = conditional
+    starts = ap.family.starts
+    dense[starts[a]:starts[a + 1]] = conditional
     rows, cols = np.nonzero(dense)
     return replace(ap, disintegration=Disintegration.from_arcs(
-        rows, cols, dense[rows, cols], dis.potential, dis.starts, ap.nu0))
+        rows, cols, dense[rows, cols], dis.potential, ap.nu0))
 
 
 def decomposition(d):

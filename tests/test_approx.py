@@ -22,7 +22,6 @@ from otrepair.errors import (
     DatasetMismatchError,
     IndexOutOfRangeError,
     MissingUError,
-    NonFiniteValueError,
     UnknownGroupError,
     UnseenValueError,
     UOutOfRangeError,
@@ -109,20 +108,6 @@ def test_estimate_is_bitwise_the_per_group_estimate(m):
             assert np.array_equal(a.law.support, b.law.support)
             assert np.array_equal(a.law.weights, b.law.weights)
             assert not a.law.support.flags.writeable and not a.law.weights.flags.writeable
-
-
-def test_estimate_reports_a_bad_group_as_the_constructor_does():
-    # group a's weights underflow to 0 once the dataset normalizes them, so
-    # its conditional weights are 0 / 0; the flat checks fail and the
-    # constructor names the fault of the first bad group, as it did per group
-    d = dataset_from_rows([("b", 1.0, 1e300), ("a", 0.0, 1e-320), ("a", 2.0, 1e-320),
-                           ("c", 1.0, 1e-320)])
-    assert d.weights.tolist() == [1.0, 0.0, 0.0, 0.0]
-    with np.errstate(invalid="ignore"):
-        for estimate in (estimate_conditionals, reference_conditionals):
-            with pytest.raises(NonFiniteValueError,
-                               match="^weights contains the non-finite value nan$"):
-                estimate(d)
 
 
 # --- lower_bound ---------------------------------------------------------------
@@ -392,8 +377,7 @@ def test_sample_y_inverse_cdf_thresholds():
     nu0 = make_measure([10.0, 20.0], [0.25, 0.75])
     law = dirac([0.0])
     dis = Disintegration.from_arcs(np.array([0, 0]), np.array([0, 1]),
-                                   np.array([0.25, 0.75]), np.array([0.0]),
-                                   np.array([0, 1]), nu0)
+                                   np.array([0.25, 0.75]), np.array([0.0]), nu0)
     ap = IndependentApproximation(
         family=make_family([("g", 1.0, law)]),
         nu0=nu0,
@@ -513,6 +497,23 @@ def test_group_probabilities_must_match_the_build():
         with pytest.raises(DatasetMismatchError, match="weights") as err:
             call(reweighted)
         assert err.value.exit_code == 3
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_transform_pairs_rows_whatever_order_the_groups_first_appear_in(rng, m):
+    # the same rows shuffled with each group's rows kept in their order:
+    # the groups first appear in another order, and every row keeps its y
+    rows = [(f"g{a}", rng.normal(size=m), float(rng.random() + 0.05), float(rng.random()))
+            for a in range(4) for _ in range(int(rng.integers(2, 6)))]
+    d = moved = dataset_from_rows(rows)
+    ap = build(d)
+    while moved.labels == d.labels:
+        slots = [rows[i][0] for i in rng.permutation(len(rows))]
+        queues = {g: iter([i for i, r in enumerate(rows) if r[0] == g]) for g in d.labels}
+        order = [next(queues[g]) for g in slots]
+        moved = dataset_from_rows([rows[i] for i in order])
+    assert np.array_equal(transform(ap, moved).y, transform(ap, d).y[order])
+    assert verify(ap, moved).passed
 
 
 def _law(points, masses):

@@ -13,6 +13,7 @@ import otrepair
 from otrepair import cli
 from otrepair.cli import main
 from otrepair.errors import CsvParseError, OtRepairError
+from otrepair.measure import Dataset
 
 HAND_CSV = "group,x\ng1,0\ng1,2\ng2,1\ng2,3\n"
 
@@ -457,6 +458,32 @@ def test_approx_rejects_non_finite_input(tmp_path, capsys, flags, text, bad):
     code = main(["approx", "--input", inp, "--report", str(tmp_path / "r.json"), *flags])
     assert code == 3
     assert f"non-finite value {bad}\n" in capsys.readouterr().err
+
+
+def test_approx_rejects_weights_that_underflow(tmp_path, capsys):
+    inp = write(tmp_path / "d.csv", "group,x,w\nb,1,1e300\na,0,1e-320\na,2,1e-320\n")
+    rep = tmp_path / "r.json"
+    assert main(["approx", "--input", inp, "--weight-col", "w", "--report", str(rep)]) == 3
+    err = capsys.readouterr().err
+    assert "weight 1e-320 of a row of group 'a' underflows to 0" in err
+    assert "Warning" not in err and not rep.exists()
+
+
+def test_approx_takes_every_group_from_one_grouped_pass(tmp_path, monkeypatch):
+    # 300 groups: the estimate, the row matching and the samples read the
+    # dataset's grouping once, with no lookup of a group's rows by label
+    rng = np.random.default_rng(3)
+    lines = ["group,x"] + [f"g{a},{x!r}" for a, x in zip(rng.integers(0, 300, 1500),
+                                                         rng.normal(size=1500).tolist())]
+    inp = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    calls = []
+    group_rows = Dataset.group_rows
+    monkeypatch.setattr(Dataset, "group_rows",
+                        lambda self, label: calls.append(label) or group_rows(self, label))
+    assert main(["approx", "--input", inp, "--report", str(tmp_path / "r.json"),
+                 "--samples", str(tmp_path / "s.csv"), "--seed", "1"]) == 0
+    assert not load(tmp_path / "r.json")["checks_failed"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("flags, text", [

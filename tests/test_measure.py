@@ -208,6 +208,14 @@ def test_dataset_weight_rules():
         dataset_from_rows([("a", 0.0, -1.0)])
 
 
+def test_dataset_rejects_weights_that_underflow_on_normalization():
+    # every weight is positive, but 1e-320 / 1e300 rounds to 0
+    rows = [("b", 1.0, 1e300), ("a", 0.0, 1e-320), ("a", 2.0, 1e-320)]
+    with pytest.raises(NegativeWeightError, match="weight 1e-320 of a row of group 'a' "
+                                                  "underflows to 0"):
+        dataset_from_rows(rows)
+
+
 def test_dataset_group_rows_order():
     d = dataset_from_rows(
         [("b", 5.0, 1.0), ("a", 1.0, 1.0), ("b", 7.0, 1.0), ("a", 2.0, 1.0)]

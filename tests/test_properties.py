@@ -1,5 +1,5 @@
-"""Property tests for ``build`` in 1-D and 2-D and for the CLI's JSON
-emitter.
+"""Property tests for ``build`` in 1-D and 2-D, for the conditional
+family's flat layout and for the CLI's JSON emitter.
 
 The examples come from hypothesis with a fixed derivation
 (``derandomize=True``), so every run checks the same datasets.  In 2-D
@@ -10,10 +10,11 @@ HiGHS's 1e-7 relative tolerance.
 import numpy as np
 import pytest
 
-from otrepair.approx import build, transform
+from otrepair.approx import build, estimate_conditionals, transform
+from otrepair.barycenter import _solvable_family
 from otrepair.cli import _emit_json
 from otrepair.diagnostics import verify
-from otrepair.measure import Dataset, make_measure
+from otrepair.measure import Dataset, family, make_measure
 from otrepair.ot import comonotone_staircases, solve_comonotone_1d
 
 from conftest import reference_emit_json
@@ -161,10 +162,12 @@ def test_batched_staircase_is_each_pair_alone(atoms, target):
     # one-pair solve, bit for bit
     laws = [measure(points) for points in atoms]
     nu = measure(target)
-    batch = comonotone_staircases(laws, nu)
+    starts = np.cumsum([0] + [mu.n for mu in laws])
+    batch = comonotone_staircases(np.concatenate([mu.support for mu in laws]),
+                                  np.concatenate([mu.weights for mu in laws]), starts, nu)
     for a, mu in enumerate(laws):
         alone = solve_comonotone_1d(mu, nu)
-        rows = slice(*batch.starts[a:a + 2])
+        rows = slice(*starts[a:a + 2])
         arcs = slice(*batch.arc_starts[a:a + 2])
         assert arcs.stop - arcs.start == mu.n + nu.n - 1
         plan = np.zeros((mu.n, nu.n))
@@ -173,6 +176,35 @@ def test_batched_staircase_is_each_pair_alone(atoms, target):
         assert batch.costs[a] == alone.cost
         assert np.array_equal(batch.u[rows], alone.potentials[0])
         assert np.array_equal(batch.v[a], alone.potentials[1])
+
+
+def assert_flat_layout(fam):
+    # the layout holds the per-atom concatenation, bit for bit, read-only
+    atoms = fam.atoms
+    assert fam.labels == tuple(a.label for a in atoms)
+    assert fam.starts.tolist() == np.cumsum([0] + [a.law.n for a in atoms]).tolist()
+    for flat, parts in ((fam.probabilities, [np.array([a.p for a in atoms])]),
+                        (fam.support, [a.law.support for a in atoms]),
+                        (fam.weights, [a.law.weights for a in atoms])):
+        whole = np.concatenate(parts)
+        assert flat.shape == whole.shape and flat.tobytes() == whole.tobytes()
+        assert not flat.flags.writeable
+
+
+@PROPERTY
+@given(atoms=st.lists(POINTS, min_size=1, max_size=5), rows=ROWS, rows_2d=ROWS_2D,
+       p=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
+def test_family_layout_is_the_per_atom_concatenation(atoms, rows, rows_2d, p):
+    p = np.array(p[:len(atoms)]) / sum(p[:len(atoms)]) * (1.0 - 1e-13)
+    by_hand = family([(f"a{i}", p_a, measure(points))
+                      for i, (p_a, points) in enumerate(zip(p.tolist(), atoms))]
+                     + [("light", 1e-13, measure(atoms[0]))])
+    with pytest.warns(UserWarning, match="negligible"):
+        kept = _solvable_family(by_hand)
+    assert kept.labels == by_hand.labels[:-1]
+    for fam in (by_hand, kept, estimate_conditionals(dataset(rows)),
+                estimate_conditionals(dataset(rows_2d))):
+        assert_flat_layout(fam)
 
 
 # strings with JSON's escapes, control characters, non-ASCII text and
