@@ -168,8 +168,9 @@ def dirac(point) -> DiscreteMeasure:
 
 
 def mean(mu: DiscreteMeasure) -> np.ndarray:
-    """Barycentric mean of the measure, an m-vector."""
-    return mu.weights @ mu.support
+    """Barycentric mean of the measure, an m-vector, added point by point in
+    one fixed order: no BLAS call, whose order moves with its thread count."""
+    return np.add.reduce(mu.weights[:, None] * mu.support, axis=0)
 
 
 def coalesce(mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -363,7 +364,7 @@ class Dataset:
         return self._grouping
 
     def mean_x(self) -> np.ndarray:
-        return self.weights @ self.x
+        return mean(DiscreteMeasure._of_checked(self.x, self.weights))
 
 
 def dataset_from_rows(rows: Sequence[tuple]) -> Dataset:

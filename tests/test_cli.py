@@ -438,6 +438,31 @@ def test_approx_2d_is_byte_identical_across_processes(tmp_path):
     assert not load(tmp_path / "r1.json")["checks_failed"]
 
 
+def test_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # 2,000 groups, 11,331 rows: OpenBLAS splits a product this long over
+    # two threads, which changes the order of its sums; the means add in
+    # one fixed order, so the report and samples keep their bytes
+    rng = np.random.default_rng(1)
+    sizes = [(4, 5, 8)[g % 3] for g in range(2000)]
+    x = np.repeat(0.5 * (np.arange(2000) % 7 - 3), sizes) + rng.normal(size=sum(sizes))
+    lines = ["group,x"] + [f"g{g:04d},{v!r}" for g, v in zip(np.repeat(range(2000), sizes),
+                                                             x.tolist())]
+    inp = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    package_root = str(Path(otrepair.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    blobs = []
+    for threads in ("1", "2"):
+        rep, smp = tmp_path / f"r{threads}.json", tmp_path / f"s{threads}.csv"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "otrepair", "approx", "--input", inp, "--report", str(rep),
+             "--samples", str(smp), "--seed", "1"], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((rep.read_bytes(), smp.read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
 def test_help_documents_exit_codes():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
