@@ -87,9 +87,9 @@ def verify(approx: IndependentApproximation, data: Dataset) -> Report:
     are the family's flat arrays, whose rows the disintegration's follow.
     The c-transforms of all atoms are taken together over blocks of rows,
     each with at most 2^13 cost entries (or one row): a block's minima
-    are reduced per atom with ``np.minimum.reduceat`` and merged into the atoms'
-    running minima.  The reconstructed column marginals are summed over
-    the stored arcs with one ``np.bincount``.  Raises
+    are reduced per atom with ``np.minimum.reduceat`` and merged into the
+    atoms' running minima.  The reconstructed column marginals are summed
+    over the stored arcs with one ``np.bincount``.  Raises
     DatasetMismatchError unless ``data`` passes :func:`match_rows`.
     """
     match_rows(approx, data)
