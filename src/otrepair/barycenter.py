@@ -153,7 +153,7 @@ def solve_barycenter(
     method = _resolve_method(method, family.dim)
     family = _solvable_family(family)
     if ((method == "quantile1d" or (method == "exact" and support is None))
-            and all(a.law.n == 1 for a in family.atoms)):
+            and len(family.weights) == len(family)):
         point = sum(a.p * a.law.support[0] for a in family.atoms)
         return BarycenterResult(dirac(point), "dirac_closed_form", 0, True)
     if method == "quantile1d":
