@@ -36,14 +36,7 @@ from .errors import (
     UnseenValueError,
     UOutOfRangeError,
 )
-from .measure import (
-    ConditionalAtom,
-    ConditionalFamily,
-    Dataset,
-    DiscreteMeasure,
-    _freeze,
-    mean,
-)
+from .measure import ConditionalFamily, Dataset, DiscreteMeasure, mean
 from .ot import (
     _search_segments,
     _segment_cumsum,
@@ -67,18 +60,15 @@ __all__ = [
 
 
 def estimate_conditionals(data: Dataset) -> ConditionalFamily:
-    """Group-by estimate of the conditional laws of x.
+    """Group-by estimate of the conditional laws of x, in one pass over
+    the rows grouped by label.
 
     Atom probabilities are the groups' total weights; each conditional
     law keeps its rows in dataset order (duplicates included), so the
-    i-th row of a group is the i-th support point of its atom.
-
-    All groups are estimated in one pass over the rows grouped by label.
-    The dataset's checks (finite x, weights still positive once
-    normalized) are the laws' checks, so each law is taken unchecked as a
-    read-only slice of the flat arrays.  It holds the same floats as
-    ``DiscreteMeasure(data.x[rows], w / p)`` of its group's rows, since
-    the segmented sums equal each group's own ``sum()``.
+    i-th row of a group is the i-th support point of its atom.  The flat
+    arrays become the family's layout as they are, each law holding the
+    same floats as ``DiscreteMeasure(data.x[rows], w / p)`` of its
+    group's rows, since the segmented sums equal each group's ``sum()``.
     """
     rows, indptr = data.grouped_rows()
     sizes = np.diff(indptr)
@@ -87,14 +77,7 @@ def estimate_conditionals(data: Dataset) -> ConditionalFamily:
     p = _segment_sum(w, indptr)
     w /= np.repeat(p, sizes)
     totals = _segment_sum(w, indptr)
-    bounds = indptr.tolist()
-    x, w = _freeze(x), _freeze(w / np.repeat(totals, sizes))
-    # a tuple from a list: one from an iterator of unknown length grows by
-    # resizing, and repeated builds then grew the resident memory (CPython 3.11)
-    return ConditionalFamily(tuple([
-        ConditionalAtom(label, p_a, DiscreteMeasure._of_checked(x[lo:hi], w[lo:hi]))
-        for label, p_a, lo, hi in zip(data.labels, p.tolist(), bounds, bounds[1:])
-    ]))
+    return ConditionalFamily(data.labels, p, indptr, x, w / np.repeat(totals, sizes))
 
 
 def _total(family: ConditionalFamily, costs: np.ndarray) -> float:

@@ -38,7 +38,6 @@ from .errors import (
     SupportDimensionMismatchError,
 )
 from .measure import (
-    ConditionalAtom,
     ConditionalFamily,
     DiscreteMeasure,
     _finite,
@@ -95,19 +94,18 @@ NEGLIGIBLE_ATOM = 1e-12
 
 
 def _solvable_family(family: ConditionalFamily) -> ConditionalFamily:
-    kept = [a for a in family.atoms if a.p >= NEGLIGIBLE_ATOM]
-    if len(kept) == len(family.atoms):
+    light = family.probabilities < NEGLIGIBLE_ATOM
+    if not light.any():
         return family
-    dropped = [a.label for a in family.atoms if a.p < NEGLIGIBLE_ATOM]
-    warnings.warn(
-        f"dropping {len(dropped)} negligible atom(s) {dropped} "
-        f"(probability below {NEGLIGIBLE_ATOM})",
-        stacklevel=3,
-    )
-    total = sum(a.p for a in kept)
+    dropped = [label for label, drop in zip(family.labels, light.tolist()) if drop]
+    warnings.warn(f"dropping {len(dropped)} negligible atom(s) {dropped} "
+                  f"(probability below {NEGLIGIBLE_ATOM})", stacklevel=3)
+    keep, sizes = ~light, np.diff(family.starts)
+    rows, p = np.repeat(keep, sizes), family.probabilities[keep]
     return ConditionalFamily(
-        tuple(ConditionalAtom(a.label, a.p / total, a.law) for a in kept)
-    )
+        tuple(label for label in family.labels if label not in dropped),
+        p / sum(p.tolist()), np.cumsum([0, *sizes[keep].tolist()]),
+        family.support[rows], family.weights[rows])
 
 
 def default_support(family: ConditionalFamily) -> np.ndarray:
@@ -154,7 +152,7 @@ def solve_barycenter(
     family = _solvable_family(family)
     if ((method == "quantile1d" or (method == "exact" and support is None))
             and len(family.weights) == len(family)):
-        point = sum(a.p * a.law.support[0] for a in family.atoms)
+        point = sum(p * x for p, x in zip(family.probabilities.tolist(), family.support))
         return BarycenterResult(dirac(point), "dirac_closed_form", 0, True)
     if method == "quantile1d":
         if resolution is None:
@@ -192,25 +190,25 @@ def _check_support(family: ConditionalFamily, support) -> np.ndarray:
     return S
 
 
-def _assemble_joint_lp(family: ConditionalFamily, costs: list):
-    """Joint LP on the atoms' cost matrices to the grid: transport
-    variables per atom plus shared grid weights.
-
-    Variable layout: [gamma^1 row-major, ..., gamma^A row-major, w].
-    Constraints: per-atom row sums fixed to the atom's weights, per-atom
-    column sums tied to w, and sum(w) = 1.  Returns (c, A as CSR, b).
+def _assemble_joint_lp(family: ConditionalFamily, C: np.ndarray):
+    """Joint LP on the cost matrix ``C`` of the family's flat support to
+    the grid: variables [gamma row-major, w], one plan over all the rows,
+    atom a's being rows ``starts[a]:starts[a + 1]`` at cost p_a C, and the
+    grid weights.  Constraints: row sums fixed to the family's weights,
+    each atom's column sums tied to w, and sum(w) = 1.  Returns (c, A as
+    CSR, b).
     """
-    K = costs[0].shape[1]
-    atoms = family.atoms
-    c = np.concatenate([(a.p * C).ravel() for a, C in zip(atoms, costs)] + [np.zeros(K)])
-    row_sums, col_sums = zip(*(_marginal_blocks(n, K) for n in np.diff(family.starts).tolist()))
-    A = sparse.bmat([
-        [sparse.block_diag(row_sums), None],
-        [sparse.block_diag(col_sums), -sparse.vstack([sparse.eye(K)] * len(atoms))],
+    (N, K), A = C.shape, len(family)
+    sizes = np.diff(family.starts)
+    c = np.concatenate([(np.repeat(family.probabilities, sizes)[:, None] * C).ravel(),
+                        np.zeros(K)])
+    row_sums, col_sums = _marginal_blocks(sizes, K)
+    lp = sparse.bmat([
+        [row_sums, None],
+        [col_sums, -sparse.vstack([sparse.eye(K)] * A)],
         [None, np.ones((1, K))],
     ], format="csr")
-    b = np.concatenate([family.weights, np.zeros(len(atoms) * K), [1.0]])
-    return c, A, b
+    return c, lp, np.concatenate([family.weights, np.zeros(A * K), [1.0]])
 
 
 def fixed_support_weights(
@@ -219,34 +217,32 @@ def fixed_support_weights(
 ) -> tuple[DiscreteMeasure, int, dict]:
     """Globally optimal weights on a fixed grid via one joint LP.
 
-    The LP is solved by SciPy's HiGHS interior point method with
-    crossover, which is deterministic and ends at a vertex.  Its solution
-    holds, for every atom a, an optimal coupling of a's law with the grid
-    weights w (Anderson, Borgwardt & Miller, "Discrete Wasserstein
-    barycenters", MMOR 2016): the plan is a's slice of the LP's x,
-    clipped at 0, and its potentials are a's row-sum and column-sum
-    duals divided by the p_a the LP used (after negligible atoms are
-    dropped), so that u_i + v_j <= |x_i - s_j|^2 with equality on the
-    plan's arcs.  Returns (measure, LP iterations, couplings), where the
-    iterations are those SciPy reports (interior point iterations, or
-    the simplex clean-up's when HiGHS needs one after crossover) and
-    ``couplings`` maps each kept atom's label to its
+    The LP of :func:`_assemble_joint_lp` is solved by SciPy's HiGHS
+    interior point method with crossover, which is deterministic and
+    ends at a vertex.  Its solution holds, for every atom a, an optimal
+    coupling of a's law with the grid weights w (Anderson, Borgwardt &
+    Miller, "Discrete Wasserstein barycenters", MMOR 2016): the plan is
+    a's rows of the LP's x, clipped at 0 and costed on a's rows of the
+    cost matrix, and its potentials are a's row-sum and column-sum duals
+    divided by the p_a the LP used (after negligible atoms are dropped),
+    so that u_i + v_j <= |x_i - s_j|^2 with equality on the plan's arcs.
+    Returns (measure, LP iterations as SciPy reports them, couplings),
+    ``couplings`` mapping each kept atom's label to its
     :class:`otrepair.ot.OtSolution`.
     """
     family = _solvable_family(family)
     S = _check_support(family, support)
-    costs = [cost_matrix(a.law.support, S) for a in family.atoms]
-    x, duals, nit = _solve_lp(*_assemble_joint_lp(family, costs), "highs-ipm", "joint")
+    C = cost_matrix(family.support, S)
+    x, duals, nit = _solve_lp(*_assemble_joint_lp(family, C), "highs-ipm", "joint")
     K = S.shape[0]
     w = np.maximum(x[-K:], 0.0)
     nu0 = DiscreteMeasure(S, w / w.sum())
-    ends = family.starts[1:]
-    # x and the duals run per atom: plans, then row sums, then column sums
-    plans = np.split(x[:-K], ends[:-1] * K)
-    us = np.split(duals[:ends[-1]], ends[:-1])
-    vs = duals[ends[-1]:-1].reshape(-1, K)
-    return nu0, nit, {a.label: _lp_solution(a.law, nu0, C, g, (u / a.p, v / a.p), nit)
-                      for a, C, g, u, v in zip(family.atoms, costs, plans, us, vs)}
+    b = family.starts.tolist()
+    # x holds the plan's rows, then w; the duals the row sums, then K column sums per atom
+    return nu0, nit, {a.label: _lp_solution(a.law, nu0, C[lo:hi], x[lo * K:hi * K],
+                                            (duals[lo:hi] / a.p, v / a.p), nit)
+                      for a, lo, hi, v in zip(family.atoms, b, b[1:],
+                                              duals[b[-1]:-1].reshape(-1, K))}
 
 
 # ---------------------------------------------------------------------------

@@ -227,10 +227,9 @@ def cmd_approx(args) -> int:
         "config": config,
         "n_rows": data.n_rows,
         "dimension": data.dim,
-        "atoms": [
-            {"label": str(a.label), "p": a.p, "size": a.law.n}
-            for a in ap.family.atoms
-        ],
+        "atoms": [{"label": str(label), "p": p, "size": n} for label, p, n in zip(
+            ap.family.labels, ap.family.probabilities.tolist(),
+            np.diff(ap.family.starts).tolist())],
         "method": ap.method,
         "nu0": _nu0_payload(ap.nu0),
         "objective": report.objective,

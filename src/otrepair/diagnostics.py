@@ -155,10 +155,11 @@ def verify(approx: IndependentApproximation, data: Dataset) -> Report:
 
 
 def empirical_distance(output: SampledOutput) -> float:
-    """Weighted mean of |x - y|^2 over the output rows."""
+    """Weighted mean of |x - y|^2 over the output rows, added in one
+    fixed order (a BLAS dot's order moves with its thread count)."""
     d = output.x - output.y
     sq = np.einsum("ij,ij->i", d, d)
-    return float(output.weights @ sq / output.weights.sum())
+    return float(np.add.reduce(output.weights * sq) / output.weights.sum())
 
 
 def independence_tv(output: SampledOutput, nu0: DiscreteMeasure) -> dict:

@@ -78,10 +78,10 @@ class DiscreteMeasure:
         they are renormalized to sum exactly 1.  Use :func:`make_measure`
         for inputs on an arbitrary scale.
 
-    The constructor checks and freezes its inputs.  A family of laws cut
-    from one flat array (:func:`otrepair.approx.estimate_conditionals`)
-    is checked once over the flat arrays instead, and each law wraps its
-    read-only slices through :meth:`_of_checked`.
+    The constructor checks and freezes its inputs.  The laws of a
+    :class:`ConditionalFamily` are checked once over its flat arrays
+    instead, and each wraps its read-only slices through
+    :meth:`_of_checked`.
     """
 
     support: np.ndarray
@@ -106,10 +106,10 @@ class DiscreteMeasure:
 
     @classmethod
     def _of_checked(cls, support: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
-        """The measure of arrays that already are what the constructor
-        makes of its inputs (a read-only (n, m) float support without -0.0
-        and read-only finite weights >= 0 that were divided by their sum),
-        taken as they are, unchecked."""
+        """The measure of arrays that already passed the checks of the
+        constructor or of :class:`ConditionalFamily` (a read-only finite
+        (n, m) float support and read-only finite weights >= 0 summing to
+        1), taken as they are: not checked, copied or divided again."""
         mu = object.__new__(cls)
         object.__setattr__(mu, "support", support)
         object.__setattr__(mu, "weights", weights)
@@ -204,70 +204,87 @@ class ConditionalAtom:
 
 @dataclass(frozen=True, eq=False)
 class ConditionalFamily:
-    """The conditional laws of X given each atom of the grouping.
-
-    Atom probabilities must be strictly positive and sum to 1 within
-    1e-9; all conditional laws share one dimension.  The weighted
-    mixture of the atoms reproduces the marginal law of X (this is a
-    property of :func:`otrepair.approx.estimate_conditionals`, not a
-    constructor check, since families can also be built by hand).
-
-    The constructor lays the family out flat once, for every stage to
-    read: ``labels``, ``probabilities``, and the laws' ``support`` and
-    conditional ``weights`` atom by atom, atom a owning rows
-    ``starts[a]:starts[a + 1]`` (read-only, the atoms' own floats).
+    """The conditional laws of X given each atom of the grouping, laid out
+    flat for every stage to read: atom a is ``labels[a]`` with probability
+    ``probabilities[a]`` and law ``support[starts[a]:starts[a + 1]]``
+    with the conditional ``weights`` there.  The constructor checks the
+    layout once: at least one atom, distinct labels, finite probabilities
+    > 0 summing to 1 within 1e-9, ``starts`` running from 0 to
+    ``len(support)`` with no empty atom, a finite (n, m) support, and
+    finite weights >= 0 summing to 1 within 1e-9 per atom.  It divides
+    nothing; C-contiguous float arrays become the family's, read-only.
     """
 
-    atoms: tuple[ConditionalAtom, ...]
-    labels: tuple = field(init=False, repr=False)
-    probabilities: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
-    support: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    labels: tuple
+    probabilities: np.ndarray
+    starts: np.ndarray
+    support: np.ndarray
+    weights: np.ndarray
+    _atoms: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
+        labels = tuple(self.labels)
+        probs = _finite("atom probabilities", self.probabilities)
+        pts, w = _finite("support", self.support), _finite("weights", self.weights)
+        starts = np.asarray(self.starts)
+        bounds = starts.tolist()
+        if not labels:
             raise EmptyDatasetError("a conditional family needs at least one atom")
-        probs = np.array([a.p for a in atoms], dtype=float)
+        if len(set(labels)) != len(labels):
+            raise DimensionMismatchError("atom labels must be distinct")
+        if (probs.shape != (len(labels),) or pts.ndim != 2 or w.shape != pts.shape[:1]
+                or starts.dtype.kind not in "iu" or starts.shape != (len(labels) + 1,)
+                or bounds[0] != 0 or bounds[-1] != len(w)):
+            raise DimensionMismatchError(f"probabilities {probs.shape}, support {pts.shape}, "
+                                         f"weights {w.shape} and starts {bounds} are no layout")
         if np.any(probs <= 0.0):
             raise NegativeWeightError("atom probabilities must be strictly positive")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise WeightSumError(f"atom probabilities sum to {total!r}, not 1")
-        dims = {a.law.dim for a in atoms}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"atoms have mixed dimensions {sorted(dims)}")
-        labels = tuple([a.label for a in atoms])
-        if len(set(labels)) != len(labels):
-            raise DimensionMismatchError("atom labels must be distinct")
-        object.__setattr__(self, "atoms", atoms)
+        sizes = np.diff(starts).tolist()
+        if min(sizes) < 1:
+            raise EmptySupportError(f"atom {labels[sizes.index(min(sizes))]!r} has no points")
+        if np.any(w < 0.0):
+            raise NegativeWeightError("weights must be nonnegative")
+        error = np.abs(np.add.reduceat(w, starts[:-1]) - 1.0)
+        if np.max(error) > 1e-9:
+            raise WeightSumError(f"atom {labels[np.argmax(error)]!r}'s weights do not sum to 1")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probabilities", _freeze(probs))
-        object.__setattr__(self, "starts", _freeze(np.cumsum([0] + [a.law.n for a in atoms])))
-        object.__setattr__(self, "support", _freeze(np.concatenate([a.law.support for a in atoms])))
-        object.__setattr__(self, "weights", _freeze(np.concatenate([a.law.weights for a in atoms])))
+        for name, value in (("probabilities", probs), ("starts", starts),
+                            ("support", pts), ("weights", w)):
+            object.__setattr__(self, name, _freeze(value))
+
+    @property
+    def atoms(self) -> tuple[ConditionalAtom, ...]:
+        """The atoms, each law a read-only view of its rows; built on first use."""
+        if self._atoms is None:
+            b = self.starts.tolist()
+            object.__setattr__(self, "_atoms", tuple([ConditionalAtom(
+                label, p, DiscreteMeasure._of_checked(self.support[lo:hi], self.weights[lo:hi]))
+                for label, p, lo, hi in zip(self.labels, self.probabilities.tolist(), b, b[1:])]))
+        return self._atoms
 
     @property
     def dim(self) -> int:
         return self.support.shape[1]
 
     def atom(self, label) -> ConditionalAtom:
-        for a in self.atoms:
-            if a.label == label:
-                return a
-        raise KeyError(label)
+        return dict(zip(self.labels, self.atoms))[label]
 
     def __len__(self) -> int:
-        return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
+        return len(self.labels)
 
 
 def family(atoms: Iterable[tuple[Hashable, float, DiscreteMeasure]]) -> ConditionalFamily:
-    """Shorthand constructor from (label, probability, measure) triples."""
-    return ConditionalFamily(tuple(ConditionalAtom(l, float(p), m) for l, p, m in atoms))
+    """The family of (label, probability, measure) triples: the measures'
+    points and weights concatenated in order, their floats kept."""
+    labels, probs, laws = list(zip(*atoms)) or [(), (), ()]
+    if len({mu.dim for mu in laws}) > 1:
+        raise DimensionMismatchError(f"atoms have mixed dimensions {[mu.dim for mu in laws]}")
+    return ConditionalFamily(labels, probs, np.cumsum([0] + [mu.n for mu in laws]),
+                             np.concatenate([mu.support for mu in laws] or [np.empty((0, 1))]),
+                             np.concatenate([mu.weights for mu in laws] or [np.empty(0)]))
 
 
 def mixture(fam: ConditionalFamily) -> DiscreteMeasure:

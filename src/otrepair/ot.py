@@ -152,13 +152,16 @@ _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
 
 
-def _marginal_blocks(n: int, k: int):
-    """Row-sum and column-sum constraint blocks (COO) of an n x k plan
-    stored row-major."""
-    cells = np.arange(n * k)
-    ones = np.ones(n * k)
+def _marginal_blocks(sizes: np.ndarray, k: int):
+    """Row-sum and column-sum constraint blocks (COO) of one n x k plan
+    per entry n of ``sizes``, stored row-major one after another: a row
+    per plan row, then k column rows per plan."""
+    n = int(sizes.sum())
+    cells, ones = np.arange(n * k), np.ones(n * k)
+    owner = np.repeat(np.arange(len(sizes)), sizes * k)
     return (sparse.coo_matrix((ones, (cells // k, cells)), shape=(n, n * k)),
-            sparse.coo_matrix((ones, (cells % k, cells)), shape=(k, n * k)))
+            sparse.coo_matrix((ones, (owner * k + cells % k, cells)),
+                              shape=(len(sizes) * k, n * k)))
 
 
 def _solve_lp(c: np.ndarray, A, b: np.ndarray, method: str, name: str):
@@ -195,7 +198,7 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     C = cost_matrix(mu.support, nu.support)
     n, k = C.shape
     b = np.concatenate([mu.weights, nu.weights])
-    x, duals, nit = _solve_lp(C.ravel(), sparse.vstack(_marginal_blocks(n, k)), b,
+    x, duals, nit = _solve_lp(C.ravel(), sparse.vstack(_marginal_blocks(np.array([n]), k)), b,
                               "highs-ds", "transport")
     return _lp_solution(mu, nu, C, x, (duals[:n], duals[n:]), nit)
 

@@ -8,8 +8,6 @@ from densesimplex import solve_standard_form
 from otrepair.approx import Disintegration, build, estimate_conditionals
 from otrepair.barycenter import default_support
 from otrepair.measure import (
-    ConditionalAtom,
-    ConditionalFamily,
     Dataset,
     DiscreteMeasure,
     dataset_from_rows,
@@ -22,16 +20,17 @@ from otrepair.special_binary import is_half, solve_half, solve_nonhalf
 
 
 def reference_conditionals(data):
-    """The group-by estimate one group at a time, each law through the
-    checking :class:`DiscreteMeasure` constructor: the oracle of
+    """The group-by estimate one group at a time as (label, p, law)
+    triples, each law through the checking :class:`DiscreteMeasure`
+    constructor and none through a family: the oracle of
     ``otrepair.approx.estimate_conditionals``."""
-    atoms = []
+    triples = []
     for label in data.labels:
         rows = data.group_rows(label)
         w = data.weights[rows]
         p = float(w.sum())
-        atoms.append(ConditionalAtom(label, p, DiscreteMeasure(data.x[rows], w / p)))
-    return ConditionalFamily(tuple(atoms))
+        triples.append((label, p, DiscreteMeasure(data.x[rows], w / p)))
+    return triples
 
 
 def reference_emit_json(value) -> str:

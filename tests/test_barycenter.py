@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from otrepair.approx import lower_bound
 from otrepair.barycenter import _assemble_joint_lp, default_support, solve_barycenter
@@ -25,10 +26,32 @@ from densesimplex import solve_standard_form
 def bland_fixed_support(fam, support):
     """The joint LP solved by the dense Bland simplex oracle: (nu0, LP value)."""
     S = np.asarray(support, dtype=float).reshape(len(support), -1)
-    c, A, b = _assemble_joint_lp(fam, [cost_matrix(a.law.support, S) for a in fam.atoms])
+    c, A, b = _assemble_joint_lp(fam, cost_matrix(fam.support, S))
     out = solve_standard_form(c, A.toarray(), b)
     w = np.maximum(out.x[-len(S):], 0.0)
     return DiscreteMeasure(S, w / w.sum()), out.fun
+
+
+def block_diag_joint_lp(fam, costs):
+    """The joint LP assembled atom by atom, from each atom's cost matrix
+    and block-diagonal constraint blocks: the oracle of
+    ``_assemble_joint_lp``, which reads the family's flat layout."""
+    K = costs[0].shape[1]
+    atoms = fam.atoms
+    c = np.concatenate([(a.p * C).ravel() for a, C in zip(atoms, costs)] + [np.zeros(K)])
+    row_sums, col_sums = [], []
+    for a in atoms:
+        n = a.law.n
+        cells, ones = np.arange(n * K), np.ones(n * K)
+        row_sums.append(sparse.coo_matrix((ones, (cells // K, cells)), shape=(n, n * K)))
+        col_sums.append(sparse.coo_matrix((ones, (cells % K, cells)), shape=(K, n * K)))
+    A = sparse.bmat([
+        [sparse.block_diag(row_sums), None],
+        [sparse.block_diag(col_sums), -sparse.vstack([sparse.eye(K)] * len(atoms))],
+        [None, np.ones((1, K))],
+    ], format="csr")
+    b = np.concatenate([a.law.weights for a in atoms] + [np.zeros(len(atoms) * K), [1.0]])
+    return c, A, b
 
 
 def lp_value(fam, res):
@@ -106,7 +129,7 @@ def test_joint_lp_layout_on_a_product_plan():
     S = np.array([[0.0], [1.5], [-2.0]])
     w = np.array([0.5, 0.125, 0.375])
     sq = [(a.law.support[:, None, 0] - S[None, :, 0]) ** 2 for a in fam.atoms]
-    c, A, b = _assemble_joint_lp(fam, sq)
+    c, A, b = _assemble_joint_lp(fam, np.concatenate(sq))
     K, n = len(S), sum(mu.n for mu in mus)
     assert A.shape == (n + len(mus) * K + 1, n * K + K)
     assert A.nnz == 2 * n * K + (len(mus) + 1) * K
@@ -118,6 +141,31 @@ def test_joint_lp_layout_on_a_product_plan():
     # costs are p_a |x_i - S_j|^2, row-major per atom, and w is free
     expect = [a.p * C for a, C in zip(fam.atoms, sq)]
     assert np.array_equal(c, np.concatenate([e.ravel() for e in expect] + [np.zeros(K)]))
+
+
+def test_joint_lp_is_the_per_atom_block_assembly():
+    # c, the CSR arrays of A (with their dtypes) and b hold the bytes of the
+    # per-atom assembly, and each atom's rows of the one cost matrix are its
+    # own cost matrix, on 300 families over six decades of scale
+    rng = np.random.default_rng(15)
+    for trial in range(300):
+        m, scale = trial % 3 + 1, 10.0 ** rng.uniform(-3.0, 3.0)
+        p = rng.random(int(rng.integers(1, 7))) + 0.05
+        sizes = rng.integers(1, 12, size=len(p))
+        fam = family([(f"g{a}", p_a, make_measure(scale * rng.normal(size=(n, m)),
+                                                  rng.random(n) + 0.05))
+                      for a, (p_a, n) in enumerate(zip((p / p.sum()).tolist(), sizes))])
+        S = scale * rng.normal(size=(int(rng.integers(1, 9)), m))
+        C = cost_matrix(fam.support, S)
+        costs = [cost_matrix(a.law.support, S) for a in fam.atoms]
+        for a, lo, hi in zip(range(len(fam)), fam.starts, fam.starts[1:]):
+            assert C[lo:hi].tobytes() == costs[a].tobytes()
+        c, A, b = _assemble_joint_lp(fam, C)
+        c0, A0, b0 = block_diag_joint_lp(fam, costs)
+        assert A.shape == A0.shape
+        for flat, blocks in ((c, c0), (A.indptr, A0.indptr), (A.indices, A0.indices),
+                             (A.data, A0.data), (b, b0)):
+            assert flat.dtype == blocks.dtype and flat.tobytes() == blocks.tobytes()
 
 
 def test_fixed_support_single_atom_recovers_itself():

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import otrepair
-from otrepair import cli
+from otrepair import approx, cli
 from otrepair.cli import main
 from otrepair.errors import CsvParseError, OtRepairError
-from otrepair.measure import Dataset
+from otrepair.measure import ConditionalAtom, Dataset
 
 HAND_CSV = "group,x\ng1,0\ng1,2\ng2,1\ng2,3\n"
 
@@ -364,6 +364,32 @@ def test_diagnose_at_u_zero_and_one(tmp_path):
     assert diag["independence_tv"] == {"a": 0.0, "b": 0.0}
 
 
+def test_diagnose_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # 100,000 sample rows in 50 groups: the empirical distance adds its
+    # terms in one fixed order, so the thread count cannot move its bits
+    rng = np.random.default_rng(1)
+    n = 100_000
+    groups = rng.integers(0, 50, n)
+    x = 0.1 * groups + rng.normal(size=n)
+    y = rng.choice([-1.0, 0.0, 2.0], n)
+    lines = ["group,x,weight,u,y1"] + [
+        f"g{g},{xi!r},{w!r},{u!r},{yi!r}" for g, xi, w, u, yi in
+        zip(groups.tolist(), x.tolist(), (rng.random(n) + 0.05).tolist(),
+            rng.random(n).tolist(), y.tolist())]
+    smp = write(tmp_path / "s.csv", "\n".join(lines) + "\n")
+    rep = write(tmp_path / "r.json", json.dumps({
+        "config": {"group_col": "group", "value_cols": ["x"]},
+        "nu0": {"support": [[-1.0], [0.0], [2.0]], "weights": [0.25, 0.5, 0.25]},
+        "achieved_distance_sq": 2.0}))
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"d{threads}.json"
+        run_with_blas_threads(threads, "diagnose", "--samples", smp, "--report", rep,
+                              "--out", str(out))
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_diagnose_rejects_bad_report(tmp_path):
     rep = write(tmp_path / "r.json", "{}")
     smp = write(tmp_path / "s.csv", "group,x,weight,u,y1\ng1,0,1,0.5,1\n")
@@ -438,6 +464,18 @@ def test_approx_2d_is_byte_identical_across_processes(tmp_path):
     assert not load(tmp_path / "r1.json")["checks_failed"]
 
 
+def run_with_blas_threads(threads, *argv):
+    """``python -m otrepair *argv`` in a fresh process whose BLAS runs on
+    ``threads`` threads; fails the test unless it exits 0."""
+    package_root = str(Path(otrepair.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-m", "otrepair", *argv], capture_output=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
     # 2,000 groups, 11,331 rows: OpenBLAS splits a product this long over
     # two threads, which changes the order of its sums; the means add in
@@ -448,17 +486,11 @@ def test_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
     lines = ["group,x"] + [f"g{g:04d},{v!r}" for g, v in zip(np.repeat(range(2000), sizes),
                                                              x.tolist())]
     inp = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
-    package_root = str(Path(otrepair.__file__).resolve().parents[1])
-    path = [package_root, os.environ.get("PYTHONPATH", "")]
     blobs = []
     for threads in ("1", "2"):
         rep, smp = tmp_path / f"r{threads}.json", tmp_path / f"s{threads}.csv"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
-               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        proc = subprocess.run(
-            [sys.executable, "-m", "otrepair", "approx", "--input", inp, "--report", str(rep),
-             "--samples", str(smp), "--seed", "1"], capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
+        run_with_blas_threads(threads, "approx", "--input", inp, "--report", str(rep),
+                              "--samples", str(smp), "--seed", "1")
         blobs.append((rep.read_bytes(), smp.read_bytes()))
     assert blobs[0] == blobs[1]
 
@@ -509,6 +541,32 @@ def test_approx_takes_every_group_from_one_grouped_pass(tmp_path, monkeypatch):
                  "--samples", str(tmp_path / "s.csv"), "--seed", "1"]) == 0
     assert not load(tmp_path / "r.json")["checks_failed"]
     assert calls == []
+
+
+def test_approx_hands_the_estimate_over_flat(tmp_path, monkeypatch):
+    # 300 groups: the family takes the estimate's flat arrays as they are,
+    # and no stage of the 1-D approx path asks for its atoms one by one
+    rng = np.random.default_rng(3)
+    lines = ["group,x"] + [f"g{a},{x!r}" for a, x in zip(rng.permutation(np.arange(1500) % 300),
+                                                         rng.normal(size=1500).tolist())]
+    inp = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    atoms, families = [], []
+    init = ConditionalAtom.__init__
+    monkeypatch.setattr(ConditionalAtom, "__init__",
+                        lambda self, *args: atoms.append(args) or init(self, *args))
+    real = approx.ConditionalFamily
+
+    def spy(*args):
+        families.append((args, real(*args)))
+        return families[-1][1]
+
+    monkeypatch.setattr(approx, "ConditionalFamily", spy)
+    assert main(["approx", "--input", inp, "--report", str(tmp_path / "r.json"),
+                 "--samples", str(tmp_path / "s.csv"), "--seed", "1"]) == 0
+    assert not load(tmp_path / "r.json")["checks_failed"]
+    assert atoms == []
+    [((_, _, _, support, weights), fam)] = families
+    assert len(fam) == 300 and fam.support is support and fam.weights is weights
 
 
 @pytest.mark.parametrize("flags, text", [

@@ -3,6 +3,7 @@ import pytest
 
 from otrepair.errors import (
     DimensionMismatchError,
+    EmptyDatasetError,
     EmptySupportError,
     NegativeWeightError,
     NonFiniteValueError,
@@ -168,7 +169,42 @@ def test_coalesce_canonical_law_representation(rng):
 # --- ConditionalFamily ------------------------------------------------------
 
 def test_family_validation():
+    # one case per check of the constructor, on a layout that passes them all
+    valid = dict(labels=("a", "b"), probabilities=[0.25, 0.75], starts=[0, 1, 3],
+                 support=[[0.0], [1.0], [2.0]], weights=[1.0, 0.5, 0.5])
+    for parts, error in [
+        (dict(labels=(), probabilities=[], starts=[0], support=np.empty((0, 1)),
+              weights=[]), EmptyDatasetError),
+        (dict(labels=("a", "a")), DimensionMismatchError),
+        (dict(probabilities=[0.25, np.nan]), NonFiniteValueError),
+        (dict(probabilities=[1.25, -0.25]), NegativeWeightError),
+        (dict(probabilities=[0.25, 0.75 + 1e-8]), WeightSumError),
+        (dict(probabilities=[1.0]), DimensionMismatchError),
+        (dict(support=[[0.0], [np.inf], [2.0]]), NonFiniteValueError),
+        (dict(support=[0.0, 1.0, 2.0]), DimensionMismatchError),
+        (dict(weights=[1.0, 1.0]), DimensionMismatchError),
+        (dict(weights=[1.0, np.nan, 0.5]), NonFiniteValueError),
+        (dict(starts=[1, 2, 3]), DimensionMismatchError),
+        (dict(starts=[0, 1, 2]), DimensionMismatchError),
+        (dict(starts=[0, 3]), DimensionMismatchError),
+        (dict(starts=[0.0, 1.0, 3.0]), DimensionMismatchError),
+        (dict(starts=[0, 3, 3]), EmptySupportError),
+        (dict(weights=[1.0, 1.5, -0.5]), NegativeWeightError),
+        (dict(weights=[1.0, 0.5, 0.5 + 1e-8]), WeightSumError),
+    ]:
+        with pytest.raises(error):
+            ConditionalFamily(**{**valid, **parts})
+    # it divides nothing and takes C-contiguous float arrays as they are
+    support, weights = np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 0.5, 0.5 + 1e-10])
+    fam = ConditionalFamily(**{**valid, "support": support, "weights": weights})
+    assert fam.support is support and fam.weights is weights
+    assert fam.weights[2] == 0.5 + 1e-10 and not support.flags.writeable
+    assert len(fam) == 2 and fam.atom("b").law.weights.tolist() == [0.5, 0.5 + 1e-10]
+    with pytest.raises(KeyError):
+        fam.atom("c")
     mu = dirac([0.0])
+    with pytest.raises(EmptyDatasetError):
+        family([])
     with pytest.raises(WeightSumError):
         family([("a", 0.6, mu), ("b", 0.6, mu)])
     with pytest.raises(NegativeWeightError):

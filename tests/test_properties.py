@@ -17,7 +17,7 @@ from otrepair.diagnostics import verify
 from otrepair.measure import Dataset, family, make_measure
 from otrepair.ot import comonotone_staircases, solve_comonotone_1d
 
-from conftest import reference_emit_json
+from conftest import reference_conditionals, reference_emit_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -178,17 +178,22 @@ def test_batched_staircase_is_each_pair_alone(atoms, target):
         assert np.array_equal(batch.v[a], alone.potentials[1])
 
 
-def assert_flat_layout(fam):
-    # the layout holds the per-atom concatenation, bit for bit, read-only
-    atoms = fam.atoms
-    assert fam.labels == tuple(a.label for a in atoms)
-    assert fam.starts.tolist() == np.cumsum([0] + [a.law.n for a in atoms]).tolist()
-    for flat, parts in ((fam.probabilities, [np.array([a.p for a in atoms])]),
-                        (fam.support, [a.law.support for a in atoms]),
-                        (fam.weights, [a.law.weights for a in atoms])):
+def assert_flat_layout(fam, triples):
+    # the layout holds the (label, p, law) triples concatenated bit for bit,
+    # read-only, and the atoms view reads the same floats back
+    labels, probs, laws = zip(*triples)
+    assert fam.labels == labels
+    assert fam.starts.tolist() == np.cumsum([0] + [mu.n for mu in laws]).tolist()
+    for flat, parts in ((fam.probabilities, [np.array(probs)]),
+                        (fam.support, [mu.support for mu in laws]),
+                        (fam.weights, [mu.weights for mu in laws])):
         whole = np.concatenate(parts)
         assert flat.shape == whole.shape and flat.tobytes() == whole.tobytes()
         assert not flat.flags.writeable
+    for a, label, p, mu in zip(fam.atoms, labels, probs, laws):
+        assert a.label == label and a.p == p
+        assert a.law.support.tobytes() == mu.support.tobytes()
+        assert a.law.weights.tobytes() == mu.weights.tobytes()
 
 
 @PROPERTY
@@ -196,15 +201,17 @@ def assert_flat_layout(fam):
        p=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
 def test_family_layout_is_the_per_atom_concatenation(atoms, rows, rows_2d, p):
     p = np.array(p[:len(atoms)]) / sum(p[:len(atoms)]) * (1.0 - 1e-13)
-    by_hand = family([(f"a{i}", p_a, measure(points))
-                      for i, (p_a, points) in enumerate(zip(p.tolist(), atoms))]
-                     + [("light", 1e-13, measure(atoms[0]))])
+    triples = [(f"a{i}", p_a, measure(points))
+               for i, (p_a, points) in enumerate(zip(p.tolist(), atoms))]
+    light = ("light", 1e-13, measure(atoms[0]))
+    by_hand = family(triples + [light])
     with pytest.warns(UserWarning, match="negligible"):
         kept = _solvable_family(by_hand)
-    assert kept.labels == by_hand.labels[:-1]
-    for fam in (by_hand, kept, estimate_conditionals(dataset(rows)),
-                estimate_conditionals(dataset(rows_2d))):
-        assert_flat_layout(fam)
+    total = sum(p_a for _, p_a, _ in triples)
+    assert_flat_layout(by_hand, triples + [light])
+    assert_flat_layout(kept, [(label, p_a / total, mu) for label, p_a, mu in triples])
+    for r in (rows, rows_2d):
+        assert_flat_layout(estimate_conditionals(dataset(r)), reference_conditionals(dataset(r)))
 
 
 # strings with JSON's escapes, control characters, non-ASCII text and
