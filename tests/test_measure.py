@@ -11,7 +11,6 @@ from otrepair.errors import (
     WeightSumError,
 )
 from otrepair.measure import (
-    ConditionalAtom,
     ConditionalFamily,
     Dataset,
     DiscreteMeasure,
