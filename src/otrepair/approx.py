@@ -37,13 +37,7 @@ from .errors import (
     UOutOfRangeError,
 )
 from .measure import ConditionalFamily, Dataset, DiscreteMeasure, mean
-from .ot import (
-    _search_segments,
-    _segment_cumsum,
-    _segment_sum,
-    comonotone_staircases,
-    optimal_coupling,
-)
+from .ot import _family_couplings, _search_segments, _segment_cumsum, _segment_sum
 
 __all__ = [
     "Disintegration",
@@ -90,38 +84,12 @@ def lower_bound(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
 
     No variable with law nu that is independent of the grouping can be
     closer to x in squared L2 than this value; the pipeline's construction
-    attains it.  In 1-D the distances are the costs of
-    :func:`otrepair.ot.comonotone_staircases`, the couplings :func:`build`
-    uses, so the two agree bit for bit; otherwise each is the cost of
-    :func:`otrepair.ot.optimal_coupling`.  :func:`build` on the
-    fixed-support LP route keeps the LP's own plans, which are optimal
-    too but may be other vertices.
+    attains it.  Its costs are :func:`otrepair.ot._family_couplings`',
+    as in :func:`build` unless that keeps the joint LP's plans, which are
+    optimal too but may be other vertices.
     """
-    if family.dim == 1:
-        costs = np.concatenate([st.costs for st in _staircases(family, nu)])
-    else:
-        costs = np.array([optimal_coupling(a.law, nu).cost for a in family.atoms])
-    return _total(family, costs)
-
-
-# the 1-D couplings are formed for batches of consecutive atoms with
-# about this many staircase arcs each, which bounds the flat arrays
-_BATCH_ARCS = 1 << 14
-
-
-def _staircases(family: ConditionalFamily, nu: DiscreteMeasure):
-    """:func:`otrepair.ot.comonotone_staircases` of the family's atoms to
-    nu, one :class:`otrepair.ot.Staircase` per batch of atoms, each a
-    slice of the family's flat arrays; a batch starts where the arcs
-    before it pass a multiple of ``_BATCH_ARCS``.  Every float is the one
-    of the atom coupled alone."""
-    starts = family.starts
-    arcs = starts + np.arange(len(starts)) * (nu.n - 1)
-    cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
-    for lo, hi in zip([0, *cuts], [*cuts, len(family)]):
-        s, e = starts[lo], starts[hi]
-        yield comonotone_staircases(family.support[s:e], family.weights[s:e],
-                                    starts[lo:hi + 1] - s, nu)
+    batches = _family_couplings(family.support, family.weights, family.starts, nu)
+    return _total(family, np.concatenate([costs for *_, costs in batches]))
 
 
 def _support_order(nu0: DiscreteMeasure) -> np.ndarray:
@@ -208,13 +176,11 @@ class IndependentApproximation:
 
     ``achieved_distance_sq`` is the p-weighted sum of the costs of the
     per-atom optimal couplings to nu0, summed in atom order.  It equals
-    ``lower_bound(family, nu0)`` exactly when the build coupled every
-    atom as ``lower_bound`` does, as it always does in 1-D without the
-    fixed-support LP.  With the fixed-support LP's own couplings (the
-    m >= 2 default) it agrees to rounding, since ``lower_bound`` may land
-    on another optimal plan: within 1e-12 relative in the tests, and
-    ``verify`` certifies it.  ``mean_y`` equals ``mean_x`` by
-    construction of nu0.
+    ``lower_bound(family, nu0)`` exactly unless the build kept the joint
+    LP's couplings (the m >= 2 default); then it agrees to rounding, as
+    ``lower_bound`` may land on another optimal plan (within 1e-12
+    relative in the tests), and ``verify`` certifies it.  ``mean_y``
+    equals ``mean_x`` by construction of nu0.
     """
 
     family: ConditionalFamily
@@ -252,31 +218,39 @@ class SampledOutput:
 
 def _coupled_arcs(family: ConditionalFamily, bary: BarycenterResult,
                   nu0: DiscreteMeasure, shift: np.ndarray):
-    """(rows, cols, flow, row potentials, costs) of every atom's exact
-    coupling to nu0, the barycenter's measure translated by ``shift``.
-
-    An atom the joint LP solved keeps the LP's coupling: translating nu0
-    by t changes C_ij by -2 (x_i - s_j).t + |t|^2, so the plan stays
-    optimal, its row potential becomes u - 2 x.t (the column-only terms
-    are absorbed by the c-transform), and its cost follows from the LP's
-    cost and the plan's arcs without a second cost matrix.  Every other
-    atom is coupled afresh by :func:`optimal_coupling`.
+    """Every atom's exact coupling to nu0, the barycenter's measure
+    translated by ``shift``, in the batches of
+    :func:`otrepair.ot._family_couplings`, which forms them unless the
+    joint LP ran.  Then they are one batch of the LP's couplings:
+    translating nu0 by t changes C_ij by -2 (x_i - s_j).t + |t|^2, so a
+    plan stays optimal, its row potential becomes u - 2 x.t (the
+    c-transform absorbs the column terms) and its cost follows from the
+    LP's and the plan's arcs.  Atoms the LP dropped are coupled alone.
     """
-    lp = bary.couplings or {}
-    sols = [lp.get(a.label) or optimal_coupling(a.law, nu0) for a in family.atoms]
-    plan = np.concatenate([s.coupling.weights for s in sols])
+    if bary.couplings is None:
+        return _family_couplings(family.support, family.weights, family.starts, nu0)
+    lp, starts, x, sizes = bary.couplings, family.starts, family.support, np.diff(family.starts)
+    from_lp = np.array([label in lp for label in family.labels])
+    sols = [lp[label] for label in family.labels if label in lp]
+    lp_rows = np.repeat(from_lp, sizes)
+    plan = np.concatenate([sol.coupling.weights for sol in sols])
     rows, cols = np.nonzero(plan)
-    flow = plan[rows, cols]
-    sizes = np.diff(family.starts)
-    x = family.support
-    from_lp = np.array([a.label in lp for a in family.atoms])
-    potential = (np.concatenate([s.potentials[0] for s in sols])
-                 - 2.0 * np.where(np.repeat(from_lp, sizes), x @ shift, 0.0))
+    flow, rows = plan[rows, cols], np.flatnonzero(lp_rows)[rows]
+    potential = np.empty(len(x))
+    potential[lp_rows] = (np.concatenate([sol.potentials[0] for sol in sols])
+                          - 2.0 * (x @ shift)[lp_rows])
     owner = np.repeat(np.arange(len(sizes)), sizes)[rows]
     drift = np.bincount(owner, flow * ((x[rows] - bary.nu0.support[cols]) @ shift), len(sizes))
-    moved = np.bincount(owner, flow, len(sizes)) * (shift @ shift) - 2.0 * drift
-    costs = np.array([s.cost for s in sols]) + np.where(from_lp, moved, 0.0)
-    return rows, cols, flow, potential, costs
+    costs = np.bincount(owner, flow, len(sizes)) * (shift @ shift) - 2.0 * drift
+    costs[from_lp] += [sol.cost for sol in sols]
+    arcs = [(rows, cols, flow)]
+    for a in np.flatnonzero(~from_lp).tolist():
+        s, e = starts[a], starts[a + 1]
+        [(_, r, c, f, u, cost)] = _family_couplings(x[s:e], family.weights[s:e],
+                                                    np.array([0, e - s]), nu0)
+        arcs.append((s + r, c, f))
+        potential[s:e], costs[a] = u, cost[0]
+    return [(0, *map(np.concatenate, zip(*arcs)), potential, costs)]
 
 
 def _assemble(
@@ -286,26 +260,18 @@ def _assemble(
     shift: np.ndarray,
 ) -> IndependentApproximation:
     """Couple every atom to nu0, the barycenter's measure translated by
-    ``shift``, and store the couplings as one :class:`Disintegration`.
-
-    In 1-D without the joint LP, :func:`otrepair.ot.comonotone_staircases`
-    couples the atoms batch by batch (see :func:`_staircases`);
-    otherwise see :func:`_coupled_arcs`.
-    """
+    ``shift`` (see :func:`_coupled_arcs`), and store the couplings as one
+    :class:`Disintegration`, built batch by batch."""
     nu0 = bary.nu0.translate(shift)
-    if bary.couplings is None and family.dim == 1:
-        batches = [(Disintegration.from_arcs(st.rows, st.cols, st.flow, st.u, nu0), st.costs)
-                   for st in _staircases(family, nu0)]
-        disintegration = Disintegration.concatenate([dis for dis, _ in batches])
-        costs = np.concatenate([c for _, c in batches])
-    else:
-        rows, cols, flow, potential, costs = _coupled_arcs(family, bary, nu0, shift)
-        disintegration = Disintegration.from_arcs(rows, cols, flow, potential, nu0)
+    parts, costs = [], []
+    for _, rows, cols, flow, u, cost in _coupled_arcs(family, bary, nu0, shift):
+        parts.append(Disintegration.from_arcs(rows, cols, flow, u, nu0))
+        costs.append(cost)
     return IndependentApproximation(
         family=family,
         nu0=nu0,
-        disintegration=disintegration,
-        achieved_distance_sq=_total(family, costs),
+        disintegration=Disintegration.concatenate(parts),
+        achieved_distance_sq=_total(family, np.concatenate(costs)),
         mean_x=np.asarray(mean_x, dtype=float),
         mean_y=mean(nu0),
         method=bary.method,
@@ -323,13 +289,11 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     exact fixed-support LP on the coalesced union of atom supports
     otherwise.  Whatever the backend returns is translated so its mean
     equals the dataset mean; the translation never increases the
-    objective and makes the mean identity exact.  Per-atom couplings to
-    the final nu0 are always exact: the fixed-support LP's own
-    couplings for the atoms it kept, else the comonotone closed form
-    when m = 1 and the HiGHS transport LP otherwise.  :func:`lower_bound`
-    of nu0 is the weighted sum of their costs, to rounding.  The
-    disintegration keeps each coupling's row potential, from which
-    :func:`otrepair.diagnostics.verify` certifies optimality.
+    objective and makes the mean identity exact.  The couplings to the
+    final nu0 are exact (see :func:`_coupled_arcs`), and
+    :func:`lower_bound` of nu0 is the weighted sum of their costs, to
+    rounding.  The disintegration keeps each coupling's row potential,
+    from which :func:`otrepair.diagnostics.verify` certifies optimality.
     """
     family = estimate_conditionals(data)
     mean_x = data.mean_x()

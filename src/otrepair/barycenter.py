@@ -46,6 +46,8 @@ from .measure import (
     mixture,
 )
 from .ot import (
+    _family_couplings,
+    _length_groups,
     _logsumexp,
     _lp_solution,
     _marginal_blocks,
@@ -53,7 +55,6 @@ from .ot import (
     _solve_lp,
     _sorted_1d,
     cost_matrix,
-    optimal_coupling,
 )
 
 __all__ = [
@@ -239,10 +240,11 @@ def fixed_support_weights(
     nu0 = DiscreteMeasure(S, w / w.sum())
     b = family.starts.tolist()
     # x holds the plan's rows, then w; the duals the row sums, then K column sums per atom
-    return nu0, nit, {a.label: _lp_solution(a.law, nu0, C[lo:hi], x[lo * K:hi * K],
-                                            (duals[lo:hi] / a.p, v / a.p), nit)
-                      for a, lo, hi, v in zip(family.atoms, b, b[1:],
-                                              duals[b[-1]:-1].reshape(-1, K))}
+    return nu0, nit, {label: _lp_solution(
+        DiscreteMeasure._of_checked(family.support[lo:hi], family.weights[lo:hi]), nu0,
+        C[lo:hi], x[lo * K:hi * K], (duals[lo:hi] / p, v / p), nit)
+        for label, p, lo, hi, v in zip(family.labels, family.probabilities.tolist(), b, b[1:],
+                                       duals[b[-1]:-1].reshape(-1, K))}
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +260,11 @@ def entropic_weights(
 ) -> tuple[DiscreteMeasure, int, bool]:
     """Entropic barycenter on a fixed grid (log-domain Bregman projections).
 
+    The projections of Benamou, Carlier, Cuturi, Nenna & Peyre (SIAM J.
+    Sci. Comput. 2015) on one (N, K) log-kernel of the flat support, with
+    every atom's column potentials in one (A, K) ``g``.  The atoms' column
+    log-sum-exps go by length (:func:`otrepair.ot._length_groups`), adding
+    rows and atoms in order: the floats of the projections atom by atom.
     Converged means the L1 change of the grid weights fell below ``tol``
     before ``max_iter`` sweeps; the result is returned either way, with
     the flag recording which happened.  Returns (measure, sweeps,
@@ -268,26 +275,25 @@ def entropic_weights(
     family = _solvable_family(family)
     S = _check_support(family, support)
     K = S.shape[0]
-    probs = family.probabilities
+    owner = np.repeat(np.arange(len(family)), np.diff(family.starts))
 
-    logKs = [-cost_matrix(a.law.support, S) / epsilon for a in family.atoms]
+    log_kernel = -cost_matrix(family.support, S) / epsilon
     with np.errstate(divide="ignore"):
-        log_mus = [np.log(a.law.weights) for a in family.atoms]
-    gs = [np.zeros(K) for _ in family.atoms]
+        log_mu = np.log(family.weights)
+    g = np.zeros((len(family), K))
+    col_lse = np.empty((len(family), K))
 
     w = np.full(K, 1.0 / K)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        logw = np.zeros(K)
-        Ss = []
-        for a_idx in range(len(family)):
-            f = log_mus[a_idx] - _logsumexp(logKs[a_idx] + gs[a_idx][None, :], axis=1)
-            Sa = _logsumexp(logKs[a_idx] + f[:, None], axis=0)
-            Ss.append(Sa)
-            logw = logw + probs[a_idx] * Sa
-        for a_idx in range(len(family)):
-            gs[a_idx] = logw - Ss[a_idx]
+        f = log_mu - _logsumexp(log_kernel + g[owner], axis=1)
+        scaled = log_kernel + f[:, None]
+        for seg, idx in _length_groups(family.starts):
+            col_lse[seg] = _logsumexp(scaled[idx], axis=1)
+        logw = np.cumsum(np.vstack([np.zeros(K), family.probabilities[:, None] * col_lse]),
+                         axis=0)[-1]
+        g = logw - col_lse
         w_new = np.exp(logw - logw.max())
         w_new = w_new / w_new.sum()
         delta = float(np.abs(w_new - w).sum())
@@ -314,13 +320,15 @@ def free_support_points(
 
     Initial points are drawn without replacement from the family mixture
     proportionally to weight (seeded, hence reproducible).  Each round
-    solves the couplings of :func:`otrepair.ot.optimal_coupling` to the
-    current candidate and moves every support point to the weighted
-    average of its matched sources; the objective is nonincreasing and
-    the loop stops when support movement falls below ``tol``.  A support
-    point left without mass (possible only through degenerate inputs) is
-    respawned at the heaviest mixture point rather than failing.
-    Returns (measure, rounds, converged, objective history).
+    couples the family to the candidate by one
+    :func:`otrepair.ot._family_couplings` and moves every support point
+    to the weighted average of its matched sources (Cuturi & Doucet,
+    ICML 2014), added over all arcs in one fixed order by ``np.bincount``.
+    The objective is nonincreasing and the loop stops when support
+    movement falls below ``tol``.  A support point left without mass
+    (possible only through degenerate inputs) is respawned at the
+    heaviest mixture point.  Returns (measure, rounds, converged,
+    objective history).
     """
     family = _solvable_family(family)
     mix = mixture(family)
@@ -333,15 +341,18 @@ def free_support_points(
     Y = mix.support[np.sort(idx)].copy()
     w = np.full(k, 1.0 / k)
     heaviest = mix.support[int(np.argmax(mix.weights))]
+    row_p = np.repeat(family.probabilities, np.diff(family.starts))
 
     history = []
     prev_obj = np.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        nu = DiscreteMeasure(Y, w)
-        sols = [optimal_coupling(a.law, nu) for a in family.atoms]
-        obj = float(sum(a.p * s.cost for a, s in zip(family.atoms, sols)))
+        arcs = [(first + rows, cols, flow, costs) for first, rows, cols, flow, _, costs
+                in _family_couplings(family.support, family.weights, family.starts,
+                                     DiscreteMeasure(Y, w))]
+        rows, cols, flow, costs = map(np.concatenate, zip(*arcs))
+        obj = float(sum(p * c for p, c in zip(family.probabilities.tolist(), costs.tolist())))
         if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
             raise SolverFailureError(
                 "free-support objective increased between iterations"
@@ -349,17 +360,13 @@ def free_support_points(
         history.append(obj)
         prev_obj = obj
 
-        weighted_targets = np.zeros_like(Y)
-        col_mass = np.zeros(k)
-        for a, s in zip(family.atoms, sols):
-            g = s.coupling.weights
-            weighted_targets += a.p * (g.T @ a.law.support)
-            col_mass += a.p * g.sum(axis=0)
+        mass = row_p[rows] * flow
+        col_mass = np.bincount(cols, mass, k)
         empty = col_mass <= 1e-15
-        col_mass[empty] = 1.0
-        Y_new = weighted_targets / col_mass[:, None]
-        if np.any(empty):
-            Y_new[empty] = heaviest
+        Y_new = np.stack([np.bincount(cols, mass * family.support[rows, d], k)
+                          for d in range(family.dim)], axis=1)
+        Y_new /= np.where(empty, 1.0, col_mass)[:, None]
+        Y_new[empty] = heaviest
         shift = float(np.max(np.abs(Y_new - Y)))
         Y = Y_new
         if shift < tol:

@@ -31,7 +31,7 @@ from .errors import (
     OtRepairError,
 )
 from .measure import Dataset, DiscreteMeasure, _finite, make_measure
-from .ot import optimal_coupling, solve_comonotone_1d, solve_entropic, solve_exact
+from .ot import solve_comonotone_1d, solve_entropic, solve_exact
 from .special_binary import (
     BinaryInstance,
     brute_force,
@@ -385,9 +385,8 @@ def cmd_barycenter(args) -> int:
         max_iter=args.max_iter, tol=args.tol, resolution=args.resolution,
         k=args.k, init_seed=args.seed if args.seed is not None else 0,
     )
-    lp = res.couplings or {}
-    w2 = {a.label: (lp.get(a.label) or optimal_coupling(a.law, res.nu0)).cost
-          for a in fam.atoms}
+    batches = approx_mod._coupled_arcs(fam, res, res.nu0, np.zeros(fam.dim))
+    w2 = np.concatenate([costs for *_, costs in batches]).tolist()
     payload = {
         "schema": 1,
         "subcommand": "barycenter",
@@ -396,8 +395,8 @@ def cmd_barycenter(args) -> int:
             "epsilon", "max_iter", "tol", "resolution", "k", "seed", "support",
         ]),
         "method": res.method,
-        "objective": float(sum(a.p * w2[a.label] for a in fam.atoms)),
-        "per_measure_w2": {str(k): v for k, v in w2.items()},
+        "objective": float(sum(p * c for p, c in zip(fam.probabilities.tolist(), w2))),
+        "per_measure_w2": {str(label): c for label, c in zip(fam.labels, w2)},
         "iterations": res.iterations,
         "converged": res.converged,
         "nu0": _nu0_payload(res.nu0),

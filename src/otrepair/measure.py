@@ -220,7 +220,6 @@ class ConditionalFamily:
     starts: np.ndarray
     support: np.ndarray
     weights: np.ndarray
-    _atoms: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -257,20 +256,16 @@ class ConditionalFamily:
 
     @property
     def atoms(self) -> tuple[ConditionalAtom, ...]:
-        """The atoms, each law a read-only view of its rows; built on first use."""
-        if self._atoms is None:
-            b = self.starts.tolist()
-            object.__setattr__(self, "_atoms", tuple([ConditionalAtom(
-                label, p, DiscreteMeasure._of_checked(self.support[lo:hi], self.weights[lo:hi]))
-                for label, p, lo, hi in zip(self.labels, self.probabilities.tolist(), b, b[1:])]))
-        return self._atoms
+        """The atoms, each law a read-only view of its rows, built on every
+        read: kept for external readers, as no stage of the package reads it."""
+        b = self.starts.tolist()
+        return tuple([ConditionalAtom(
+            label, p, DiscreteMeasure._of_checked(self.support[lo:hi], self.weights[lo:hi]))
+            for label, p, lo, hi in zip(self.labels, self.probabilities.tolist(), b, b[1:])])
 
     @property
     def dim(self) -> int:
         return self.support.shape[1]
-
-    def atom(self, label) -> ConditionalAtom:
-        return dict(zip(self.labels, self.atoms))[label]
 
     def __len__(self) -> int:
         return len(self.labels)

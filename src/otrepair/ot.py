@@ -16,10 +16,11 @@ Implements three routes to a coupling between two discrete measures:
   plan's n + k - 1 arcs, never a cost matrix.  ``solve_comonotone_1d``
   is its one-pair case, with the plan laid out dense.
 
-``optimal_coupling`` picks the cheapest exact one for the dimension.  The
-two exact solvers also return dual potentials, which certify their plans
-without a second solve.  This LP and the joint barycenter LP are both
-solved by ``_solve_lp``, and ``_lp_solution`` reads their couplings.
+``optimal_coupling`` picks the cheapest exact one for the dimension, and
+``_family_couplings`` for every measure of a flat layout.  The two exact
+solvers also return dual potentials, which certify their plans without a
+second solve.  This LP and the joint barycenter LP are both solved by
+``_solve_lp``, and ``_lp_solution`` reads their couplings.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -164,12 +165,12 @@ def _marginal_blocks(sizes: np.ndarray, k: int):
                               shape=(len(sizes) * k, n * k)))
 
 
-def _solve_lp(c: np.ndarray, A, b: np.ndarray, method: str, name: str):
+def _solve_lp(c: np.ndarray, A, b: np.ndarray, method: str, name: str, presolve=True):
     """(x, equality duals, iterations) of min c.x s.t. A x = b, x >= 0, by
     HiGHS ``method``; a :class:`SolverFailureError` names the ``name`` LP."""
     scale = 2.0 ** int(np.frexp(c.max(initial=0.0))[1])
     res = linprog(c / scale, A_eq=A, b_eq=b, bounds=(0, None), method=method,
-                  options=_HIGHS_OPTIONS)
+                  options={**_HIGHS_OPTIONS, "presolve": presolve})
     if res.status != 0:
         raise SolverFailureError(f"{name} LP failed with status {res.status}: {res.message}")
     return res.x, scale * res.eqlin.marginals, int(res.nit)
@@ -190,8 +191,10 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     plan is the LP solution clipped at 0, its cost is the squared
     Wasserstein-2 distance, the potentials are the LP's equality duals
     and ``iterations`` counts HiGHS iterations.  HiGHS is deterministic,
-    so the same inputs always select the same optimal plan.  Raises
-    :class:`SolverFailureError` when HiGHS reports no optimum.
+    so the same inputs always select the same optimal plan.  Presolve is
+    off: it calls this always feasible LP infeasible when a marginal holds
+    weights near 1e-9.  Raises :class:`SolverFailureError` when HiGHS
+    reports no optimum.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
@@ -199,7 +202,7 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     n, k = C.shape
     b = np.concatenate([mu.weights, nu.weights])
     x, duals, nit = _solve_lp(C.ravel(), sparse.vstack(_marginal_blocks(np.array([n]), k)), b,
-                              "highs-ds", "transport")
+                              "highs-ds", "transport", presolve=False)
     return _lp_solution(mu, nu, C, x, (duals[:n], duals[n:]), nit)
 
 
@@ -572,3 +575,33 @@ def solve_entropic(
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """An optimal coupling: the 1-D closed form when m = 1, the transport LP otherwise."""
     return solve_comonotone_1d(mu, nu) if mu.dim == 1 else solve_exact(mu, nu)
+
+
+# 1-D couplings are formed in batches of about this many staircase arcs
+_BATCH_ARCS = 1 << 14
+
+
+def _family_couplings(support: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+                      nu: DiscreteMeasure):
+    """:func:`optimal_coupling` of every measure of a flat layout (as in
+    :class:`otrepair.measure.ConditionalFamily`) to ``nu``, the same floats,
+    in batches of consecutive measures (first, rows, cols, flow, u, costs):
+    ``rows`` numbers the arcs' source points from flat row ``first``,
+    ``cols`` their points of nu, ``u`` is the batch's row potentials and
+    ``costs`` each measure's cost.  In 1-D a batch is one
+    :func:`comonotone_staircases` over about ``_BATCH_ARCS`` arcs, zero
+    flows kept; otherwise one :func:`solve_exact` plan's positive arcs.
+    """
+    if support.shape[1] == 1:
+        arcs = starts + np.arange(len(starts)) * (nu.n - 1)
+        cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(starts) - 1]):
+            s, e = starts[lo], starts[hi]
+            st = comonotone_staircases(support[s:e], weights[s:e], starts[lo:hi + 1] - s, nu)
+            yield s, st.rows, st.cols, st.flow, st.u, st.costs
+        return
+    for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        sol = solve_exact(DiscreteMeasure._of_checked(support[s:e], weights[s:e]), nu)
+        plan = sol.coupling.weights
+        rows, cols = np.nonzero(plan)
+        yield s, rows, cols, plan[rows, cols], sol.potentials[0], np.array([sol.cost])

@@ -17,6 +17,7 @@ from otrepair.approx import (
     transform_grid,
 )
 from otrepair.barycenter import solve_barycenter
+from otrepair.cli import main
 from otrepair.diagnostics import verify
 from otrepair.errors import (
     DatasetMismatchError,
@@ -27,6 +28,7 @@ from otrepair.errors import (
     UOutOfRangeError,
 )
 from otrepair.measure import (
+    ConditionalFamily,
     Dataset,
     coalesce,
     dataset_from_rows,
@@ -64,7 +66,7 @@ def test_estimate_two_singleton_groups():
     fam = estimate_conditionals(d)
     assert fam.labels == ("g1", "g2")
     assert np.allclose(fam.probabilities, [0.25, 0.75])
-    assert fam.atom("g1").law.equals(dirac([0.0]))
+    assert fam.atoms[0].label == "g1" and fam.atoms[0].law.equals(dirac([0.0]))
 
 
 def test_estimate_mixture_reproduces_marginal(rng):
@@ -334,6 +336,38 @@ def test_joint_lp_couplings_are_the_m2_build(rng, monkeypatch, route):
             fresh = otrepair.ot.solve_exact(atom.law, ap.nu0).cost
             assert abs(cost - fresh) <= 1e-12 * fresh
 
+
+
+def test_no_stage_reads_the_per_atom_view(rng, monkeypatch, tmp_path):
+    # every stage reads the family's flat layout: build, verify and
+    # transform by every method, with and without a dropped group, and the
+    # barycenter command run with ConditionalFamily.atoms unreadable
+    def forbidden(self):
+        raise AssertionError("ConditionalFamily.atoms read")
+
+    monkeypatch.setattr(ConditionalFamily, "atoms", property(forbidden))
+    methods = [("auto", {}), ("exact", {}), ("entropic", {"epsilon": 0.05, "max_iter": 100}),
+               ("free", {"k": 3}), ("quantile1d", {})]
+    for m in (1, 2):
+        d = random_dataset(rng, n_atoms=3, max_rows=5, m=m)
+        light = Dataset(d.groups, d.x, np.where(np.array(d.groups) == "g0", 1e-14, d.weights))
+        for method, kw in methods[:4 if m == 2 else 5]:
+            ap = build(d, method=method, **kw)
+            assert verify(ap, d).passed
+            assert transform(ap, d, seed=0).n_rows == d.n_rows
+            with pytest.warns(UserWarning, match="dropping 1 negligible atom"):
+                ap = build(light, method=method, **kw)
+            assert verify(ap, light).passed
+        cols = [f"x{i}" for i in range(m)]
+        lines = ["measure,weight," + ",".join(cols)] + [
+            f"{g},{w!r}," + ",".join(map(repr, x.tolist()))
+            for g, w, x in zip(d.groups, d.weights.tolist(), d.x)]
+        inp = tmp_path / f"b{m}.csv"
+        inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for method, _ in methods[:4 if m == 2 else 5]:
+            assert main(["barycenter", "--input", str(inp), "--value-cols", ",".join(cols),
+                         "--method", method, "--k", "3",
+                         "--report", str(tmp_path / "r.json")]) == 0
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e6])

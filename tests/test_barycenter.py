@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import otrepair.barycenter
+import otrepair.ot
 from otrepair.approx import lower_bound
-from otrepair.barycenter import _assemble_joint_lp, default_support, solve_barycenter
+from otrepair.barycenter import (
+    _assemble_joint_lp,
+    default_support,
+    entropic_weights,
+    free_support_points,
+    solve_barycenter,
+)
 from otrepair.errors import (
     DimensionMismatchError,
     DimensionNotOneError,
@@ -17,7 +25,7 @@ from otrepair.measure import (
     mean,
     mixture,
 )
-from otrepair.ot import cost_matrix, optimal_coupling, solve_exact
+from otrepair.ot import _logsumexp, cost_matrix, optimal_coupling, solve_exact
 
 from conftest import random_family, simplex_objective
 from densesimplex import solve_standard_form
@@ -52,6 +60,63 @@ def block_diag_joint_lp(fam, costs):
     ], format="csr")
     b = np.concatenate([a.law.weights for a in atoms] + [np.zeros(len(atoms) * K), [1.0]])
     return c, A, b
+
+
+def per_atom_entropic_weights(fam, S, epsilon, max_iter, tol):
+    """The Bregman projections atom by atom, one kernel per atom: the
+    oracle of ``entropic_weights``, which runs them on one flat kernel.
+    Returns (measure, sweeps, converged)."""
+    K = S.shape[0]
+    probs = fam.probabilities
+    logKs = [-cost_matrix(a.law.support, S) / epsilon for a in fam.atoms]
+    with np.errstate(divide="ignore"):
+        log_mus = [np.log(a.law.weights) for a in fam.atoms]
+    gs = [np.zeros(K) for _ in fam.atoms]
+    w = np.full(K, 1.0 / K)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        logw = np.zeros(K)
+        Ss = []
+        for a in range(len(fam)):
+            f = log_mus[a] - _logsumexp(logKs[a] + gs[a][None, :], axis=1)
+            Ss.append(_logsumexp(logKs[a] + f[:, None], axis=0))
+            logw = logw + probs[a] * Ss[a]
+        for a in range(len(fam)):
+            gs[a] = logw - Ss[a]
+        w_new = np.exp(logw - logw.max())
+        w_new = w_new / w_new.sum()
+        delta = float(np.abs(w_new - w).sum())
+        w = w_new
+        if delta < tol:
+            converged = True
+            break
+    return DiscreteMeasure(S, w), it, converged
+
+
+def per_atom_free_support(fam, k, init_seed, max_iter, tol):
+    """The free-support rounds with one ``optimal_coupling`` per atom and
+    the BLAS update ``g.T @ support``: the oracle of
+    ``free_support_points``.  Returns (points, objective history)."""
+    mix = mixture(fam)
+    idx = np.random.default_rng(init_seed).choice(mix.n, size=k, replace=False,
+                                                  p=mix.weights)
+    Y, w = mix.support[np.sort(idx)].copy(), np.full(k, 1.0 / k)
+    history = []
+    for _ in range(max_iter):
+        sols = [optimal_coupling(a.law, DiscreteMeasure(Y, w)) for a in fam.atoms]
+        history.append(float(sum(a.p * s.cost for a, s in zip(fam.atoms, sols))))
+        targets, col_mass = np.zeros_like(Y), np.zeros(k)
+        for a, s in zip(fam.atoms, sols):
+            g = s.coupling.weights
+            targets += a.p * (g.T @ a.law.support)
+            col_mass += a.p * g.sum(axis=0)
+        Y_new = targets / col_mass[:, None]
+        shift = float(np.max(np.abs(Y_new - Y)))
+        Y = Y_new
+        if shift < tol:
+            break
+    return Y, history
 
 
 def lp_value(fam, res):
@@ -235,7 +300,7 @@ def test_joint_lp_couplings_are_certified(rng, scale):
         assert list(res.couplings) == [a.label for a in fam.atoms]
         for a in fam.atoms:
             sol = res.couplings[a.label]
-            assert sol.coupling.row_measure is a.law
+            assert sol.coupling.row_measure.equals(a.law)
             assert sol.coupling.col_measure is res.nu0
             C = cost_matrix(a.law.support, res.nu0.support)
             assert sol.cost == float(np.einsum("ij,ij->", sol.coupling.weights, C))
@@ -316,7 +381,68 @@ def test_entropic_gap_to_exact_is_small(rng):
         assert -1e-9 <= gap <= 0.05
 
 
+def test_entropic_is_bitwise_the_per_atom_projections():
+    # one flat kernel with per-atom column log-sum-exps keeps every float
+    # of the projections run atom by atom
+    rng = np.random.default_rng(16)
+    for trial in range(300):
+        m, epsilon = trial % 3 + 1, (0.01, 0.05, 0.5)[trial // 3 % 3]
+        p = rng.random(int(rng.integers(1, 7))) + 0.05
+        fam = family([(f"g{a}", p_a, make_measure(rng.normal(size=(n, m)),
+                                                  rng.random(n) + 0.05))
+                      for a, (p_a, n) in enumerate(zip((p / p.sum()).tolist(),
+                                                       rng.integers(1, 10, size=len(p))))])
+        S = (default_support(fam) if trial % 2
+             else rng.normal(size=(int(rng.integers(1, 9)), m)))
+        nu0, it, converged = entropic_weights(fam, S, epsilon, 40, 1e-9)
+        ref, it0, converged0 = per_atom_entropic_weights(fam, S, epsilon, 40, 1e-9)
+        assert nu0.weights.tobytes() == ref.weights.tobytes()
+        assert (it, converged) == (it0, converged0)
+
+
+def test_entropic_forms_one_cost_matrix(rng, monkeypatch):
+    calls = []
+    real = otrepair.barycenter.cost_matrix
+
+    def counted(x, y):
+        calls.append(len(x))
+        return real(x, y)
+
+    monkeypatch.setattr(otrepair.barycenter, "cost_matrix", counted)
+    fam = random_family(rng, n_atoms=40, max_pts=6, m=2)
+    solve_barycenter(fam, "entropic", epsilon=0.5, max_iter=20)
+    assert calls == [len(fam.support)]
+
+
 # --- free support ---------------------------------------------------------------
+
+def test_free_support_1d_solves_no_pairwise_coupling(monkeypatch):
+    # every round couples the whole family in one batched staircase
+    def forbidden(*args):
+        raise AssertionError("one-pair comonotone coupling solved")
+
+    monkeypatch.setattr(otrepair.ot, "solve_comonotone_1d", forbidden)
+    rng = np.random.default_rng(3)
+    fam = family([(f"g{a}", 1 / 40, make_measure(rng.normal(size=10) + a % 5, np.ones(10)))
+                  for a in range(40)])
+    res = solve_barycenter(fam, "free", k=20, max_iter=2)
+    assert res.iterations == 2
+
+
+def test_free_support_m2_matches_the_per_atom_rounds():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        fam = random_family(rng, n_atoms=4, max_pts=6, m=2)
+        k = int(rng.integers(1, mixture(fam).n + 1))
+        nu0, _, _, history = free_support_points(fam, k, 5, 15, 1e-9)
+        Y, ref = per_atom_free_support(fam, k, 5, 15, 1e-9)
+        scale = np.max(np.abs(Y))
+        assert np.max(np.abs(nu0.support - Y)) <= 1e-12 * scale
+        assert len(history) == len(ref)
+        assert np.max(np.abs(np.array(history) - ref)) <= 1e-12 * ref[0]
+        assert np.all(np.diff(history) <= 0.0)
+
+
 
 def test_free_support_k1_is_global_mean(rng):
     fam = random_family(rng, n_atoms=3, max_pts=5, m=2)

@@ -476,10 +476,9 @@ def run_with_blas_threads(threads, *argv):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # 2,000 groups, 11,331 rows: OpenBLAS splits a product this long over
-    # two threads, which changes the order of its sums; the means add in
-    # one fixed order, so the report and samples keep their bytes
+def approx_bytes_across_blas_thread_counts(tmp_path, *options):
+    """The report and samples bytes of ``otrepair approx *options`` on 2,000
+    groups, 11,331 rows, run under 1 and under 2 OpenBLAS threads."""
     rng = np.random.default_rng(1)
     sizes = [(4, 5, 8)[g % 3] for g in range(2000)]
     x = np.repeat(0.5 * (np.arange(2000) % 7 - 3), sizes) + rng.normal(size=sum(sizes))
@@ -490,8 +489,23 @@ def test_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
     for threads in ("1", "2"):
         rep, smp = tmp_path / f"r{threads}.json", tmp_path / f"s{threads}.csv"
         run_with_blas_threads(threads, "approx", "--input", inp, "--report", str(rep),
-                              "--samples", str(smp), "--seed", "1")
+                              "--samples", str(smp), "--seed", "1", *options)
         blobs.append((rep.read_bytes(), smp.read_bytes()))
+    return blobs
+
+
+def test_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # OpenBLAS splits a product this long over two threads, which changes
+    # the order of its sums; the means add in one fixed order, so the
+    # report and samples keep their bytes
+    blobs = approx_bytes_across_blas_thread_counts(tmp_path)
+    assert blobs[0] == blobs[1]
+
+
+def test_free_support_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # the free-support update adds every arc by np.bincount in one fixed
+    # order, where it used to be a BLAS product per group
+    blobs = approx_bytes_across_blas_thread_counts(tmp_path, "--method", "free", "--k", "20")
     assert blobs[0] == blobs[1]
 
 

@@ -7,7 +7,12 @@ paths), and compares every file the run wrote with ``golden/<case>/``.
 After a deliberate output change, rewrite the files and review the diff::
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it rewrites anything, that prints each changed JSON leaf as
+``case/file: path: old -> new`` and the number of changed rows of each
+CSV, so moved digits can be listed as they are.
 """
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -100,12 +105,44 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
         assert outputs[fname] == blob, f"{name}/{fname} differs from the golden file"
 
 
+def json_changes(old, new, path=""):
+    """``path: old -> new`` for every leaf of two parsed JSON values that
+    differs, a list or dict of another length or keys counting as a leaf."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [c for k in old for c in json_changes(old[k], new[k], f"{path}.{k}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [c for i, (a, b) in enumerate(zip(old, new))
+                for c in json_changes(a, b, f"{path}[{i}]")]
+    return [] if old == new else [f"{path or '.'}: {old!r} -> {new!r}"]
+
+
+def changes(fname: str, old: bytes | None, new: bytes) -> list:
+    """What changed in one output file, as printable lines."""
+    if old is None:
+        return ["new file"]
+    if old == new:
+        return []
+    if fname.endswith(".json"):
+        return json_changes(json.loads(old), json.loads(new)) or ["bytes only"]
+    a, b = old.decode().splitlines(), new.decode().splitlines()
+    moved = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    return [f"{moved} of {len(a)} rows changed ({len(a)} -> {len(b)} rows)"]
+
+
 if __name__ == "__main__":
     import tempfile
 
+    runs = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            outputs = run_case(case, Path(tmp), mp)
+            runs[case] = run_case(case, Path(tmp), mp)
+    for case, outputs in runs.items():
+        target = GOLDEN / case
+        for fname, blob in outputs.items():
+            old = (target / fname).read_bytes() if (target / fname).exists() else None
+            for line in changes(fname, old, blob):
+                print(f"{case}/{fname}: {line}")
+    for case, outputs in runs.items():
         target = GOLDEN / case
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()

@@ -198,9 +198,7 @@ def test_family_validation():
     fam = ConditionalFamily(**{**valid, "support": support, "weights": weights})
     assert fam.support is support and fam.weights is weights
     assert fam.weights[2] == 0.5 + 1e-10 and not support.flags.writeable
-    assert len(fam) == 2 and fam.atom("b").law.weights.tolist() == [0.5, 0.5 + 1e-10]
-    with pytest.raises(KeyError):
-        fam.atom("c")
+    assert len(fam) == 2 and fam.atoms[1].law.weights.tolist() == [0.5, 0.5 + 1e-10]
     mu = dirac([0.0])
     with pytest.raises(EmptyDatasetError):
         family([])
@@ -214,7 +212,7 @@ def test_family_validation():
         family([("a", 0.5, mu), ("a", 0.5, mu)])
     fam = family([("a", 0.25, mu), ("b", 0.75, mu)])
     assert fam.labels == ("a", "b")
-    assert fam.atom("b").p == 0.75
+    assert fam.atoms[1].label == "b" and fam.atoms[1].p == 0.75
 
 
 # --- Dataset ----------------------------------------------------------------

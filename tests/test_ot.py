@@ -186,6 +186,24 @@ def test_exact_certified_at_every_cost_scale(rng, scale):
         assert again.cost == sol.cost
 
 
+def test_exact_solves_transport_lps_with_near_zero_target_weights():
+    # a balanced transport LP is always feasible; HiGHS's presolve called
+    # most of these 2-D pairs infeasible (status 2) when 30 % of the
+    # target weights sit at 1e-9
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        n, k = (int(t) for t in rng.integers(10, 61, 2))
+        mu = make_measure(rng.normal(size=(n, 2)), rng.random(n) + 0.05)
+        w = rng.random(k) + 0.05
+        w[rng.choice(k, size=round(0.3 * k), replace=False)] = 1e-9
+        nu = make_measure(rng.normal(size=(k, 2)), w)
+        sol = solve_exact(mu, nu)
+        u = sol.potentials[0]
+        bound = mu.weights @ u + nu.weights @ np.min(
+            cost_matrix(mu.support, nu.support) - u[:, None], axis=0)
+        assert abs(sol.cost - bound) <= 1e-8 * sol.cost
+
+
 def test_exact_reports_a_failed_lp(tmp_path, monkeypatch, capsys):
     def failing(*args, **kwargs):
         return SimpleNamespace(status=4, message="injected numerical difficulties")
