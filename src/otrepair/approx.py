@@ -2,10 +2,11 @@
 
 Given a dataset of (group, x) samples, this module estimates the
 conditional law of x within each group, computes a barycenter nu0 of
-those laws, couples every group law optimally to nu0 (the fixed-support
-LP's solution already holds these couplings, so that route solves no
-further transport problem; in 1-D one batched staircase couples every
-group at once), stores the couplings' disintegrations over the source
+those laws, couples every group law optimally to nu0 (both exact
+barycenters, the fixed-support LP and the 1-D quantile merge, already
+hold these couplings, so those routes solve no further transport
+problem; otherwise one batched staircase couples every group at once
+in 1-D), stores the couplings' disintegrations over the source
 points in one sparse structure and realizes the repaired variable y
 through an inverse-CDF lookup driven by a uniform draw u.  The result
 is, at sample level, the closest-in-L2 variable that is independent of
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterResult, solve_barycenter
+from .barycenter import BarycenterResult, _negligible, solve_barycenter
 from .errors import (
     ConfigConflictError,
     DatasetMismatchError,
@@ -37,7 +38,13 @@ from .errors import (
     UOutOfRangeError,
 )
 from .measure import ConditionalFamily, Dataset, DiscreteMeasure, mean
-from .ot import _family_couplings, _search_segments, _segment_cumsum, _segment_sum
+from .ot import (
+    _BATCH_ARCS,
+    _family_couplings,
+    _search_segments,
+    _segment_cumsum,
+    _segment_sum,
+)
 
 __all__ = [
     "Disintegration",
@@ -85,8 +92,8 @@ def lower_bound(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
     No variable with law nu that is independent of the grouping can be
     closer to x in squared L2 than this value; the pipeline's construction
     attains it.  Its costs are :func:`otrepair.ot._family_couplings`',
-    as in :func:`build` unless that keeps the joint LP's plans, which are
-    optimal too but may be other vertices.
+    as in :func:`build` unless that keeps the barycenter's own plans,
+    which are optimal too but may be others.
     """
     batches = _family_couplings(family.support, family.weights, family.starts, nu)
     return _total(family, np.concatenate([costs for *_, costs in batches]))
@@ -176,11 +183,12 @@ class IndependentApproximation:
 
     ``achieved_distance_sq`` is the p-weighted sum of the costs of the
     per-atom optimal couplings to nu0, summed in atom order.  It equals
-    ``lower_bound(family, nu0)`` exactly unless the build kept the joint
-    LP's couplings (the m >= 2 default); then it agrees to rounding, as
-    ``lower_bound`` may land on another optimal plan (within 1e-12
-    relative in the tests), and ``verify`` certifies it.  ``mean_y``
-    equals ``mean_x`` by construction of nu0.
+    ``lower_bound(family, nu0)`` exactly unless the build kept the
+    barycenter's couplings (the default in every dimension: the quantile
+    merge's in 1-D, the joint LP's otherwise); then it agrees to
+    rounding, as ``lower_bound`` couples afresh and may land on another
+    optimal plan (within 1e-12 relative in the tests), and ``verify``
+    certifies it.  ``mean_y`` equals ``mean_x`` by construction of nu0.
     """
 
     family: ConditionalFamily
@@ -221,36 +229,43 @@ def _coupled_arcs(family: ConditionalFamily, bary: BarycenterResult,
     """Every atom's exact coupling to nu0, the barycenter's measure
     translated by ``shift``, in the batches of
     :func:`otrepair.ot._family_couplings`, which forms them unless the
-    joint LP ran.  Then they are one batch of the LP's couplings:
-    translating nu0 by t changes C_ij by -2 (x_i - s_j).t + |t|^2, so a
-    plan stays optimal, its row potential becomes u - 2 x.t (the
-    c-transform absorbs the column terms) and its cost follows from the
-    LP's and the plan's arcs.  Atoms the LP dropped are coupled alone.
+    barycenter came with its couplings (both exact routes).  Then the
+    batches are those, recentred, in pieces of consecutive atoms of about
+    ``_BATCH_ARCS`` arcs: translating nu0 by t changes C_ij by
+    -2 (x_i - s_j).t + |t|^2, so a plan stays optimal, its row potential
+    becomes u - 2 x.t (the c-transform absorbs the column terms) and its
+    cost follows from the barycenter's and the plan's arcs.  An atom the
+    barycenter dropped as negligible is coupled alone, in its place.
     """
     if bary.couplings is None:
-        return _family_couplings(family.support, family.weights, family.starts, nu0)
-    lp, starts, x, sizes = bary.couplings, family.starts, family.support, np.diff(family.starts)
-    from_lp = np.array([label in lp for label in family.labels])
-    sols = [lp[label] for label in family.labels if label in lp]
-    lp_rows = np.repeat(from_lp, sizes)
-    plan = np.concatenate([sol.coupling.weights for sol in sols])
-    rows, cols = np.nonzero(plan)
-    flow, rows = plan[rows, cols], np.flatnonzero(lp_rows)[rows]
-    potential = np.empty(len(x))
-    potential[lp_rows] = (np.concatenate([sol.potentials[0] for sol in sols])
-                          - 2.0 * (x @ shift)[lp_rows])
-    owner = np.repeat(np.arange(len(sizes)), sizes)[rows]
-    drift = np.bincount(owner, flow * ((x[rows] - bary.nu0.support[cols]) @ shift), len(sizes))
-    costs = np.bincount(owner, flow, len(sizes)) * (shift @ shift) - 2.0 * drift
-    costs[from_lp] += [sol.cost for sol in sols]
-    arcs = [(rows, cols, flow)]
-    for a in np.flatnonzero(~from_lp).tolist():
-        s, e = starts[a], starts[a + 1]
-        [(_, r, c, f, u, cost)] = _family_couplings(x[s:e], family.weights[s:e],
-                                                    np.array([0, e - s]), nu0)
-        arcs.append((s + r, c, f))
-        potential[s:e], costs[a] = u, cost[0]
-    return [(0, *map(np.concatenate, zip(*arcs)), potential, costs)]
+        yield from _family_couplings(family.support, family.weights, family.starts, nu0)
+        return
+    _, rows, cols, flow, u, costs = bary.couplings
+    x, starts, sizes = family.support, family.starts, np.diff(family.starts)
+    kept = ~_negligible(family)
+    # the batch numbers the kept atoms' points; before each atom of the
+    # family come ``before`` kept atoms, ``points`` of their points and
+    # ``arcs`` of their arcs
+    owner = np.repeat(np.arange(len(costs)), sizes[kept])[rows]
+    before = np.concatenate([[0], np.cumsum(kept)])
+    points = np.concatenate([[0], np.cumsum(sizes * kept)])
+    arcs = np.searchsorted(owner, before)
+    cuts = {0, len(family)} | {a + d for a in np.flatnonzero(~kept).tolist() for d in (0, 1)}
+    if len(rows) > _BATCH_ARCS:
+        cuts |= set((np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1).tolist())
+    cuts = sorted(cuts)
+    for a0, a1 in zip(cuts, cuts[1:]):
+        s, e = starts[a0], starts[a1]
+        if not kept[a0]:
+            for _, *batch in _family_couplings(x[s:e], family.weights[s:e], np.array([0, e - s]),
+                                               nu0):
+                yield s, *batch
+            continue
+        k0, k1, lo, hi = before[a0], before[a1], arcs[a0], arcs[a1]
+        r, c, f, o = rows[lo:hi] - points[a0], cols[lo:hi], flow[lo:hi], owner[lo:hi] - k0
+        drift = np.bincount(o, f * ((x[s:e][r] - bary.nu0.support[c]) @ shift), k1 - k0)
+        cost = np.bincount(o, f, k1 - k0) * (shift @ shift) - 2.0 * drift + costs[k0:k1]
+        yield s, r, c, f, u[points[a0]:points[a1]] - 2.0 * (x[s:e] @ shift), cost
 
 
 def _assemble(

@@ -7,14 +7,15 @@ p-weighted sum of squared Wasserstein distances to the family's atoms:
 - ``exact`` (``fixed_support_weights``): the restricted problem on a
   fixed grid is one joint linear program over the grid weights and one
   coupling per atom, solved exactly by interior point with crossover;
-  its couplings come with the result as ``OtSolution``s.
+  its couplings come with the result.
 - ``entropic`` (``entropic_weights``): iterative Bregman projections on
   a fixed grid, log-domain.
 - ``free`` (``free_support_points``): fixed-point iteration alternating
   exact couplings with barycentric projection of the support points.
 - ``quantile1d`` (``quantile_exact_measure``, ``quantile_grid_measure``):
   the one-dimensional closed form; the quantile function of the
-  barycenter is the p-weighted average of the atoms' quantile functions.
+  barycenter is the p-weighted average of the atoms' quantile functions,
+  and the exact one's merge of levels also gives its couplings.
 
 ``solve_barycenter`` solves no coupling to score its result;
 :func:`otrepair.approx.lower_bound` evaluates the objective of ``nu0``
@@ -46,12 +47,15 @@ from .measure import (
     mixture,
 )
 from .ot import (
+    _check_marginals,
+    _check_reach,
     _family_couplings,
     _length_groups,
     _logsumexp,
-    _lp_solution,
     _marginal_blocks,
+    _row_potentials,
     _search_segments,
+    _segment_dot,
     _solve_lp,
     _sorted_1d,
     cost_matrix,
@@ -76,9 +80,14 @@ class BarycenterResult:
     ``method`` tags the backend that ran; ``iterations`` counts its LP
     iterations, Bregman sweeps or fixed-point rounds (0 for the closed
     forms) and ``history`` holds the free-support objective of every
-    round.  ``couplings`` maps each atom the joint LP kept to its optimal
-    coupling with ``nu0``, the :class:`otrepair.ot.OtSolution` of
-    :func:`fixed_support_weights` (None for the other methods).
+    round.  ``couplings`` holds, for the two exact routes (the joint LP
+    of :func:`fixed_support_weights` and :func:`quantile_exact_measure`),
+    the optimal coupling of every atom they kept with ``nu0``, as one arc
+    batch (first, rows, cols, flow, u, costs) of
+    :func:`otrepair.ot._family_couplings`: ``rows`` number the points of
+    the family without its negligible atoms, ``u`` is their potentials
+    and ``costs`` the kept atoms' transport costs.  None for the other
+    methods and the closed form of point masses.
     """
 
     nu0: DiscreteMeasure
@@ -94,8 +103,13 @@ class BarycenterResult:
 NEGLIGIBLE_ATOM = 1e-12
 
 
+def _negligible(family: ConditionalFamily) -> np.ndarray:
+    """Which atoms are too light to solve for; the solvers drop them."""
+    return family.probabilities < NEGLIGIBLE_ATOM
+
+
 def _solvable_family(family: ConditionalFamily) -> ConditionalFamily:
-    light = family.probabilities < NEGLIGIBLE_ATOM
+    light = _negligible(family)
     if not light.any():
         return family
     dropped = [label for label, drop in zip(family.labels, light.tolist()) if drop]
@@ -157,10 +171,10 @@ def solve_barycenter(
         return BarycenterResult(dirac(point), "dirac_closed_form", 0, True)
     if method == "quantile1d":
         if resolution is None:
-            nu0, tag = quantile_exact_measure(family), "quantile_exact"
-        else:
-            nu0, tag = quantile_grid_measure(family, resolution), "quantile_grid"
-        return BarycenterResult(nu0, tag, 0, True)
+            nu0, couplings = quantile_exact_measure(family)
+            return BarycenterResult(nu0, "quantile_exact", 0, True, couplings=couplings)
+        return BarycenterResult(quantile_grid_measure(family, resolution), "quantile_grid",
+                                0, True)
     if method == "free":
         kk = mixture(family).n if k is None else k
         nu0, it, conv, history = free_support_points(family, kk, init_seed, max_iter, tol)
@@ -223,28 +237,32 @@ def fixed_support_weights(
     ends at a vertex.  Its solution holds, for every atom a, an optimal
     coupling of a's law with the grid weights w (Anderson, Borgwardt &
     Miller, "Discrete Wasserstein barycenters", MMOR 2016): the plan is
-    a's rows of the LP's x, clipped at 0 and costed on a's rows of the
-    cost matrix, and its potentials are a's row-sum and column-sum duals
-    divided by the p_a the LP used (after negligible atoms are dropped),
-    so that u_i + v_j <= |x_i - s_j|^2 with equality on the plan's arcs.
-    Returns (measure, LP iterations as SciPy reports them, couplings),
-    ``couplings`` mapping each kept atom's label to its
-    :class:`otrepair.ot.OtSolution`.
+    a's rows of the LP's x, clipped at 0, and its row potentials are a's
+    row-sum duals divided by the p_a the LP used (after negligible atoms
+    are dropped), so that with the column-sum duals divided alike
+    u_i + v_j <= |x_i - s_j|^2, with equality on the plan's arcs.  The
+    plans are checked like a :class:`otrepair.ot.Coupling`, all at once,
+    and each is costed on a's rows of the cost matrix.  Returns (measure,
+    LP iterations as SciPy reports them, couplings), ``couplings`` being
+    the plans' positive entries as one arc batch (first, rows, cols,
+    flow, u, costs) of :func:`otrepair.ot._family_couplings`.
     """
     family = _solvable_family(family)
     S = _check_support(family, support)
     C = cost_matrix(family.support, S)
     x, duals, nit = _solve_lp(*_assemble_joint_lp(family, C), "highs-ipm", "joint")
-    K = S.shape[0]
+    N, K = C.shape
     w = np.maximum(x[-K:], 0.0)
     nu0 = DiscreteMeasure(S, w / w.sum())
+    # x holds the plan's rows, then w; the duals the row sums, then the column sums
+    plan = np.maximum(x[:N * K].reshape(N, K), 0.0)
+    rows, cols = np.nonzero(plan)
+    flow = plan[rows, cols]
+    _check_marginals(rows, cols, flow, np.searchsorted(rows, family.starts), family.weights, nu0)
     b = family.starts.tolist()
-    # x holds the plan's rows, then w; the duals the row sums, then K column sums per atom
-    return nu0, nit, {label: _lp_solution(
-        DiscreteMeasure._of_checked(family.support[lo:hi], family.weights[lo:hi]), nu0,
-        C[lo:hi], x[lo * K:hi * K], (duals[lo:hi] / p, v / p), nit)
-        for label, p, lo, hi, v in zip(family.labels, family.probabilities.tolist(), b, b[1:],
-                                       duals[b[-1]:-1].reshape(-1, K))}
+    costs = np.array([np.einsum("ij,ij->", plan[lo:hi], C[lo:hi]) for lo, hi in zip(b, b[1:])])
+    u = duals[:N] / np.repeat(family.probabilities, np.diff(family.starts))
+    return nu0, nit, (0, rows, cols, flow, u, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +407,11 @@ def _sorted_quantiles(family: ConditionalFamily):
     """Every atom's support sorted ascending and its cumulative weights, in
     the family's flat layout (see :func:`otrepair.ot._sorted_1d`), with
     each atom's last cumulative weight raised to 1 so that t = 1 finds its
-    top point.  Returns (starts, sorted values, cumulative weights)."""
-    _, vals, cum = _sorted_1d(family.support[:, 0], family.weights, family.starts)
+    top point.  Returns (order, sorted values, cumulative weights)."""
+    order, xs, cum = _sorted_1d(family.support[:, 0], family.weights, family.starts)
     top = family.starts[1:] - 1
     cum[top] = np.maximum(cum[top], 1.0)
-    return family.starts, vals, cum
+    return order, xs, cum
 
 
 def _quantile_average(family: ConditionalFamily, sorted_atoms, t: np.ndarray) -> np.ndarray:
@@ -402,8 +420,8 @@ def _quantile_average(family: ConditionalFamily, sorted_atoms, t: np.ndarray) ->
     F_a^{-1}(t) is atom a's first sorted point whose cumulative weight
     reaches t; one bisection finds it for every (atom, level) pair.
     """
-    starts, vals, cum = sorted_atoms
-    A = len(family)
+    _, vals, cum = sorted_atoms
+    starts, A = family.starts, len(family)
     probs = family.probabilities[:, None]
     total = np.empty(len(t))
     block = max(1, _BLOCK // A)
@@ -414,6 +432,32 @@ def _quantile_average(family: ConditionalFamily, sorted_atoms, t: np.ndarray) ->
         pos = np.minimum(_search_segments(cum, lo, hi, np.tile(level, A)), hi - 1)
         total[s:s + block] = np.cumsum(probs * vals[pos].reshape(A, -1), axis=0)[-1]
     return total
+
+
+# the exact quantile merge reads blocks of consecutive atoms of at most
+# this many (atom, level) pairs, or one atom
+_MERGE_BLOCK = 1 << 12
+
+
+def _level_slots(family: ConditionalFamily, rank: np.ndarray, levels: int):
+    """Every atom's quantile slot on every level, over blocks of atoms:
+    yields each block's first and end atom and its (atoms, levels) sorted
+    slots.
+
+    Level k lies between the k-th and the next of the edges: 0, the
+    distinct cumulative weights in (0, 1], 1.  ``rank`` places each sorted
+    slot's cumulative weight among the edges, so on level k F_a^{-1} is
+    atom a's first slot past those of rank at most k: a count of ranks.
+    """
+    starts = family.starts
+    step = max(1, _MERGE_BLOCK // levels)
+    for a0 in range(0, len(family), step):
+        a1 = min(a0 + step, len(family))
+        # ranks run from 0 to levels + 1
+        owner = np.repeat(np.arange(a1 - a0), np.diff(starts[a0:a1 + 1]))
+        counts = np.bincount(owner * (levels + 2) + rank[starts[a0]:starts[a1]],
+                             minlength=(a1 - a0) * (levels + 2)).reshape(a1 - a0, -1)
+        yield a0, a1, starts[a0:a1, None] + np.cumsum(counts[:, :levels], axis=1)
 
 
 def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> DiscreteMeasure:
@@ -435,23 +479,86 @@ def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> Discret
     )
 
 
-def quantile_exact_measure(family: ConditionalFamily) -> DiscreteMeasure:
-    """Exact 1-D barycenter via the union of cumulative breakpoints.
+def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, tuple]:
+    """Exact 1-D barycenter and every atom's optimal coupling to it, by one
+    merge of the atoms' cumulative weights.
 
     The quantile average is a step function whose jumps can only sit at
-    some atom's cumulative weight; evaluating it once per interval of
-    the merged breakpoint grid represents its law exactly, for arbitrary
-    weight patterns.  All atoms are sorted together, once.
+    some atom's cumulative weight; evaluating it once per level, an
+    interval of the merged breakpoint grid, represents its law exactly,
+    for arbitrary weight patterns.  The same levels couple every atom
+    comonotonically: level k carries its mass from atom a's point
+    F_a^{-1} there to nu0's point there, which is the k-th value's place
+    among the distinct ones, a running count, since the values never
+    decrease.  A run of levels with the same pair of points is one arc,
+    carrying the mass between the run's ends.  Row potentials follow the
+    staircase rule of :func:`otrepair.ot.comonotone_staircases`: 0 at
+    each atom's lowest point, and each next point's is the previous one's
+    plus the change in cost through the point of nu0 where the previous
+    row ends (its cumulative weight, also for a zero-weight row).  All
+    atoms are sorted together, once, the atoms are read in blocks (see
+    :func:`_level_slots`), and the arcs are checked like a
+    :class:`otrepair.ot.Coupling`.  Returns (nu0, couplings), couplings
+    being one arc batch (first, rows, cols, flow, u, costs) as
+    :func:`otrepair.ot._family_couplings` yields them, over the family
+    without its negligible atoms.
     """
     family = _solvable_family(family)
     if family.dim != 1:
         raise DimensionNotOneError("quantile averaging requires 1-D atoms")
-    sorted_atoms = _sorted_quantiles(family)
-    breaks = np.unique(np.concatenate([sorted_atoms[2], [1.0]]))
-    breaks = breaks[(breaks > 0.0) & (breaks <= 1.0)]
-    lo = np.concatenate([[0.0], breaks[:-1]])
-    masses = breaks - lo
-    keep = masses > 0.0
-    mids = (lo[keep] + breaks[keep]) / 2.0
-    values = _quantile_average(family, sorted_atoms, mids)
-    return coalesce(DiscreteMeasure(values[:, None], masses[keep]))
+    order, xs, cum = _sorted_quantiles(family)
+    starts, A = family.starts, len(family)
+    breaks = np.unique(np.concatenate([cum, [1.0]]))
+    edges = np.concatenate([[0.0], breaks[(breaks > 0.0) & (breaks <= 1.0)]])
+    L = len(edges) - 1
+    rank = np.searchsorted(edges, cum)
+    probs = family.probabilities[:, None]
+    # the slots are read twice: kept if they are one block, counted again
+    # otherwise, to keep memory flat
+    slots = list(_level_slots(family, rank, L)) if A * L <= _MERGE_BLOCK else None
+    values = np.zeros(L)
+    for a0, a1, pos in slots or _level_slots(family, rank, L):
+        terms = probs[a0:a1] * xs[pos]
+        terms[0] += values
+        values = np.cumsum(terms, axis=0)[-1]
+    # the values never decrease: a level's column counts the changes
+    head = np.concatenate([[True], values[1:] != values[:-1]])
+    col = np.cumsum(head) - 1
+    masses = np.diff(edges)
+    nu0 = DiscreteMeasure(values[head][:, None], np.bincount(col, masses / masses.sum()))
+    y = nu0.support[:, 0]
+    _check_reach(xs, starts, y)
+
+    # a run of levels starts where an atom's slot or column moves (both
+    # never decrease, so where their sum does) and is one arc; an atom has
+    # no more runs than staircase arcs
+    size = len(xs) + A * (nu0.n - 1)
+    rows, cols, flow = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
+    costs, arc_starts = np.empty(A), np.zeros(A + 1, dtype=np.intp)
+    for a0, a1, pos in slots or _level_slots(family, rank, L):
+        key = np.full((a1 - a0, L + 1), -1)
+        np.add(pos, col, out=key[:, 1:])
+        run_starts = np.flatnonzero(key[:, 1:] - key[:, :-1])
+        atom = run_starts // L
+        first, slot = run_starts - atom * L, pos.ravel()[run_starts]
+        bounds = np.searchsorted(atom, np.arange(a1 - a0 + 1))
+        # a run ends where the atom's next one starts, an atom's last at 1
+        lower = edges[first]
+        run = np.append(lower[1:], 1.0) - lower
+        run[bounds[1:] - 1] = 1.0 - lower[bounds[1:] - 1]
+        lo = arc_starts[a0]
+        r, c = order[slot], col[first]
+        rows[lo:lo + len(r)], cols[lo:lo + len(r)], flow[lo:lo + len(r)] = r, c, run
+        arc_starts[a0 + 1:a1 + 1] = lo + bounds[1:]
+        _check_marginals(r - starts[a0], c, run, bounds, family.weights[starts[a0]:starts[a1]],
+                         nu0)
+        costs[a0:a1] = _segment_dot(run, (xs[slot] - y[c]) ** 2, bounds)
+    rows, cols, flow = rows[:arc_starts[-1]], cols[:arc_starts[-1]], flow[:arc_starts[-1]]
+    # each row but an atom's top ends at its cumulative weight, an edge,
+    # and so on the level below it (the first level for a weight of 0)
+    below_top = np.ones(len(xs), dtype=bool)
+    below_top[starts[1:] - 1] = False
+    i = np.flatnonzero(below_top)
+    y_end = y[col[np.clip(rank[i], 1, L) - 1]]
+    u = _row_potentials((xs[i + 1] - y_end) ** 2 - (xs[i] - y_end) ** 2, starts, order)
+    return nu0, (0, rows, cols, flow, u, costs)

@@ -83,8 +83,12 @@ def verify(approx: IndependentApproximation, data: Dataset) -> Report:
     any u (Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 3).
     Bound attainment compares the achieved distance with sum_a p_a D_a:
     equality certifies every coupling optimal, and a suboptimal coupling
-    or a wrong potential leaves a gap.  Points, weights and atom bounds
-    are the family's flat arrays, whose rows the disintegration's follow.
+    or a wrong potential leaves a gap.  The tolerance is 1e-8 of
+    max(1, |lower bound|), or 1e-14 of the largest potential where that
+    is more: potentials reach |x|^2, and their sums round by more than
+    1e-8 where points lie far from 0 and the objective is near 0.
+    Points, weights and atom bounds are the family's flat arrays, whose
+    rows the disintegration's follow.
     The c-transforms of all atoms are taken together over blocks of rows,
     each with at most 2^13 cost entries (or one row): a block's minima
     are reduced per atom with ``np.minimum.reduceat`` and merged into the
@@ -122,17 +126,14 @@ def verify(approx: IndependentApproximation, data: Dataset) -> Report:
     lower = _total(fam, dual)
     achieved = approx.achieved_distance_sq
     gap = achieved - lower
+    tol = max(1e-8 * max(1.0, abs(lower)),
+              1e-14 * float(np.abs(dis.potential).max() + np.abs(u_c).max()))
 
     mean_x = data.mean_x()
     mean_dev = float(np.max(np.abs(approx.mean_y - mean_x)))
 
     checks = (
-        CheckResult(
-            "bound_attainment",
-            abs(gap) <= 1e-8 * max(1.0, abs(lower)),
-            float(abs(gap)),
-            1e-8 * max(1.0, abs(lower)),
-        ),
+        CheckResult("bound_attainment", abs(gap) <= tol, float(abs(gap)), tol),
         CheckResult("mean_matching", mean_dev <= 1e-8, mean_dev, 1e-8),
         CheckResult(
             "independence_tv",

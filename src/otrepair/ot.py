@@ -20,7 +20,7 @@ Implements three routes to a coupling between two discrete measures:
 ``_family_couplings`` for every measure of a flat layout.  The two exact
 solvers also return dual potentials, which certify their plans without a
 second solve.  This LP and the joint barycenter LP are both solved by
-``_solve_lp``, and ``_lp_solution`` reads their couplings.
+``_solve_lp``.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -176,14 +176,6 @@ def _solve_lp(c: np.ndarray, A, b: np.ndarray, method: str, name: str, presolve=
     return res.x, scale * res.eqlin.marginals, int(res.nit)
 
 
-def _lp_solution(mu, nu, C, x, potentials, nit: int) -> OtSolution:
-    """The coupling of mu and nu held by an LP's solution: the plan x clipped
-    at 0, checked by :class:`Coupling` and costed on C, with its dual pair."""
-    plan = np.maximum(x.reshape(C.shape), 0.0)
-    cost = float(np.einsum("ij,ij->", plan, C))
-    return OtSolution(Coupling(mu, nu, plan), cost, "exact", nit, True, potentials)
-
-
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """Exact optimal coupling between two discrete measures.
 
@@ -203,7 +195,9 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     b = np.concatenate([mu.weights, nu.weights])
     x, duals, nit = _solve_lp(C.ravel(), sparse.vstack(_marginal_blocks(np.array([n]), k)), b,
                               "highs-ds", "transport", presolve=False)
-    return _lp_solution(mu, nu, C, x, (duals[:n], duals[n:]), nit)
+    plan = np.maximum(x.reshape(n, k), 0.0)
+    return OtSolution(Coupling(mu, nu, plan), float(np.einsum("ij,ij->", plan, C)), "exact",
+                      nit, True, (duals[:n], duals[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +325,7 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
     order_r, xs, ca = _sorted_1d(support[:, 0], weights, starts)
     order_c = np.argsort(nu.support[:, 0], kind="stable")
     ys = nu.support[order_c, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.maximum(xs[starts[1:] - 1] - ys[0], ys[-1] - xs[starts[:-1]])
-        if not np.isfinite(reach * reach).all():
-            raise NonFiniteValueError(_OVERFLOW)
+    _check_reach(xs, starts, ys)
     A, K = len(starts) - 1, nu.n
     cb = np.cumsum(nu.weights[order_c])
     arc_starts = starts + np.arange(A + 1) * (K - 1)
@@ -344,6 +335,17 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
     _check_marginals(rows, cols, flow, arc_starts, weights, nu)
     return Staircase(arc_starts, rows, cols, flow,
                      _segment_dot(flow, cost, arc_starts), u, v)
+
+
+def _check_reach(xs, starts, ys) -> None:
+    """Raise :class:`NonFiniteValueError` unless every squared distance
+    between a point of a measure (sorted ``xs`` in segments ``starts``)
+    and one of the sorted ``ys`` is finite: the farthest pairs are at the
+    ends."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.maximum(xs[starts[1:] - 1] - ys[0], ys[-1] - xs[starts[:-1]])
+        if not np.isfinite(reach * reach).all():
+            raise NonFiniteValueError(_OVERFLOW)
 
 
 def _merged_flows(starts, ca, cb, arc_starts):
@@ -408,17 +410,26 @@ def _tree_potentials(cost, is_row, starts, arc_starts, order_r, order_c):
     followed = np.ones(len(cost), dtype=bool)
     followed[arc_starts[1:] - 1] = False
     step = np.diff(cost)[followed[:-1]]
-    u_sorted = np.zeros(int(starts[-1]))
-    lowest = np.zeros(len(u_sorted), dtype=bool)
-    lowest[starts[:-1]] = True
-    u_sorted[~lowest] = _segment_cumsum(step[is_row], starts - np.arange(A + 1))
-    u = np.empty(len(u_sorted))
-    u[order_r] = u_sorted
+    u = _row_potentials(step[is_row], starts, order_r)
     first_cost = cost[arc_starts[:-1], None]
     v = np.empty((A, K))
     v[:, order_c[0]] = first_cost[:, 0]
     v[:, order_c[1:]] = first_cost + np.cumsum(step[~is_row].reshape(A, K - 1), axis=1)
     return u, v
+
+
+def _row_potentials(step: np.ndarray, starts: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Row potentials of staircases: 0 at each measure's lowest sorted
+    point, then the running sum of ``step``, which holds the change at
+    each of the other sorted points in turn, put back in the points' order
+    by ``order`` (as :func:`_sorted_1d` gives it)."""
+    u_sorted = np.zeros(len(order))
+    lowest = np.zeros(len(order), dtype=bool)
+    lowest[starts[:-1]] = True
+    u_sorted[~lowest] = _segment_cumsum(step, starts - np.arange(len(starts)))
+    u = np.empty(len(order))
+    u[order] = u_sorted
+    return u
 
 
 def _check_marginals(rows, cols, flow, arc_starts, w, nu) -> None:

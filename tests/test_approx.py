@@ -199,8 +199,8 @@ def test_build_exact_lp_recentring_identity(rng):
         ap = build(d)
         fam = ap.family
         from otrepair.barycenter import default_support, fixed_support_weights
-        raw, _, couplings = fixed_support_weights(fam, default_support(fam))
-        lp = sum(a.p * couplings[a.label].cost for a in fam.atoms)
+        raw, _, (*_, costs) = fixed_support_weights(fam, default_support(fam))
+        lp = sum(p * c for p, c in zip(fam.probabilities.tolist(), costs.tolist()))
         shift = ap.mean_x - mean(raw)
         assert np.array_equal(ap.nu0.support, raw.support + shift)
         assert abs(lp - ap.achieved_distance_sq - float(shift @ shift)) <= 1e-9
@@ -246,13 +246,14 @@ def test_build_methods_all_attain_their_bound(rng):
 ], ids=["auto", "entropic", "free"])
 def test_build_achieved_distance_is_the_lower_bound(rng, m, method, kw):
     # both are the p-weighted sum, in atom order, of the couplings' own costs;
-    # the default m = 2 build takes its couplings from the joint LP, while
-    # lower_bound re-solves each one and may land on another optimal vertex
+    # the default build takes its couplings from the barycenter (the joint
+    # LP, or in 1-D the quantile merge) and recentres them, while
+    # lower_bound couples afresh: two optimal plans, equal to rounding
     for _ in range(30):
         d = random_dataset(rng, max_rows=5, m=m)
         ap = build(d, method=method, **kw)
         lb = lower_bound(ap.family, ap.nu0)
-        if method == "auto" and m == 2:
+        if method == "auto":
             assert abs(ap.achieved_distance_sq - lb) <= 1e-12 * lb
             assert verify(ap, d).passed
         else:
@@ -638,6 +639,7 @@ def test_1d_build_verify_transform_stay_sparse_at_10x1000(rng):
 
 
 def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
+    # nor a staircase: the quantile merge hands the build its couplings
     import otrepair.ot
     from otrepair.diagnostics import verify
 
@@ -645,16 +647,43 @@ def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
     built = [(d2, build(d2))]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("transport LP solved")
+        raise AssertionError("transport LP solved or staircase formed")
 
     monkeypatch.setattr(otrepair.ot, "solve_exact", forbidden)
     monkeypatch.setattr(otrepair.ot, "linprog", forbidden)
+    monkeypatch.setattr(otrepair.ot, "comonotone_staircases", forbidden)
     d = random_dataset(rng, m=1)
     built.append((d, build(d)))
     assert all(ap.achieved_distance_sq >= 0.0 for _, ap in built)
     # verify certifies from the build's potentials in every dimension
     for data, ap in built:
         assert verify(ap, data).passed
+
+
+@pytest.mark.parametrize("light", [False, True], ids=["all_kept", "negligible_group"])
+def test_default_1d_build_sorts_once_and_forms_no_staircase(rng, monkeypatch, light):
+    # nu0 and every kept group's coupling come from one sort and one merge;
+    # only a group dropped as negligible is coupled alone, by a staircase
+    calls = Counter()
+    for name in ("_sorted_1d", "comonotone_staircases"):
+        real = getattr(otrepair.ot, name)
+        for module in (otrepair.ot, otrepair.barycenter, otrepair.approx):
+            if getattr(module, name, None) is real:
+                def counted(*args, name=name, real=real):
+                    calls[name] += 1
+                    return real(*args)
+                monkeypatch.setattr(module, name, counted)
+    d = random_dataset(rng, n_atoms=4, max_rows=30, m=1)
+    if light:
+        w = d.weights.copy()
+        w[np.array(d.groups) == d.groups[0]] *= 1e-14
+        d = Dataset(d.groups, d.x, w)
+        with pytest.warns(UserWarning, match="dropping 1 negligible atom"):
+            ap = build(d)
+    else:
+        ap = build(d)
+    assert calls == Counter(_sorted_1d=1 + light, comonotone_staircases=light)
+    assert verify(ap, d).passed
 
 
 def _per_row_lookup(ap, label, i, u):

@@ -25,7 +25,7 @@ from otrepair.measure import (
     mean,
     mixture,
 )
-from otrepair.ot import _logsumexp, cost_matrix, optimal_coupling, solve_exact
+from otrepair.ot import Coupling, _logsumexp, cost_matrix, optimal_coupling, solve_exact
 
 from conftest import random_family, simplex_objective
 from densesimplex import solve_standard_form
@@ -121,7 +121,7 @@ def per_atom_free_support(fam, k, init_seed, max_iter, tol):
 
 def lp_value(fam, res):
     """The joint LP's value: the p-weighted costs of its couplings."""
-    return sum(a.p * res.couplings[a.label].cost for a in fam.atoms)
+    return sum(p * c for p, c in zip(fam.probabilities.tolist(), res.couplings[-1].tolist()))
 
 
 def dirac_grid_oracle(probs, centers, support, resolution=400):
@@ -288,26 +288,28 @@ def test_fixed_support_lp_value_matches_exact_evaluation(rng):
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_joint_lp_couplings_are_certified(rng, scale):
-    # every coupling the joint LP hands out is an OtSolution on nu0 whose
-    # dual pair is feasible within 1e-9 of the cost scale and closes the
-    # duality gap, the checks solve_exact's potentials get
+    # every coupling the joint LP hands out, laid out dense, passes the
+    # checks of a Coupling of the atom's law with nu0, costs what its plan
+    # does, and its row potentials close the duality gap through their
+    # c-transform, the certificate verify uses
     for _ in range(10):
         fam = random_family(rng, n_atoms=3, max_pts=6, m=2)
         fam = family([(a.label, a.p, DiscreteMeasure(a.law.support * np.sqrt(scale),
                                                      a.law.weights))
                       for a in fam.atoms])
         res = solve_barycenter(fam, "exact", support=default_support(fam))
-        assert list(res.couplings) == [a.label for a in fam.atoms]
-        for a in fam.atoms:
-            sol = res.couplings[a.label]
-            assert sol.coupling.row_measure.equals(a.law)
-            assert sol.coupling.col_measure is res.nu0
+        first, rows, cols, flow, u, costs = res.couplings
+        assert first == 0 and len(u) == fam.starts[-1] and len(costs) == len(fam)
+        assert np.all(flow > 0.0)
+        plan = np.zeros((fam.starts[-1], res.nu0.n))
+        plan[rows, cols] = flow
+        for a, lo, hi, cost in zip(fam.atoms, fam.starts, fam.starts[1:], costs.tolist()):
+            Coupling(a.law, res.nu0, plan[lo:hi])
             C = cost_matrix(a.law.support, res.nu0.support)
-            assert sol.cost == float(np.einsum("ij,ij->", sol.coupling.weights, C))
-            u, v = sol.potentials
-            assert np.max(u[:, None] + v[None, :] - C) <= 1e-9 * C.max()
-            gap = a.law.weights @ u + res.nu0.weights @ v - sol.cost
-            assert abs(gap) <= 1e-10 * sol.cost
+            assert cost == float(np.einsum("ij,ij->", plan[lo:hi], C))
+            u_c = (C - u[lo:hi, None]).min(axis=0)
+            gap = cost - (a.law.weights @ u[lo:hi] + res.nu0.weights @ u_c)
+            assert abs(gap) <= 1e-10 * cost
 
 
 def test_fixed_support_beats_random_candidates(rng):

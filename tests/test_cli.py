@@ -306,9 +306,9 @@ def test_barycenter_exact_reports_the_joint_lp_couplings(tmp_path, monkeypatch):
     t = cli._read_csv(inp, ["measure"], ["weight", "x1", "x2"])
     fam = otrepair.estimate_conditionals(
         otrepair.Dataset(tuple(t["measure"]), cli._points(t, ["x1", "x2"]), t["weight"]))
-    res = otrepair.solve_barycenter(fam, "exact")
-    assert r["per_measure_w2"] == {a.label: res.couplings[a.label].cost for a in fam.atoms}
-    assert r["objective"] == sum(a.p * res.couplings[a.label].cost for a in fam.atoms)
+    costs = otrepair.solve_barycenter(fam, "exact").couplings[-1].tolist()
+    assert r["per_measure_w2"] == dict(zip(fam.labels, costs))
+    assert r["objective"] == sum(p * c for p, c in zip(fam.probabilities.tolist(), costs))
 
 
 def test_barycenter_of_point_masses_is_their_weighted_mean(tmp_path):

@@ -143,6 +143,24 @@ def test_verify_fails_on_perturbed_coupling(rng, m):
     assert checks["independence_tv"].passed
 
 
+@pytest.mark.parametrize("x", [1.5e4, 1e6])
+def test_verify_certifies_an_exact_result_far_from_zero(rng, x):
+    # one group, so the objective is 0, but the potentials reach x^2 and
+    # their sums round by about 1e-16 x^2: above 1e-8 for these x
+    d = dataset_from_rows([("a", 0.0, 1.0), ("a", -x, 2.0)])
+    ap = build(d)
+    report = verify(ap, d)
+    assert report.passed
+    assert report.checks[0].tolerance <= 1e-12 * x * x
+    # at that scale a perturbed coupling still fails the certificate
+    d = dataset_from_rows([(f"g{g}", float(v), 1.0) for g in range(3)
+                           for v in x * rng.normal(size=3)])
+    bad, rise = _perturbed(build(d))
+    checks = {c.name: c for c in verify(bad, d).checks}
+    assert rise > 1e6 * checks["bound_attainment"].tolerance
+    assert not checks["bound_attainment"].passed
+
+
 # --- empirical_distance -------------------------------------------------------
 
 def test_empirical_distance_zero_when_equal():

@@ -10,7 +10,8 @@ After a deliberate output change, rewrite the files and review the diff::
 
 Before it rewrites anything, that prints each changed JSON leaf as
 ``case/file: path: old -> new`` and the number of changed rows of each
-CSV, so moved digits can be listed as they are.
+CSV, so moved digits can be listed as they are.  With ``--check`` it
+prints the same lines, writes nothing and exits 1 if anything changed.
 """
 import json
 import shutil
@@ -102,7 +103,8 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     expected = {p.name: p.read_bytes() for p in sorted(expected_dir.iterdir())}
     assert sorted(outputs) == sorted(expected)
     for fname, blob in expected.items():
-        assert outputs[fname] == blob, f"{name}/{fname} differs from the golden file"
+        assert outputs[fname] == blob, (f"{name}/{fname} differs from the golden file: "
+                                        + "; ".join(changes(fname, blob, outputs[fname])))
 
 
 def json_changes(old, new, path=""):
@@ -136,12 +138,20 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             runs[case] = run_case(case, Path(tmp), mp)
+    moved = False
     for case, outputs in runs.items():
         target = GOLDEN / case
+        written = {p.name for p in target.iterdir()} if target.exists() else set()
+        for fname in sorted(written - set(outputs)):
+            print(f"{case}/{fname}: no longer written")
+            moved = True
         for fname, blob in outputs.items():
             old = (target / fname).read_bytes() if (target / fname).exists() else None
             for line in changes(fname, old, blob):
                 print(f"{case}/{fname}: {line}")
+                moved = True
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(1 if moved else 0)
     for case, outputs in runs.items():
         target = GOLDEN / case
         shutil.rmtree(target, ignore_errors=True)

@@ -7,17 +7,21 @@ the joint LP may land on another optimal vertex after a relabelling or
 a change of coordinates, so objectives there are compared within
 HiGHS's 1e-7 relative tolerance.
 """
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from otrepair.approx import build, estimate_conditionals, transform
-from otrepair.barycenter import _solvable_family
-from otrepair.cli import _emit_json
+from otrepair.approx import build, estimate_conditionals, lower_bound, transform
+from otrepair.barycenter import NEGLIGIBLE_ATOM, _solvable_family, solve_barycenter
+from otrepair.cli import _emit_json, main
 from otrepair.diagnostics import verify
-from otrepair.measure import Dataset, family, make_measure
-from otrepair.ot import comonotone_staircases, solve_comonotone_1d
+from otrepair.measure import Dataset, DiscreteMeasure, family, make_measure
+from otrepair.ot import Coupling, comonotone_staircases, cost_matrix, solve_comonotone_1d
 
-from conftest import reference_conditionals, reference_emit_json
+from conftest import reference_conditionals, reference_emit_json, simplex_objective
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -212,6 +216,105 @@ def test_family_layout_is_the_per_atom_concatenation(atoms, rows, rows_2d, p):
     assert_flat_layout(kept, [(label, p_a / total, mu) for label, p_a, mu in triples])
     for r in (rows, rows_2d):
         assert_flat_layout(estimate_conditionals(dataset(r)), reference_conditionals(dataset(r)))
+
+
+# 1-D families for the quantile merge: a few coordinates from 1e-6 to 1e6
+# in magnitude, which the atoms' points pick from, so duplicates are
+# common; weights in parts of 1, 2 or 4 (dyadic, so cumulative weights
+# coincide across atoms) or any float, and 0 in half the examples; and
+# perhaps a negligible atom
+COORDS = st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(1e-6, 1e6),
+                            st.floats(-1e6, -1e-6)), min_size=1, max_size=5, unique=True)
+PARTS = st.one_of(st.sampled_from([0.0, 1.0, 1.0, 2.0, 4.0]), st.floats(0.05, 1.0))
+QUANTILE_ATOMS = st.lists(
+    st.tuples(st.sampled_from([1.0, 1.0, 2.0, 4.0]) | st.floats(0.05, 1.0),
+              st.lists(st.tuples(st.integers(0, 4), PARTS), min_size=1, max_size=6)
+              .filter(lambda pts: any(w > 0.0 for _, w in pts))),
+    min_size=1, max_size=5,
+)
+
+
+def quantile_triples(coords, atoms, zeros, light):
+    """(label, p, law) triples with conditional weights ``parts / sum``,
+    which keeps dyadic parts exact, and parts of 0 raised to 1 unless
+    ``zeros``; a light atom is a copy of the first at p = NEGLIGIBLE_ATOM
+    / 10."""
+    total = sum(p for p, _ in atoms)
+    triples = []
+    for a, (p, points) in enumerate(atoms):
+        parts = np.array([w if zeros or w > 0.0 else 1.0 for _, w in points])
+        x = np.array([coords[i % len(coords)] for i, _ in points])
+        triples.append((f"g{a}", p / total, DiscreteMeasure(x, parts / parts.sum())))
+    if light:
+        triples.append(("light", NEGLIGIBLE_ATOM / 10, triples[0][2]))
+    return triples
+
+
+def within(a, b, rtol, atol):
+    return abs(a - b) <= rtol * abs(b) + atol
+
+
+@pytest.mark.filterwarnings("ignore:dropping 1 negligible atom")
+@hypothesis.settings(PROPERTY, max_examples=30)
+@given(coords=COORDS, atoms=QUANTILE_ATOMS, zeros=st.booleans(), light=st.booleans())
+def test_quantile_merge_couplings_match_fresh_couplings(coords, atoms, zeros, light):
+    # the 1-D barycenter's own couplings against oracles that do not read
+    # them: fresh staircases (lower_bound) and simplex solves (conftest)
+    triples = quantile_triples(coords, atoms, zeros, light)
+    fam = family(triples)
+    kept = _solvable_family(fam)
+    res = solve_barycenter(fam, "quantile1d")
+    # a staircase may move a rounding's worth of mass (1e-15) across the
+    # whole range, and HiGHS meets its constraints to 1e-10 of the costs
+    reach = (max(coords) - min(coords)) ** 2
+    if res.couplings is None:  # every kept atom a point mass: the closed form
+        assert res.method == "dirac_closed_form"
+        return
+    _, rows, cols, flow, u, costs = res.couplings
+    fresh = comonotone_staircases(kept.support, kept.weights, kept.starts, res.nu0)
+    for cost, ref in zip(costs.tolist(), fresh.costs.tolist()):
+        assert within(cost, ref, 1e-12, 1e-15 * reach)
+    achieved = float(kept.probabilities @ costs)
+    assert within(achieved, lower_bound(kept, res.nu0), 1e-12, 1e-15 * reach)
+    assert within(achieved, simplex_objective(kept, res.nu0), 1e-8, 1e-10 * reach)
+    # each plan is a coupling of its atom with nu0 and its row potentials
+    # certify its cost through their c-transform, as verify does, to the
+    # rounding of the potentials' sums
+    plan = np.zeros((len(kept.support), res.nu0.n))
+    np.add.at(plan, (rows, cols), flow)
+    dual, size = 0.0, 0.0
+    for a, lo, hi in zip(kept.atoms, kept.starts, kept.starts[1:]):
+        Coupling(a.law, res.nu0, plan[lo:hi])
+        u_c = (cost_matrix(a.law.support, res.nu0.support) - u[lo:hi, None]).min(axis=0)
+        dual += a.p * (a.law.weights @ u[lo:hi] + res.nu0.weights @ u_c)
+        size = max(size, np.abs(u[lo:hi]).max(), np.abs(u_c).max())
+    assert within(achieved, dual, 1e-8, 1e-8 + 1e-14 * size)
+    if any(mu.weights.min() == 0.0 for _, _, mu in triples):
+        return  # a dataset has no zero-weight rows
+    # the same family as a dataset: build, verify, rebuild, the CLI
+    data = Dataset(tuple(label for label, _, mu in triples for _ in range(mu.n)),
+                   np.concatenate([mu.support for _, _, mu in triples]),
+                   np.concatenate([p * mu.weights for _, p, mu in triples]))
+    ap, again = build(data), build(data)
+    assert verify(ap, data).passed
+    for field in ("indptr", "cols", "mass", "potential"):
+        assert (getattr(ap.disintegration, field).tobytes()
+                == getattr(again.disintegration, field).tobytes())
+    assert ap.nu0.support.tobytes() == again.nu0.support.tobytes()
+    assert ap.achieved_distance_sq == again.achieved_distance_sq
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, rep = Path(tmp) / "d.csv", Path(tmp) / "r.json"
+        inp.write_text("measure,weight,x\n" + "".join(
+            f"{g},{w!r},{x!r}\n" for g, w, x in zip(data.groups, data.weights.tolist(),
+                                                    data.x[:, 0].tolist())), encoding="utf-8")
+        assert main(["barycenter", "--input", str(inp), "--method", "quantile1d",
+                     "--report", str(rep)]) == 0
+        w2 = json.loads(rep.read_text(encoding="utf-8"))["per_measure_w2"]
+    est = estimate_conditionals(data)
+    nu0 = solve_barycenter(est, "quantile1d").nu0
+    staircase = comonotone_staircases(est.support, est.weights, est.starts, nu0).costs
+    for label, ref in zip(est.labels, staircase.tolist()):
+        assert within(w2[label], ref, 1e-12, 1e-15 * reach)
 
 
 # strings with JSON's escapes, control characters, non-ASCII text and
