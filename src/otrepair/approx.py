@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterResult, _negligible, solve_barycenter
+from .barycenter import BarycenterResult, _negligible, _total, solve_barycenter
 from .errors import (
     ConfigConflictError,
     DatasetMismatchError,
@@ -81,11 +81,6 @@ def estimate_conditionals(data: Dataset) -> ConditionalFamily:
     return ConditionalFamily(data.labels, p, indptr, x, w / np.repeat(totals, sizes))
 
 
-def _total(family: ConditionalFamily, costs: np.ndarray) -> float:
-    """sum_a p_a * costs[a], added in atom order."""
-    return float(np.cumsum(family.probabilities * costs)[-1])
-
-
 def lower_bound(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
     """Weighted sum of exact squared Wasserstein distances to nu.
 
@@ -96,7 +91,7 @@ def lower_bound(family: ConditionalFamily, nu: DiscreteMeasure) -> float:
     which are optimal too but may be others.
     """
     batches = _family_couplings(family.support, family.weights, family.starts, nu)
-    return _total(family, np.concatenate([costs for *_, costs in batches]))
+    return _total(family.probabilities, np.concatenate([costs for *_, costs in batches]))
 
 
 def _support_order(nu0: DiscreteMeasure) -> np.ndarray:
@@ -286,7 +281,7 @@ def _assemble(
         family=family,
         nu0=nu0,
         disintegration=Disintegration.concatenate(parts),
-        achieved_distance_sq=_total(family, np.concatenate(costs)),
+        achieved_distance_sq=_total(family.probabilities, np.concatenate(costs)),
         mean_x=np.asarray(mean_x, dtype=float),
         mean_y=mean(nu0),
         method=bary.method,

@@ -53,8 +53,8 @@ from .ot import (
     _length_groups,
     _logsumexp,
     _marginal_blocks,
+    _row_ends,
     _row_potentials,
-    _search_segments,
     _segment_dot,
     _solve_lp,
     _sorted_1d,
@@ -95,12 +95,18 @@ class BarycenterResult:
     iterations: int
     converged: bool
     history: tuple = ()
-    couplings: dict | None = None
+    couplings: tuple | None = None
 
 
 # An atom this light contributes nothing to the objective but can still
 # destabilize the solvers; it is dropped with a warning.
 NEGLIGIBLE_ATOM = 1e-12
+
+
+def _total(p: np.ndarray, costs) -> float:
+    """sum_a p_a * costs[a], added in atom order, the same float on every
+    Python (the builtin ``sum`` of floats is compensated from 3.12)."""
+    return float(np.cumsum(p * costs)[-1])
 
 
 def _negligible(family: ConditionalFamily) -> np.ndarray:
@@ -119,7 +125,7 @@ def _solvable_family(family: ConditionalFamily) -> ConditionalFamily:
     rows, p = np.repeat(keep, sizes), family.probabilities[keep]
     return ConditionalFamily(
         tuple(label for label in family.labels if label not in dropped),
-        p / sum(p.tolist()), np.cumsum([0, *sizes[keep].tolist()]),
+        p / _total(p, 1.0), np.cumsum([0, *sizes[keep].tolist()]),
         family.support[rows], family.weights[rows])
 
 
@@ -229,7 +235,7 @@ def _assemble_joint_lp(family: ConditionalFamily, C: np.ndarray):
 def fixed_support_weights(
     family: ConditionalFamily,
     support,
-) -> tuple[DiscreteMeasure, int, dict]:
+) -> tuple[DiscreteMeasure, int, tuple]:
     """Globally optimal weights on a fixed grid via one joint LP.
 
     The LP of :func:`_assemble_joint_lp` is solved by SciPy's HiGHS
@@ -370,7 +376,7 @@ def free_support_points(
                 in _family_couplings(family.support, family.weights, family.starts,
                                      DiscreteMeasure(Y, w))]
         rows, cols, flow, costs = map(np.concatenate, zip(*arcs))
-        obj = float(sum(p * c for p, c in zip(family.probabilities.tolist(), costs.tolist())))
+        obj = _total(family.probabilities, costs)
         if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
             raise SolverFailureError(
                 "free-support objective increased between iterations"
@@ -398,44 +404,21 @@ def free_support_points(
 # one-dimensional closed form
 # ---------------------------------------------------------------------------
 
-# the quantile functions are read in blocks of at most this many
-# (atom, level) pairs
-_BLOCK = 1 << 16
-
-
 def _sorted_quantiles(family: ConditionalFamily):
     """Every atom's support sorted ascending and its cumulative weights, in
     the family's flat layout (see :func:`otrepair.ot._sorted_1d`), with
     each atom's last cumulative weight raised to 1 so that t = 1 finds its
     top point.  Returns (order, sorted values, cumulative weights)."""
+    if family.dim != 1:
+        raise DimensionNotOneError("quantile averaging requires 1-D atoms")
     order, xs, cum = _sorted_1d(family.support[:, 0], family.weights, family.starts)
     top = family.starts[1:] - 1
     cum[top] = np.maximum(cum[top], 1.0)
     return order, xs, cum
 
 
-def _quantile_average(family: ConditionalFamily, sorted_atoms, t: np.ndarray) -> np.ndarray:
-    """sum_a p_a F_a^{-1}(t) at every level t, added in atom order.
-
-    F_a^{-1}(t) is atom a's first sorted point whose cumulative weight
-    reaches t; one bisection finds it for every (atom, level) pair.
-    """
-    _, vals, cum = sorted_atoms
-    starts, A = family.starts, len(family)
-    probs = family.probabilities[:, None]
-    total = np.empty(len(t))
-    block = max(1, _BLOCK // A)
-    for s in range(0, len(t), block):
-        level = t[s:s + block]
-        lo = np.repeat(starts[:-1], len(level))
-        hi = np.repeat(starts[1:], len(level))
-        pos = np.minimum(_search_segments(cum, lo, hi, np.tile(level, A)), hi - 1)
-        total[s:s + block] = np.cumsum(probs * vals[pos].reshape(A, -1), axis=0)[-1]
-    return total
-
-
-# the exact quantile merge reads blocks of consecutive atoms of at most
-# this many (atom, level) pairs, or one atom
+# the quantile readers read blocks of consecutive atoms of at most this
+# many (atom, level) pairs, or one atom
 _MERGE_BLOCK = 1 << 12
 
 
@@ -444,20 +427,33 @@ def _level_slots(family: ConditionalFamily, rank: np.ndarray, levels: int):
     yields each block's first and end atom and its (atoms, levels) sorted
     slots.
 
-    Level k lies between the k-th and the next of the edges: 0, the
-    distinct cumulative weights in (0, 1], 1.  ``rank`` places each sorted
-    slot's cumulative weight among the edges, so on level k F_a^{-1} is
+    ``rank`` (from 0 to ``levels`` + 1) places each sorted slot's
+    cumulative weight among the levels so that F_a^{-1} on level k is
     atom a's first slot past those of rank at most k: a count of ranks.
+    The levels are either the merge's intervals between consecutive
+    edges, or points t of the grid, where rank at most k means a
+    cumulative weight below t_k.
     """
     starts = family.starts
     step = max(1, _MERGE_BLOCK // levels)
     for a0 in range(0, len(family), step):
         a1 = min(a0 + step, len(family))
-        # ranks run from 0 to levels + 1
         owner = np.repeat(np.arange(a1 - a0), np.diff(starts[a0:a1 + 1]))
         counts = np.bincount(owner * (levels + 2) + rank[starts[a0]:starts[a1]],
                              minlength=(a1 - a0) * (levels + 2)).reshape(a1 - a0, -1)
         yield a0, a1, starts[a0:a1, None] + np.cumsum(counts[:, :levels], axis=1)
+
+
+def _quantile_values(family: ConditionalFamily, xs: np.ndarray, slots, levels: int) -> np.ndarray:
+    """sum_a p_a F_a^{-1} on every level, added in atom order, from the
+    sorted values ``xs`` and the blocks of :func:`_level_slots`."""
+    probs = family.probabilities[:, None]
+    values = np.zeros(levels)
+    for a0, a1, pos in slots:
+        terms = probs[a0:a1] * xs[pos]
+        terms[0] += values
+        values = np.cumsum(terms, axis=0)[-1]
+    return values
 
 
 def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> DiscreteMeasure:
@@ -468,15 +464,13 @@ def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> Discret
     weight is a multiple of 1/R; a discretization otherwise.
     """
     family = _solvable_family(family)
-    if family.dim != 1:
-        raise DimensionNotOneError("quantile averaging requires 1-D atoms")
     if resolution < 1:
         raise ConfigConflictError("resolution must be at least 1")
     t = (np.arange(resolution) + 0.5) / resolution
-    values = _quantile_average(family, _sorted_quantiles(family), t)
-    return coalesce(
-        DiscreteMeasure(values[:, None], np.full(resolution, 1.0 / resolution))
-    )
+    _, xs, cum = _sorted_quantiles(family)
+    rank = np.searchsorted(t, cum, side="right")
+    values = _quantile_values(family, xs, _level_slots(family, rank, resolution), resolution)
+    return coalesce(DiscreteMeasure(values[:, None], np.full(resolution, 1.0 / resolution)))
 
 
 def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, tuple]:
@@ -491,36 +485,27 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     F_a^{-1} there to nu0's point there, which is the k-th value's place
     among the distinct ones, a running count, since the values never
     decrease.  A run of levels with the same pair of points is one arc,
-    carrying the mass between the run's ends.  Row potentials follow the
-    staircase rule of :func:`otrepair.ot.comonotone_staircases`: 0 at
-    each atom's lowest point, and each next point's is the previous one's
-    plus the change in cost through the point of nu0 where the previous
-    row ends (its cumulative weight, also for a zero-weight row).  All
-    atoms are sorted together, once, the atoms are read in blocks (see
-    :func:`_level_slots`), and the arcs are checked like a
-    :class:`otrepair.ot.Coupling`.  Returns (nu0, couplings), couplings
+    carrying the mass between the run's ends.  Row potentials are the
+    staircases' (:func:`otrepair.ot._row_potentials`), through the point
+    of nu0 where each row ends (its cumulative weight, also for a
+    zero-weight row).  All atoms are sorted together, once, the atoms are
+    read in blocks (see :func:`_level_slots`), and the arcs are checked
+    like a :class:`otrepair.ot.Coupling`.  Returns (nu0, couplings), couplings
     being one arc batch (first, rows, cols, flow, u, costs) as
     :func:`otrepair.ot._family_couplings` yields them, over the family
     without its negligible atoms.
     """
     family = _solvable_family(family)
-    if family.dim != 1:
-        raise DimensionNotOneError("quantile averaging requires 1-D atoms")
     order, xs, cum = _sorted_quantiles(family)
     starts, A = family.starts, len(family)
     breaks = np.unique(np.concatenate([cum, [1.0]]))
     edges = np.concatenate([[0.0], breaks[(breaks > 0.0) & (breaks <= 1.0)]])
     L = len(edges) - 1
     rank = np.searchsorted(edges, cum)
-    probs = family.probabilities[:, None]
     # the slots are read twice: kept if they are one block, counted again
     # otherwise, to keep memory flat
     slots = list(_level_slots(family, rank, L)) if A * L <= _MERGE_BLOCK else None
-    values = np.zeros(L)
-    for a0, a1, pos in slots or _level_slots(family, rank, L):
-        terms = probs[a0:a1] * xs[pos]
-        terms[0] += values
-        values = np.cumsum(terms, axis=0)[-1]
+    values = _quantile_values(family, xs, slots or _level_slots(family, rank, L), L)
     # the values never decrease: a level's column counts the changes
     head = np.concatenate([[True], values[1:] != values[:-1]])
     col = np.cumsum(head) - 1
@@ -556,9 +541,6 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     rows, cols, flow = rows[:arc_starts[-1]], cols[:arc_starts[-1]], flow[:arc_starts[-1]]
     # each row but an atom's top ends at its cumulative weight, an edge,
     # and so on the level below it (the first level for a weight of 0)
-    below_top = np.ones(len(xs), dtype=bool)
-    below_top[starts[1:] - 1] = False
-    i = np.flatnonzero(below_top)
-    y_end = y[col[np.clip(rank[i], 1, L) - 1]]
-    u = _row_potentials((xs[i + 1] - y_end) ** 2 - (xs[i] - y_end) ** 2, starts, order)
+    end_level = np.clip(rank[_row_ends(starts)], 1, L) - 1
+    u = _row_potentials(xs, y[col[end_level]], starts, order)
     return nu0, (0, rows, cols, flow, u, costs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import approx as approx_mod
 from . import diagnostics
-from .barycenter import solve_barycenter
+from .barycenter import _total, solve_barycenter
 from .errors import (
     EXIT_IO,
     EXIT_SCHEMA,
@@ -386,7 +386,7 @@ def cmd_barycenter(args) -> int:
         k=args.k, init_seed=args.seed if args.seed is not None else 0,
     )
     batches = approx_mod._coupled_arcs(fam, res, res.nu0, np.zeros(fam.dim))
-    w2 = np.concatenate([costs for *_, costs in batches]).tolist()
+    w2 = np.concatenate([costs for *_, costs in batches])
     payload = {
         "schema": 1,
         "subcommand": "barycenter",
@@ -395,8 +395,8 @@ def cmd_barycenter(args) -> int:
             "epsilon", "max_iter", "tol", "resolution", "k", "seed", "support",
         ]),
         "method": res.method,
-        "objective": float(sum(p * c for p, c in zip(fam.probabilities.tolist(), w2))),
-        "per_measure_w2": {str(label): c for label, c in zip(fam.labels, w2)},
+        "objective": _total(fam.probabilities, w2),
+        "per_measure_w2": {str(label): c for label, c in zip(fam.labels, w2.tolist())},
         "iterations": res.iterations,
         "converged": res.converged,
         "nu0": _nu0_payload(res.nu0),

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import IndependentApproximation, SampledOutput, _total, match_rows
+from .approx import IndependentApproximation, SampledOutput, match_rows
+from .barycenter import _total
 from .errors import UnknownSupportPointError
 from .measure import Dataset, DiscreteMeasure, coalesce
 from .ot import _segment_dot, cost_matrix
@@ -123,7 +124,7 @@ def verify(approx: IndependentApproximation, data: Dataset) -> Report:
     tv = dict(zip(fam.labels, (0.5 * deviation.sum(axis=1)).tolist()))
     recon_err = float(deviation.max())
 
-    lower = _total(fam, dual)
+    lower = _total(fam.probabilities, dual)
     achieved = approx.achieved_distance_sq
     gap = achieved - lower
     tol = max(1e-8 * max(1.0, abs(lower)),

@@ -11,16 +11,19 @@ Implements three routes to a coupling between two discrete measures:
   transport polytope so its marginals are exact; the reported cost is
   the unregularized evaluation of that plan.
 - ``comonotone_staircases``: the closed-form north-west-corner plans of
-  many 1-D measures to one, optimal in one dimension, as flat arcs.  It
-  merges cumulative-weight vectors and forms only the costs of each
-  plan's n + k - 1 arcs, never a cost matrix.  ``solve_comonotone_1d``
-  is its one-pair case, with the plan laid out dense.
+  many 1-D measures to one, optimal in one dimension, as one arc batch
+  (rows, cols, flow, u, costs).  It merges cumulative-weight vectors and
+  forms only the costs of each plan's n + k - 1 arcs, never a cost
+  matrix.  ``solve_comonotone_1d`` is its one-pair case, with the plan
+  laid out dense and the column potentials read off the arcs.
 
 ``optimal_coupling`` picks the cheapest exact one for the dimension, and
 ``_family_couplings`` for every measure of a flat layout.  The two exact
 solvers also return dual potentials, which certify their plans without a
 second solve.  This LP and the joint barycenter LP are both solved by
-``_solve_lp``.
+``_solve_lp``.  ``_check_marginals`` checks every plan, dense or as arcs,
+and ``_row_potentials`` gives every 1-D plan's row potentials, here and
+in the quantile merge of :mod:`otrepair.barycenter`.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -53,7 +56,6 @@ __all__ = [
     "solve_entropic",
     "solve_comonotone_1d",
     "comonotone_staircases",
-    "Staircase",
     "optimal_coupling",
 ]
 
@@ -82,8 +84,10 @@ class Coupling:
     """A joint weight matrix with prescribed marginals.
 
     ``weights[i, j]`` is the mass moved from ``row_measure``'s i-th
-    point to ``col_measure``'s j-th point.  Row and column sums must
-    reproduce the marginal weights within ``MARGINAL_ATOL`` per entry.
+    point to ``col_measure``'s j-th point.  Entries must be finite and
+    nonnegative, and row and column sums must reproduce the marginal
+    weights within ``MARGINAL_ATOL`` per entry: :func:`_check_marginals`
+    on the nonzero entries.
     """
 
     row_measure: DiscreteMeasure
@@ -100,14 +104,9 @@ class Coupling:
                 f"marginals have dimensions {self.row_measure.dim} and "
                 f"{self.col_measure.dim}"
             )
-        if np.any(w < 0.0):
-            raise NegativeWeightError("coupling entries must be nonnegative")
-        if np.max(np.abs(w.sum(axis=1) - self.row_measure.weights)) > MARGINAL_ATOL:
-            raise WeightSumError("row sums do not match the row measure")
-        if np.max(np.abs(w.sum(axis=0) - self.col_measure.weights)) > MARGINAL_ATOL:
-            raise WeightSumError("column sums do not match the column measure")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise WeightSumError("coupling total mass is not 1")
+        rows, cols = np.nonzero(w)
+        _check_marginals(rows, cols, w[rows, cols], np.array([0, len(rows)]),
+                         self.row_measure.weights, self.col_measure)
         wf = np.ascontiguousarray(w)
         wf.flags.writeable = False
         object.__setattr__(self, "weights", wf)
@@ -272,31 +271,8 @@ def _sorted_1d(x: np.ndarray, w: np.ndarray, starts: np.ndarray) -> tuple:
 # comonotone 1-D closed form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Staircase:
-    """The comonotone couplings of 1-D measures mu_1..mu_A with one nu.
-
-    The measures' points are numbered as in the flat arrays they were
-    given in, mu_a holding ``starts[a]:starts[a + 1]``.  Arcs
-    ``arc_starts[a]:arc_starts[a + 1]`` are mu_a's n_a + K - 1 staircase
-    arcs in staircase order: ``rows`` numbers their source points,
-    ``cols`` their points of nu and ``flow`` their mass.  Zero-flow arcs
-    are kept, so each coupling's arcs form a spanning tree.  ``costs[a]``
-    is mu_a's transport cost, ``u`` holds the row potential of every
-    source point and ``v[a]`` mu_a's column potentials over nu.
-    """
-
-    arc_starts: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    flow: np.ndarray
-    costs: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-
 def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.ndarray,
-                          nu: DiscreteMeasure) -> Staircase:
+                          nu: DiscreteMeasure) -> tuple:
     """North-west-corner plans of many 1-D measures to ``nu``, all at once;
     each is optimal for m = 1.
 
@@ -310,15 +286,20 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
     next row, a column end to the next column.  A row end's place in the
     merge is its own rank plus the count of column ends below it, so one
     ``searchsorted`` against nu's ends merges every measure.  Arc t
-    carries the mass between the t-th and the (t+1)-th end.  The
-    potentials solve u[i] + v[j] = cost on every arc with u = 0 at each
-    measure's lowest point: at a step the new potential is its side's
-    previous one plus the change in arc cost.  Ties among equal support
-    values keep their index order, which pins every plan down uniquely.
-    Every float is the one the same merge computes for that measure
-    alone.  The marginals are checked like a :class:`Coupling`'s, for all
-    plans together.  Raises :class:`NonFiniteValueError` when a squared
-    distance overflows.
+    carries the mass between the t-th and the (t+1)-th end.  Ties among
+    equal support values keep their index order, which pins every plan
+    down uniquely.  Every float is the one the same merge computes for
+    that measure alone.  :func:`_check_marginals` checks all plans
+    together.
+
+    Returns the arc batch (rows, cols, flow, u, costs): arcs
+    ``starts[a] + a (K - 1)`` up to the next measure's are mu_a's
+    n_a + K - 1 arcs in staircase order, ``rows`` numbering their source
+    points, ``cols`` their points of nu and ``flow`` their mass; zero-flow
+    arcs are kept, so each plan's arcs form a spanning tree.  ``u`` holds
+    every source point's potential (:func:`_row_potentials`) and
+    ``costs[a]`` is mu_a's transport cost.  Raises
+    :class:`NonFiniteValueError` when a squared distance overflows.
     """
     if nu.dim != 1 or support.shape[1] != 1:
         raise DimensionNotOneError("comonotone coupling requires 1-D measures")
@@ -329,12 +310,11 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
     A, K = len(starts) - 1, nu.n
     cb = np.cumsum(nu.weights[order_c])
     arc_starts = starts + np.arange(A + 1) * (K - 1)
-    is_row, flow = _merged_flows(starts, ca, cb, arc_starts)
+    is_row, flow, end_col = _merged_flows(starts, ca, cb, arc_starts)
     rows, cols, cost = _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys)
-    u, v = _tree_potentials(cost, is_row, starts, arc_starts, order_r, order_c)
     _check_marginals(rows, cols, flow, arc_starts, weights, nu)
-    return Staircase(arc_starts, rows, cols, flow,
-                     _segment_dot(flow, cost, arc_starts), u, v)
+    return (rows, cols, flow, _row_potentials(xs, ys[end_col], starts, order_r),
+            _segment_dot(flow, cost, arc_starts))
 
 
 def _check_reach(xs, starts, ys) -> None:
@@ -353,20 +333,19 @@ def _merged_flows(starts, ca, cb, arc_starts):
 
     Returns ``is_row``, which marks the merged ends that are row ends
     (measure a's n_a + K - 2 ends come after those of the measures
-    before it), and each arc's flow, the mass between the ends on either
+    before it), each arc's flow, the mass between the ends on either
     side of it: a measure's first arc starts at 0 and its last one ends
     at the larger of the two totals, which no earlier end exceeds, so no
-    flow is negative.
+    flow is negative; and the sorted column where each row ends.
     """
     A = len(starts) - 1
     end_starts = arc_starts - np.arange(A + 1)
-    # a row end is every sorted slot but each measure's last; its place in
-    # the merge is its rank plus the count of column ends below it
-    row_end = np.ones(len(ca), dtype=bool)
-    row_end[starts[1:] - 1] = False
+    # a row end's place in the merge is its rank plus the count of column
+    # ends below it
+    row_end = _row_ends(starts)
     owner = np.repeat(np.arange(A), np.diff(starts))[row_end]
-    place = (end_starts[owner] + np.arange(len(ca))[row_end] - starts[owner]
-             + np.searchsorted(cb[:-1], ca[row_end]))
+    end_col = np.searchsorted(cb[:-1], ca[row_end])
+    place = end_starts[owner] + np.arange(len(ca))[row_end] - starts[owner] + end_col
     is_row = np.zeros(int(end_starts[-1]), dtype=bool)
     is_row[place] = True
     ends = np.empty(len(is_row))
@@ -383,7 +362,7 @@ def _merged_flows(starts, ca, cb, arc_starts):
     below = np.zeros(n_arcs)
     below[~first] = ends
     flow -= below
-    return is_row, flow
+    return is_row, flow, end_col
 
 
 def _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys):
@@ -399,45 +378,42 @@ def _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys):
     return order_r[slot], order_c[j], (xs[slot] - ys[j]) ** 2
 
 
-def _tree_potentials(cost, is_row, starts, arc_starts, order_r, order_c):
-    """(u, v) with u[i] + v[j] = cost on every arc and u = 0 at each
-    measure's lowest point; ``v[a]`` is measure a's over nu.  At each end
-    the new potential is its side's previous one plus the change in arc
-    cost there, so each side's potentials are running sums of those
-    changes."""
-    A, K = len(starts) - 1, len(order_c)
-    # an end follows every arc but each measure's last
-    followed = np.ones(len(cost), dtype=bool)
-    followed[arc_starts[1:] - 1] = False
-    step = np.diff(cost)[followed[:-1]]
-    u = _row_potentials(step[is_row], starts, order_r)
-    first_cost = cost[arc_starts[:-1], None]
-    v = np.empty((A, K))
-    v[:, order_c[0]] = first_cost[:, 0]
-    v[:, order_c[1:]] = first_cost + np.cumsum(step[~is_row].reshape(A, K - 1), axis=1)
-    return u, v
+def _row_ends(starts: np.ndarray) -> np.ndarray:
+    """Marks the sorted rows of staircases that end inside them: every
+    row but each measure's top one."""
+    row_end = np.ones(int(starts[-1]), dtype=bool)
+    row_end[starts[1:] - 1] = False
+    return row_end
 
 
-def _row_potentials(step: np.ndarray, starts: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Row potentials of staircases: 0 at each measure's lowest sorted
-    point, then the running sum of ``step``, which holds the change at
-    each of the other sorted points in turn, put back in the points' order
-    by ``order`` (as :func:`_sorted_1d` gives it)."""
-    u_sorted = np.zeros(len(order))
-    lowest = np.zeros(len(order), dtype=bool)
-    lowest[starts[:-1]] = True
-    u_sorted[~lowest] = _segment_cumsum(step, starts - np.arange(len(starts)))
-    u = np.empty(len(order))
+def _row_potentials(xs: np.ndarray, y_end: np.ndarray, starts: np.ndarray,
+                    order: np.ndarray) -> np.ndarray:
+    """Row potentials of staircases on sorted points ``xs`` (in segments
+    ``starts``), put back in the points' order by ``order`` (as
+    :func:`_sorted_1d` gives them).  ``y_end`` is the point of nu where
+    each sorted row but a measure's top one ends.  The potential is 0 at
+    each measure's lowest point, and each next one's is the previous one's
+    plus the change in cost through that row end, so that u[i] + v[j] is
+    the cost on every arc."""
+    i = np.flatnonzero(_row_ends(starts))
+    u_sorted = np.zeros(len(xs))
+    u_sorted[i + 1] = _segment_cumsum((xs[i + 1] - y_end) ** 2 - (xs[i] - y_end) ** 2,
+                                      starts - np.arange(len(starts)))
+    u = np.empty(len(xs))
     u[order] = u_sorted
     return u
 
 
 def _check_marginals(rows, cols, flow, arc_starts, w, nu) -> None:
-    """The checks of :class:`Coupling` on the plans of many measures to
+    """The one check of every coupling, on the plans of many measures to
     ``nu`` at once, given as arcs: measure a's arcs are
     ``arc_starts[a]:arc_starts[a + 1]``, and ``rows`` numbers their source
-    points in the flat weights ``w`` of all the measures."""
+    points in the flat weights ``w`` of all the measures.  Flows must be
+    finite and nonnegative, and every plan's row sums, column sums and
+    total mass must match its marginals."""
     A, K = len(arc_starts) - 1, nu.n
+    if not np.isfinite(flow).all():
+        raise NonFiniteValueError("coupling entries must be finite")
     if np.any(flow < 0.0):
         raise NegativeWeightError("coupling entries must be nonnegative")
     if np.max(np.abs(np.bincount(rows, flow, len(w)) - w)) > MARGINAL_ATOL:
@@ -454,14 +430,19 @@ def solve_comonotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """North-west-corner plan on ascending supports; optimal for m = 1.
 
     The one-pair case of :func:`comonotone_staircases` (a batch of one),
-    with the plan laid out as a dense matrix.  Raises
-    :class:`NonFiniteValueError` when any squared distance overflows.
+    with the plan laid out as a dense matrix.  Every column has an arc,
+    and its potential is read off the first one: cost minus the row's
+    potential.  Raises :class:`NonFiniteValueError` when any squared
+    distance overflows.
     """
-    st = comonotone_staircases(mu.support, mu.weights, np.array([0, mu.n]), nu)
+    rows, cols, flow, u, costs = comonotone_staircases(mu.support, mu.weights,
+                                                       np.array([0, mu.n]), nu)
     plan = np.zeros((mu.n, nu.n))
-    plan[st.rows, st.cols] = st.flow
-    return OtSolution(Coupling(mu, nu, plan), float(st.costs[0]), "comonotone_1d", 0,
-                      True, (st.u, st.v[0]))
+    plan[rows, cols] = flow
+    first = rows[np.unique(cols, return_index=True)[1]]
+    v = (mu.support[first, 0] - nu.support[:, 0]) ** 2 - u[first]
+    return OtSolution(Coupling(mu, nu, plan), float(costs[0]), "comonotone_1d", 0,
+                      True, (u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +589,8 @@ def _family_couplings(support: np.ndarray, weights: np.ndarray, starts: np.ndarr
         cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(starts) - 1]):
             s, e = starts[lo], starts[hi]
-            st = comonotone_staircases(support[s:e], weights[s:e], starts[lo:hi + 1] - s, nu)
-            yield s, st.rows, st.cols, st.flow, st.u, st.costs
+            yield (s, *comonotone_staircases(support[s:e], weights[s:e],
+                                             starts[lo:hi + 1] - s, nu))
         return
     for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
         sol = solve_exact(DiscreteMeasure._of_checked(support[s:e], weights[s:e]), nu)

@@ -6,6 +6,7 @@ import pytest
 import otrepair.ot
 from otrepair.cli import main
 from otrepair.errors import (
+    EXIT_SCHEMA,
     DimensionMismatchError,
     DimensionNotOneError,
     NegativeWeightError,
@@ -16,6 +17,7 @@ from otrepair.errors import (
 from otrepair.measure import DiscreteMeasure, coalesce, dirac, make_measure
 from otrepair.ot import (
     Coupling,
+    _check_marginals,
     cost_matrix,
     optimal_coupling,
     solve_comonotone_1d,
@@ -91,6 +93,25 @@ def test_coupling_validation():
         Coupling(mu, nu, np.ones((3, 2)) / 6)
     with pytest.raises(DimensionMismatchError):
         Coupling(mu, dirac([0.0, 0.0]), np.array([[0.5], [0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coupling_rejects_non_finite_entries(bad):
+    # a NaN compares False against every tolerance, so finiteness is
+    # checked first, on dense plans and on arcs alike
+    mu = make_measure([0.0, 1.0], [1.0, 1.0])
+    nu = make_measure([0.0, 1.0], [1.0, 1.0])
+    for plan in ([[bad, 0.0], [0.0, 0.5]], [[0.5, bad], [0.0, 0.5]], [[0.5, 0.0], [0.0, bad]]):
+        with pytest.raises(NonFiniteValueError, match="coupling entries must be finite") as err:
+            Coupling(mu, nu, np.array(plan))
+        assert err.value.exit_code == EXIT_SCHEMA
+    # two measures' plans as one batch of arcs, the second's flow bad
+    rows, cols = np.array([0, 1, 2, 3]), np.array([0, 1, 0, 1])
+    for flow in ([0.5, 0.5, bad, 0.5], [0.5, 0.5, 0.5, bad]):
+        with pytest.raises(NonFiniteValueError, match="coupling entries must be finite"):
+            _check_marginals(rows, cols, np.array(flow), np.array([0, 2, 4]),
+                             np.full(4, 0.5), nu)
+    _check_marginals(rows, cols, np.full(4, 0.5), np.array([0, 2, 4]), np.full(4, 0.5), nu)
 
 
 # --- solve_exact -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests for ``build`` in 1-D and 2-D, for the conditional
-family's flat layout and for the CLI's JSON emitter.
+family's flat layout, the 1-D quantile readers and the CLI's JSON
+emitter.
 
 The examples come from hypothesis with a fixed derivation
 (``derandomize=True``), so every run checks the same datasets.  In 2-D
@@ -15,11 +16,23 @@ import numpy as np
 import pytest
 
 from otrepair.approx import build, estimate_conditionals, lower_bound, transform
-from otrepair.barycenter import NEGLIGIBLE_ATOM, _solvable_family, solve_barycenter
+from otrepair.barycenter import (
+    NEGLIGIBLE_ATOM,
+    _solvable_family,
+    _sorted_quantiles,
+    quantile_grid_measure,
+    solve_barycenter,
+)
 from otrepair.cli import _emit_json, main
 from otrepair.diagnostics import verify
-from otrepair.measure import Dataset, DiscreteMeasure, family, make_measure
-from otrepair.ot import Coupling, comonotone_staircases, cost_matrix, solve_comonotone_1d
+from otrepair.measure import Dataset, DiscreteMeasure, coalesce, family, make_measure
+from otrepair.ot import (
+    Coupling,
+    _search_segments,
+    comonotone_staircases,
+    cost_matrix,
+    solve_comonotone_1d,
+)
 
 from conftest import reference_conditionals, reference_emit_json, simplex_objective
 
@@ -162,24 +175,25 @@ def measure(points):
 @given(atoms=st.lists(POINTS, min_size=1, max_size=5), target=POINTS)
 def test_batched_staircase_is_each_pair_alone(atoms, target):
     # one-point atoms, tied values, duplicate points and zero weights: the
-    # batched kernel gives every atom the plan, cost and potentials of the
-    # one-pair solve, bit for bit
+    # batched kernel gives every atom the plan, cost and row potentials of
+    # the one-pair solve, bit for bit
     laws = [measure(points) for points in atoms]
     nu = measure(target)
     starts = np.cumsum([0] + [mu.n for mu in laws])
-    batch = comonotone_staircases(np.concatenate([mu.support for mu in laws]),
-                                  np.concatenate([mu.weights for mu in laws]), starts, nu)
+    arc_rows, cols, flow, u, costs = comonotone_staircases(
+        np.concatenate([mu.support for mu in laws]),
+        np.concatenate([mu.weights for mu in laws]), starts, nu)
+    arc_starts = starts + np.arange(len(laws) + 1) * (nu.n - 1)
+    assert len(arc_rows) == arc_starts[-1]
     for a, mu in enumerate(laws):
         alone = solve_comonotone_1d(mu, nu)
         rows = slice(*starts[a:a + 2])
-        arcs = slice(*batch.arc_starts[a:a + 2])
-        assert arcs.stop - arcs.start == mu.n + nu.n - 1
+        arcs = slice(*arc_starts[a:a + 2])
         plan = np.zeros((mu.n, nu.n))
-        plan[batch.rows[arcs] - rows.start, batch.cols[arcs]] = batch.flow[arcs]
+        plan[arc_rows[arcs] - rows.start, cols[arcs]] = flow[arcs]
         assert np.array_equal(plan, alone.coupling.weights)
-        assert batch.costs[a] == alone.cost
-        assert np.array_equal(batch.u[rows], alone.potentials[0])
-        assert np.array_equal(batch.v[a], alone.potentials[1])
+        assert costs[a] == alone.cost
+        assert np.array_equal(u[rows], alone.potentials[0])
 
 
 def assert_flat_layout(fam, triples):
@@ -211,7 +225,7 @@ def test_family_layout_is_the_per_atom_concatenation(atoms, rows, rows_2d, p):
     by_hand = family(triples + [light])
     with pytest.warns(UserWarning, match="negligible"):
         kept = _solvable_family(by_hand)
-    total = sum(p_a for _, p_a, _ in triples)
+    total = np.cumsum([p_a for _, p_a, _ in triples])[-1]
     assert_flat_layout(by_hand, triples + [light])
     assert_flat_layout(kept, [(label, p_a / total, mu) for label, p_a, mu in triples])
     for r in (rows, rows_2d):
@@ -271,8 +285,8 @@ def test_quantile_merge_couplings_match_fresh_couplings(coords, atoms, zeros, li
         assert res.method == "dirac_closed_form"
         return
     _, rows, cols, flow, u, costs = res.couplings
-    fresh = comonotone_staircases(kept.support, kept.weights, kept.starts, res.nu0)
-    for cost, ref in zip(costs.tolist(), fresh.costs.tolist()):
+    *_, fresh = comonotone_staircases(kept.support, kept.weights, kept.starts, res.nu0)
+    for cost, ref in zip(costs.tolist(), fresh.tolist()):
         assert within(cost, ref, 1e-12, 1e-15 * reach)
     achieved = float(kept.probabilities @ costs)
     assert within(achieved, lower_bound(kept, res.nu0), 1e-12, 1e-15 * reach)
@@ -312,9 +326,45 @@ def test_quantile_merge_couplings_match_fresh_couplings(coords, atoms, zeros, li
         w2 = json.loads(rep.read_text(encoding="utf-8"))["per_measure_w2"]
     est = estimate_conditionals(data)
     nu0 = solve_barycenter(est, "quantile1d").nu0
-    staircase = comonotone_staircases(est.support, est.weights, est.starts, nu0).costs
+    *_, staircase = comonotone_staircases(est.support, est.weights, est.starts, nu0)
     for label, ref in zip(est.labels, staircase.tolist()):
         assert within(w2[label], ref, 1e-12, 1e-15 * reach)
+
+
+def bisection_grid_measure(fam, resolution):
+    """The R-point quantile grid barycenter read by bisection: for every
+    (atom, level) pair the first sorted point whose cumulative weight
+    reaches t, found by :func:`otrepair.ot._search_segments`; the oracle
+    of ``quantile_grid_measure``'s count of ranks."""
+    fam = _solvable_family(fam)
+    _, xs, cum = _sorted_quantiles(fam)
+    t = (np.arange(resolution) + 0.5) / resolution
+    lo = np.repeat(fam.starts[:-1], resolution)
+    hi = np.repeat(fam.starts[1:], resolution)
+    pos = np.minimum(_search_segments(cum, lo, hi, np.tile(t, len(fam))), hi - 1)
+    values = np.cumsum(fam.probabilities[:, None] * xs[pos].reshape(len(fam), -1), axis=0)[-1]
+    return coalesce(DiscreteMeasure(values[:, None], np.full(resolution, 1.0 / resolution)))
+
+
+@pytest.mark.filterwarnings("ignore:dropping 1 negligible atom")
+@hypothesis.settings(PROPERTY, max_examples=60)
+@given(coords=COORDS, atoms=QUANTILE_ATOMS, zeros=st.booleans(), light=st.booleans(),
+       resolution=st.sampled_from([1, 2, 3, 7, 64, 1000]))
+# cumulative weights 1/4 and 1/2 on the grid points of R = 2 and R = 1
+@hypothesis.example(coords=[1.0, -2.0], atoms=[(1.0, [(0, 1.0), (1, 1.0)]),
+                                               (2.0, [(1, 1.0), (0, 3.0)])],
+                    zeros=False, light=False, resolution=2)
+@hypothesis.example(coords=[1.0, -2.0], atoms=[(1.0, [(0, 1.0), (1, 1.0)])],
+                    zeros=False, light=False, resolution=1)
+def test_quantile_grid_is_the_bisection_reader(coords, atoms, zeros, light, resolution):
+    # one-point atoms, duplicates, zero and dyadic weights, coordinates
+    # from 1e-6 to 1e6 and a negligible atom: the count of ranks reads
+    # every quantile the bisection reads, bit for bit
+    fam = family(quantile_triples(coords, atoms, zeros, light))
+    got = quantile_grid_measure(fam, resolution)
+    ref = bisection_grid_measure(fam, resolution)
+    assert got.support.tobytes() == ref.support.tobytes()
+    assert got.weights.tobytes() == ref.weights.tobytes()
 
 
 # strings with JSON's escapes, control characters, non-ASCII text and
