@@ -39,7 +39,6 @@ from .errors import (
 )
 from .measure import ConditionalFamily, Dataset, DiscreteMeasure, mean
 from .ot import (
-    _BATCH_ARCS,
     _family_couplings,
     _search_segments,
     _segment_cumsum,
@@ -153,17 +152,6 @@ class Disintegration:
         return cls(indptr, cols, flow / np.repeat(row_mass, counts),
                    np.asarray(potential, dtype=float))
 
-    @classmethod
-    def concatenate(cls, parts):
-        """One store of the rows of ``parts`` in turn."""
-        arcs = np.cumsum([0] + [p.indptr[-1] for p in parts])
-        return cls(
-            np.concatenate([[0]] + [p.indptr[1:] + a for p, a in zip(parts, arcs)]),
-            np.concatenate([p.cols for p in parts]),
-            np.concatenate([p.mass for p in parts]),
-            np.concatenate([p.potential for p in parts]),
-        )
-
     def dense(self, k: int) -> np.ndarray:
         """The conditionals as a dense (rows, k) matrix over nu0's index
         order, for inspection and tests; the samplers read the arcs."""
@@ -220,74 +208,41 @@ class SampledOutput:
 
 
 def _coupled_arcs(family: ConditionalFamily, bary: BarycenterResult,
-                  nu0: DiscreteMeasure, shift: np.ndarray):
+                  nu0: DiscreteMeasure, shift: np.ndarray) -> tuple:
     """Every atom's exact coupling to nu0, the barycenter's measure
-    translated by ``shift``, in the batches of
-    :func:`otrepair.ot._family_couplings`, which forms them unless the
-    barycenter came with its couplings (both exact routes).  Then the
-    batches are those, recentred, in pieces of consecutive atoms of about
-    ``_BATCH_ARCS`` arcs: translating nu0 by t changes C_ij by
-    -2 (x_i - s_j).t + |t|^2, so a plan stays optimal, its row potential
-    becomes u - 2 x.t (the c-transform absorbs the column terms) and its
-    cost follows from the barycenter's and the plan's arcs.  An atom the
-    barycenter dropped as negligible is coupled alone, in its place.
+    translated by ``shift``, as one arc record (rows, cols, flow, u,
+    costs) over the family's flat rows, shaped like a batch of
+    :func:`otrepair.ot._family_couplings`.
+
+    The couplings of both exact routes are recentred in one pass:
+    translating nu0 by t changes C_ij by -2 (x_i - s_j).t + |t|^2, so a
+    plan stays optimal, its row potential becomes u - 2 x.t (the
+    c-transform absorbs the column terms) and its cost follows from the
+    barycenter's and the plan's arcs.  The atoms without one (all on the
+    other routes, the negligible ones on the exact routes) are coupled by
+    one :func:`otrepair.ot._family_couplings`, their arcs appended.
     """
-    if bary.couplings is None:
-        yield from _family_couplings(family.support, family.weights, family.starts, nu0)
-        return
-    _, rows, cols, flow, u, costs = bary.couplings
-    x, starts, sizes = family.support, family.starts, np.diff(family.starts)
-    kept = ~_negligible(family)
-    # the batch numbers the kept atoms' points; before each atom of the
-    # family come ``before`` kept atoms, ``points`` of their points and
-    # ``arcs`` of their arcs
-    owner = np.repeat(np.arange(len(costs)), sizes[kept])[rows]
-    before = np.concatenate([[0], np.cumsum(kept)])
-    points = np.concatenate([[0], np.cumsum(sizes * kept)])
-    arcs = np.searchsorted(owner, before)
-    cuts = {0, len(family)} | {a + d for a in np.flatnonzero(~kept).tolist() for d in (0, 1)}
-    if len(rows) > _BATCH_ARCS:
-        cuts |= set((np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1).tolist())
-    cuts = sorted(cuts)
-    for a0, a1 in zip(cuts, cuts[1:]):
-        s, e = starts[a0], starts[a1]
-        if not kept[a0]:
-            for _, *batch in _family_couplings(x[s:e], family.weights[s:e], np.array([0, e - s]),
-                                               nu0):
-                yield s, *batch
-            continue
-        k0, k1, lo, hi = before[a0], before[a1], arcs[a0], arcs[a1]
-        r, c, f, o = rows[lo:hi] - points[a0], cols[lo:hi], flow[lo:hi], owner[lo:hi] - k0
-        drift = np.bincount(o, f * ((x[s:e][r] - bary.nu0.support[c]) @ shift), k1 - k0)
-        cost = np.bincount(o, f, k1 - k0) * (shift @ shift) - 2.0 * drift + costs[k0:k1]
-        yield s, r, c, f, u[points[a0]:points[a1]] - 2.0 * (x[s:e] @ shift), cost
-
-
-def _assemble(
-    family: ConditionalFamily,
-    bary: BarycenterResult,
-    mean_x: np.ndarray,
-    shift: np.ndarray,
-) -> IndependentApproximation:
-    """Couple every atom to nu0, the barycenter's measure translated by
-    ``shift`` (see :func:`_coupled_arcs`), and store the couplings as one
-    :class:`Disintegration`, built batch by batch."""
-    nu0 = bary.nu0.translate(shift)
-    parts, costs = [], []
-    for _, rows, cols, flow, u, cost in _coupled_arcs(family, bary, nu0, shift):
-        parts.append(Disintegration.from_arcs(rows, cols, flow, u, nu0))
-        costs.append(cost)
-    return IndependentApproximation(
-        family=family,
-        nu0=nu0,
-        disintegration=Disintegration.concatenate(parts),
-        achieved_distance_sq=_total(family.probabilities, np.concatenate(costs)),
-        mean_x=np.asarray(mean_x, dtype=float),
-        mean_y=mean(nu0),
-        method=bary.method,
-        barycenter_iterations=bary.iterations,
-        barycenter_converged=bary.converged,
-    )
+    x, sizes = family.support, np.diff(family.starts)
+    u, costs = np.empty(len(x)), np.empty(len(family))
+    alone, record = np.ones(len(family), dtype=bool), []
+    if bary.couplings is not None:
+        rows, cols, flow, kept_u, kept_costs = bary.couplings
+        alone, n = _negligible(family), len(kept_costs)
+        points = np.flatnonzero(np.repeat(~alone, sizes))
+        owner = np.repeat(np.arange(n), sizes[~alone])[rows]
+        rows = points[rows]
+        drift = np.bincount(owner, flow * ((x[rows] - bary.nu0.support[cols]) @ shift), n)
+        costs[~alone] = np.bincount(owner, flow, n) * (shift @ shift) - 2.0 * drift + kept_costs
+        u[points] = kept_u - 2.0 * (x[points] @ shift)
+        record.append((rows, cols, flow))
+    if alone.any():
+        points = np.flatnonzero(np.repeat(alone, sizes))
+        batches = _family_couplings(x[points], family.weights[points],
+                                    np.concatenate([[0], np.cumsum(sizes[alone])]), nu0)
+        rows, cols, flow, u[points], costs[alone] = map(np.concatenate, zip(*batches))
+        record.append((points[rows], cols, flow))
+    rows, cols, flow = map(np.concatenate, zip(*record))
+    return rows, cols, flow, u, costs
 
 
 def build(data: Dataset, *, method: str = "auto", **options) -> IndependentApproximation:
@@ -310,7 +265,20 @@ def build(data: Dataset, *, method: str = "auto", **options) -> IndependentAppro
     bary = solve_barycenter(family, method, **options)
     # recentring: W2^2 to every atom drops by |shift|^2 jointly, and
     # the mean of nu0 becomes the mean of x exactly
-    return _assemble(family, bary, mean_x, mean_x - mean(bary.nu0))
+    shift = mean_x - mean(bary.nu0)
+    nu0 = bary.nu0.translate(shift)
+    rows, cols, flow, u, costs = _coupled_arcs(family, bary, nu0, shift)
+    return IndependentApproximation(
+        family=family,
+        nu0=nu0,
+        disintegration=Disintegration.from_arcs(rows, cols, flow, u, nu0),
+        achieved_distance_sq=_total(family.probabilities, costs),
+        mean_x=np.asarray(mean_x, dtype=float),
+        mean_y=mean(nu0),
+        method=bary.method,
+        barycenter_iterations=bary.iterations,
+        barycenter_converged=bary.converged,
+    )
 
 
 def match_rows(approx: IndependentApproximation, data: Dataset) -> np.ndarray:

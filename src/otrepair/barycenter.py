@@ -83,11 +83,12 @@ class BarycenterResult:
     round.  ``couplings`` holds, for the two exact routes (the joint LP
     of :func:`fixed_support_weights` and :func:`quantile_exact_measure`),
     the optimal coupling of every atom they kept with ``nu0``, as one arc
-    batch (first, rows, cols, flow, u, costs) of
-    :func:`otrepair.ot._family_couplings`: ``rows`` number the points of
-    the family without its negligible atoms, ``u`` is their potentials
-    and ``costs`` the kept atoms' transport costs.  None for the other
-    methods and the closed form of point masses.
+    record (rows, cols, flow, u, costs), the shape of
+    :func:`otrepair.ot._family_couplings`' batches: ``rows`` number the
+    flat rows of the family without its negligible atoms, ``cols`` the
+    points of ``nu0``, ``u`` is every such row's potential and ``costs``
+    the kept atoms' transport costs.  None for the other methods and the
+    closed form of point masses.
     """
 
     nu0: DiscreteMeasure
@@ -250,8 +251,8 @@ def fixed_support_weights(
     plans are checked like a :class:`otrepair.ot.Coupling`, all at once,
     and each is costed on a's rows of the cost matrix.  Returns (measure,
     LP iterations as SciPy reports them, couplings), ``couplings`` being
-    the plans' positive entries as one arc batch (first, rows, cols,
-    flow, u, costs) of :func:`otrepair.ot._family_couplings`.
+    the plans' positive entries as one arc record (rows, cols, flow, u,
+    costs), as in :attr:`BarycenterResult.couplings`.
     """
     family = _solvable_family(family)
     S = _check_support(family, support)
@@ -268,7 +269,7 @@ def fixed_support_weights(
     b = family.starts.tolist()
     costs = np.array([np.einsum("ij,ij->", plan[lo:hi], C[lo:hi]) for lo, hi in zip(b, b[1:])])
     u = duals[:N] / np.repeat(family.probabilities, np.diff(family.starts))
-    return nu0, nit, (0, rows, cols, flow, u, costs)
+    return nu0, nit, (rows, cols, flow, u, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,7 @@ def free_support_points(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        arcs = [(first + rows, cols, flow, costs) for first, rows, cols, flow, _, costs
+        arcs = [(rows, cols, flow, costs) for rows, cols, flow, _, costs
                 in _family_couplings(family.support, family.weights, family.starts,
                                      DiscreteMeasure(Y, w))]
         rows, cols, flow, costs = map(np.concatenate, zip(*arcs))
@@ -491,9 +492,8 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     zero-weight row).  All atoms are sorted together, once, the atoms are
     read in blocks (see :func:`_level_slots`), and the arcs are checked
     like a :class:`otrepair.ot.Coupling`.  Returns (nu0, couplings), couplings
-    being one arc batch (first, rows, cols, flow, u, costs) as
-    :func:`otrepair.ot._family_couplings` yields them, over the family
-    without its negligible atoms.
+    being one arc record (rows, cols, flow, u, costs) over the family
+    without its negligible atoms, as in :attr:`BarycenterResult.couplings`.
     """
     family = _solvable_family(family)
     order, xs, cum = _sorted_quantiles(family)
@@ -543,4 +543,4 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     # and so on the level below it (the first level for a weight of 0)
     end_level = np.clip(rank[_row_ends(starts)], 1, L) - 1
     u = _row_potentials(xs, y[col[end_level]], starts, order)
-    return nu0, (0, rows, cols, flow, u, costs)
+    return nu0, (rows, cols, flow, u, costs)

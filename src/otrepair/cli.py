@@ -385,8 +385,7 @@ def cmd_barycenter(args) -> int:
         max_iter=args.max_iter, tol=args.tol, resolution=args.resolution,
         k=args.k, init_seed=args.seed if args.seed is not None else 0,
     )
-    batches = approx_mod._coupled_arcs(fam, res, res.nu0, np.zeros(fam.dim))
-    w2 = np.concatenate([costs for *_, costs in batches])
+    *_, w2 = approx_mod._coupled_arcs(fam, res, res.nu0, np.zeros(fam.dim))
     payload = {
         "schema": 1,
         "subcommand": "barycenter",

@@ -577,23 +577,25 @@ def _family_couplings(support: np.ndarray, weights: np.ndarray, starts: np.ndarr
                       nu: DiscreteMeasure):
     """:func:`optimal_coupling` of every measure of a flat layout (as in
     :class:`otrepair.measure.ConditionalFamily`) to ``nu``, the same floats,
-    in batches of consecutive measures (first, rows, cols, flow, u, costs):
-    ``rows`` numbers the arcs' source points from flat row ``first``,
-    ``cols`` their points of nu, ``u`` is the batch's row potentials and
-    ``costs`` each measure's cost.  In 1-D a batch is one
+    in batches of consecutive measures (rows, cols, flow, u, costs):
+    ``rows`` numbers the arcs' source points in the layout, ``cols`` their
+    points of nu, ``u`` is the row potentials of the batch's points and
+    ``costs`` each of its measures' cost.  In 1-D a batch is one
     :func:`comonotone_staircases` over about ``_BATCH_ARCS`` arcs, zero
     flows kept; otherwise one :func:`solve_exact` plan's positive arcs.
+    Batching bounds the arcs held at once.
     """
     if support.shape[1] == 1:
         arcs = starts + np.arange(len(starts)) * (nu.n - 1)
         cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(starts) - 1]):
             s, e = starts[lo], starts[hi]
-            yield (s, *comonotone_staircases(support[s:e], weights[s:e],
-                                             starts[lo:hi + 1] - s, nu))
+            rows, *batch = comonotone_staircases(support[s:e], weights[s:e],
+                                                 starts[lo:hi + 1] - s, nu)
+            yield rows + s, *batch
         return
     for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
         sol = solve_exact(DiscreteMeasure._of_checked(support[s:e], weights[s:e]), nu)
         plan = sol.coupling.weights
         rows, cols = np.nonzero(plan)
-        yield s, rows, cols, plan[rows, cols], sol.potentials[0], np.array([sol.cost])
+        yield rows + s, cols, plan[rows, cols], sol.potentials[0], np.array([sol.cost])

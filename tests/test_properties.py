@@ -284,7 +284,7 @@ def test_quantile_merge_couplings_match_fresh_couplings(coords, atoms, zeros, li
     if res.couplings is None:  # every kept atom a point mass: the closed form
         assert res.method == "dirac_closed_form"
         return
-    _, rows, cols, flow, u, costs = res.couplings
+    rows, cols, flow, u, costs = res.couplings
     *_, fresh = comonotone_staircases(kept.support, kept.weights, kept.starts, res.nu0)
     for cost, ref in zip(costs.tolist(), fresh.tolist()):
         assert within(cost, ref, 1e-12, 1e-15 * reach)
