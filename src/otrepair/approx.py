@@ -188,8 +188,11 @@ class IndependentApproximation:
         """One atom's conditionals as a dense matrix: row i is the law of
         y given the atom's i-th source point, over nu0's index order."""
         a = self.family.labels.index(label)
-        s = self.family.starts
-        return self.disintegration.dense(self.nu0.n)[s[a]:s[a + 1]]
+        s, e = self.family.starts[a:a + 2]
+        dis = self.disintegration
+        lo, hi = dis.indptr[s], dis.indptr[e]
+        return Disintegration(dis.indptr[s:e + 1] - lo, dis.cols[lo:hi], dis.mass[lo:hi],
+                              dis.potential[s:e]).dense(self.nu0.n)
 
 
 @dataclass(frozen=True, eq=False)

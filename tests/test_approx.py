@@ -9,6 +9,8 @@ import pytest
 import otrepair
 import otrepair.ot
 from otrepair.approx import (
+    Disintegration,
+    _coupled_arcs,
     build,
     estimate_conditionals,
     lower_bound,
@@ -16,7 +18,7 @@ from otrepair.approx import (
     transform,
     transform_grid,
 )
-from otrepair.barycenter import solve_barycenter
+from otrepair.barycenter import _total, solve_barycenter
 from otrepair.cli import main
 from otrepair.diagnostics import verify
 from otrepair.errors import (
@@ -38,7 +40,7 @@ from otrepair.measure import (
     mean,
     mixture,
 )
-from otrepair.ot import cost_matrix
+from otrepair.ot import _family_couplings, cost_matrix
 
 from conftest import (
     decomposed_distance_sq,
@@ -684,6 +686,78 @@ def test_default_1d_build_sorts_once_and_forms_no_staircase(rng, monkeypatch, li
         ap = build(d)
     assert calls == Counter(_sorted_1d=1 + light, comonotone_staircases=light)
     assert verify(ap, d).passed
+
+
+def _shifted_groups(rng, m, G, n, light=None):
+    """G groups of n rows, x = N(0, 1) + 0.7 g on every coordinate, weights
+    U(0, 1) + 0.05; group ``light``'s weights scaled by 1e-16."""
+    groups = tuple(f"g{a}" for a in range(G) for _ in range(n))
+    x = rng.normal(size=(G * n, m)) + 0.7 * np.repeat(np.arange(G), n)[:, None]
+    w = rng.random(G * n) + 0.05
+    if light is not None:
+        w[light * n:(light + 1) * n] *= 1e-16
+    return Dataset(groups, x, w)
+
+
+def concatenate(parts):
+    """One store of the rows of the stores ``parts`` in turn."""
+    arcs = np.cumsum([0] + [p.indptr[-1] for p in parts])
+    return Disintegration(
+        np.concatenate([[0]] + [p.indptr[1:] + a for p, a in zip(parts, arcs)]),
+        np.concatenate([p.cols for p in parts]),
+        np.concatenate([p.mass for p in parts]),
+        np.concatenate([p.potential for p in parts]),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:dropping 1 negligible atom")
+@pytest.mark.parametrize("m, G, n", [(1, 6, 600), (2, 3, 5)],
+                         ids=["1d-over-2^14-arcs", "2d-joint-lp"])
+def test_one_store_is_the_per_group_stores(rng, m, G, n):
+    # build stores every coupling by one from_arcs over one record, in
+    # which the negligible middle group's fresh arcs follow the others';
+    # a store per group, concatenated, holds the same bytes
+    d = _shifted_groups(rng, m, G, n, light=G // 2)
+    ap = build(d)
+    fam, nu0 = ap.family, ap.nu0
+    bary = solve_barycenter(fam)
+    assert bary.couplings is not None
+    rows, cols, flow, u, costs = _coupled_arcs(fam, bary, nu0, d.mean_x() - mean(bary.nu0))
+    assert m > 1 or len(rows) > 2**14
+    parts = []
+    for a, (s, e) in enumerate(zip(fam.starts[:-1].tolist(), fam.starts[1:].tolist())):
+        arc = (rows >= s) & (rows < e)
+        if a == G // 2:
+            # the dropped group, coupled alone
+            (r, c, f, v, cost), = _family_couplings(fam.support[s:e], fam.weights[s:e],
+                                                   np.array([0, e - s]), nu0)
+            for got, ref in zip((rows[arc] - s, cols[arc], flow[arc], u[s:e], costs[a:a + 1]),
+                                (r, c, f, v, cost)):
+                assert np.array_equal(got, ref)
+        parts.append(Disintegration.from_arcs(rows[arc] - s, cols[arc], flow[arc], u[s:e], nu0))
+    ref = concatenate(parts)
+    for name in ("indptr", "cols", "mass", "potential"):
+        assert getattr(ap.disintegration, name).tobytes() == getattr(ref, name).tobytes()
+    assert ap.achieved_distance_sq == _total(fam.probabilities, costs)
+    assert verify(ap, d).passed
+
+
+def test_conditional_lays_out_its_group_only(rng):
+    # 6 groups of 600 rows and 3,595 nu0 points: one group's dense
+    # conditionals take 16.5 MiB, all six 99 MiB
+    ap = build(_shifted_groups(rng, 1, 6, 600))
+    K = ap.nu0.n
+    assert K == 3595
+    full = ap.disintegration.dense(K)
+    for label, s, e in zip(ap.family.labels, ap.family.starts, ap.family.starts[1:]):
+        tracemalloc.start()
+        try:
+            got = ap.conditional(label)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, full[s:e])
+        assert peak < 2 * got.nbytes
 
 
 def _per_row_lookup(ap, label, i, u):
