@@ -55,7 +55,7 @@ from .ot import (
     _marginal_blocks,
     _row_ends,
     _row_potentials,
-    _segment_dot,
+    _segment_sum,
     _solve_lp,
     _sorted_1d,
     cost_matrix,
@@ -537,7 +537,7 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
         arc_starts[a0 + 1:a1 + 1] = lo + bounds[1:]
         _check_marginals(r - starts[a0], c, run, bounds, family.weights[starts[a0]:starts[a1]],
                          nu0)
-        costs[a0:a1] = _segment_dot(run, (xs[slot] - y[c]) ** 2, bounds)
+        costs[a0:a1] = _segment_sum(run * (xs[slot] - y[c]) ** 2, bounds)
     rows, cols, flow = rows[:arc_starts[-1]], cols[:arc_starts[-1]], flow[:arc_starts[-1]]
     # each row but an atom's top ends at its cumulative weight, an edge,
     # and so on the level below it (the first level for a weight of 0)

@@ -233,15 +233,6 @@ def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_dot(a: np.ndarray, b: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """``a[s] @ b[s]`` for every segment s, each the same float as alone
-    (a stacked matmul of vectors makes one dot product per segment)."""
-    out = np.empty(len(indptr) - 1)
-    for seg, idx in _length_groups(indptr):
-        out[seg] = np.matmul(a[idx][:, None, :], b[idx][:, :, None])[:, 0, 0]
-    return out
-
-
 def _search_segments(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                      q: np.ndarray) -> np.ndarray:
     """For every query, lo plus the count of ``values[lo:hi]`` below q: the
@@ -314,7 +305,7 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
     rows, cols, cost = _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys)
     _check_marginals(rows, cols, flow, arc_starts, weights, nu)
     return (rows, cols, flow, _row_potentials(xs, ys[end_col], starts, order_r),
-            _segment_dot(flow, cost, arc_starts))
+            _segment_sum(flow * cost, arc_starts))
 
 
 def _check_reach(xs, starts, ys) -> None:

@@ -89,7 +89,7 @@ class BinaryInstance:
 
     def mean_x(self) -> float:
         pa = float(self.p_a)
-        return float(self.probs @ (pa * self.f + (1.0 - pa) * self.g))
+        return float(np.add.reduce(self.probs * (pa * self.f + (1.0 - pa) * self.g)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +121,10 @@ def solve_half(inst: BinaryInstance) -> BinarySolution:
     p, f, g = inst.probs, inst.f, inst.g
     hi = np.maximum(f, g)
     lo = np.minimum(f, g)
-    alpha = float(p @ hi)
-    beta = float(p @ lo)
-    dist_sq = 0.5 * float(p @ hi**2 - alpha**2 + p @ lo**2 - beta**2)
+    alpha = float(np.add.reduce(p * hi))
+    beta = float(np.add.reduce(p * lo))
+    dist_sq = 0.5 * float(np.add.reduce(p * hi**2) - alpha**2
+                          + np.add.reduce(p * lo**2) - beta**2)
     set_b = frozenset(l for l, fi, gi in zip(inst.labels, f, g) if fi >= gi)
     return BinarySolution(alpha, beta, set_b, alpha, beta, dist_sq)
 
@@ -134,10 +135,10 @@ def solve_nonhalf(inst: BinaryInstance) -> BinarySolution:
         raise HalfNotAllowedError("p_a is 1/2; use solve_half")
     p, f, g = inst.probs, inst.f, inst.g
     pa = float(inst.p_a)
-    alpha = float(p @ f)
-    beta = float(p @ g)
-    var_f = float(p @ f**2 - alpha**2)
-    var_g = float(p @ g**2 - beta**2)
+    alpha = float(np.add.reduce(p * f))
+    beta = float(np.add.reduce(p * g))
+    var_f = float(np.add.reduce(p * f**2) - alpha**2)
+    var_g = float(np.add.reduce(p * g**2) - beta**2)
     dist_sq = pa * var_f + (1.0 - pa) * var_g
     return BinarySolution(alpha, beta, None, alpha, beta, dist_sq)
 
@@ -157,7 +158,7 @@ def brute_force(inst: BinaryInstance) -> BinarySolution:
         return solve_nonhalf(inst)
 
     p, f, g = inst.probs, inst.f, inst.g
-    const = float(p @ f**2 + p @ g**2)
+    const = float(np.add.reduce(p * f**2) + np.add.reduce(p * g**2))
     pf, pg = p * f, p * g
     best_val = -np.inf
     best_mask = 0

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -482,27 +483,62 @@ def test_approx_2d_is_byte_identical_across_processes(tmp_path):
     assert not load(tmp_path / "r1.json")["checks_failed"]
 
 
-def run_with_blas_threads(threads, *argv):
-    """``python -m otrepair *argv`` in a fresh process whose BLAS runs on
-    ``threads`` threads; fails the test unless it exits 0."""
+def blas_env(threads):
+    """The environment of a child process that imports the same package as
+    this test and whose BLAS runs on ``threads`` threads."""
     package_root = str(Path(otrepair.__file__).resolve().parents[1])
     path = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
-           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+
+
+@functools.cache
+def blas_threads_reorder_sums():
+    """Whether a plain ``p @ f`` over 300,000 terms reads differently under
+    1 and under 2 BLAS threads: where it does not, a thread-count test
+    cannot fail."""
+    code = ("import numpy as np; p, f = np.random.default_rng(0).random((2, 300_000)); "
+            "print(repr(float(p @ f)))")
+    return len({subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                               env=blas_env(threads)).stdout
+                for threads in ("1", "2")}) == 2
+
+
+def run_with_blas_threads(threads, *argv):
+    """``python -m otrepair *argv`` in a fresh process whose BLAS runs on
+    ``threads`` threads; fails the test unless it exits 0, and skips it
+    where the BLAS thread count does not change a long dot product."""
+    if not blas_threads_reorder_sums():
+        pytest.skip("a 300,000-term p @ f sums alike under 1 and 2 BLAS threads here")
     proc = subprocess.run([sys.executable, "-m", "otrepair", *argv], capture_output=True,
-                          env=env)
+                          env=blas_env(threads))
     assert proc.returncode == 0, proc.stderr
 
 
-def approx_bytes_across_blas_thread_counts(tmp_path, *options):
-    """The report and samples bytes of ``otrepair approx *options`` on 2,000
-    groups, 11,331 rows, run under 1 and under 2 OpenBLAS threads."""
+def many_groups_csv(tmp_path):
+    """2,000 groups, 11,331 rows."""
     rng = np.random.default_rng(1)
     sizes = [(4, 5, 8)[g % 3] for g in range(2000)]
     x = np.repeat(0.5 * (np.arange(2000) % 7 - 3), sizes) + rng.normal(size=sum(sizes))
     lines = ["group,x"] + [f"g{g:04d},{v!r}" for g, v in zip(np.repeat(range(2000), sizes),
                                                              x.tolist())]
-    inp = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    return write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+
+
+def long_groups_csv(tmp_path):
+    """2 weighted groups of 15,000 rows on the integers 0-19, the second
+    shifted by 0.5."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 20, 30_000) + np.repeat([0.0, 0.5], 15_000)
+    w = rng.random(30_000) + 0.05
+    lines = ["group,x,weight"] + [f"{g},{v!r},{wi!r}" for g, v, wi in
+                                  zip(np.repeat(["a", "b"], 15_000), x.tolist(), w.tolist())]
+    return write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+
+
+def approx_bytes_across_blas_thread_counts(tmp_path, inp, *options):
+    """The report and samples bytes of ``otrepair approx *options`` on the
+    CSV ``inp``, run under 1 and under 2 BLAS threads."""
     blobs = []
     for threads in ("1", "2"):
         rep, smp = tmp_path / f"r{threads}.json", tmp_path / f"s{threads}.csv"
@@ -516,14 +552,42 @@ def test_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
     # OpenBLAS splits a product this long over two threads, which changes
     # the order of its sums; the means add in one fixed order, so the
     # report and samples keep their bytes
-    blobs = approx_bytes_across_blas_thread_counts(tmp_path)
+    blobs = approx_bytes_across_blas_thread_counts(tmp_path, many_groups_csv(tmp_path))
+    assert blobs[0] == blobs[1]
+
+
+def test_long_group_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # the costs of a 15,000-row group's coupling and verify's dual sums
+    # add over segments this long in one fixed order, not by BLAS dots
+    blobs = approx_bytes_across_blas_thread_counts(tmp_path, long_groups_csv(tmp_path),
+                                                   "--weight-col", "weight")
     assert blobs[0] == blobs[1]
 
 
 def test_free_support_approx_is_byte_identical_across_blas_thread_counts(tmp_path):
     # the free-support update adds every arc by np.bincount in one fixed
     # order, where it used to be a BLAS product per group
-    blobs = approx_bytes_across_blas_thread_counts(tmp_path, "--method", "free", "--k", "20")
+    blobs = approx_bytes_across_blas_thread_counts(tmp_path, many_groups_csv(tmp_path),
+                                                   "--method", "free", "--k", "20")
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("p_a", ["0.5", "0.3"])
+def test_binary_case_is_byte_identical_across_blas_thread_counts(tmp_path, p_a):
+    # the closed forms add their 50,000 terms in one fixed order, not by
+    # BLAS dots
+    rng = np.random.default_rng(0)
+    p, f, g = rng.random((3, 50_000))
+    p /= p.sum()
+    lines = ["p,f,g"] + [f"{a!r},{b!r},{c!r}" for a, b, c in zip(p.tolist(), f.tolist(),
+                                                                  g.tolist())]
+    inp = write(tmp_path / "atoms.csv", "\n".join(lines) + "\n")
+    blobs = []
+    for threads in ("1", "2"):
+        rep = tmp_path / f"r{threads}.json"
+        run_with_blas_threads(threads, "binary-case", "--input", inp, "--pA", p_a,
+                              "--report", str(rep))
+        blobs.append(rep.read_bytes())
     assert blobs[0] == blobs[1]
 
 
