@@ -12,6 +12,8 @@ makes the optimum computable in closed form:
   the optimum is the plain projection y = E[f] on A, E[g] off it.
 
 ``brute_force`` checks the closed forms by exhaustive subset search.
+Sums over the atoms add in one fixed order (``np.add.reduce``), not by
+BLAS dot products, whose order moves with the BLAS thread count.
 """
 from __future__ import annotations
 
