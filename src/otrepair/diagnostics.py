@@ -26,7 +26,7 @@ import numpy as np
 from .approx import IndependentApproximation, SampledOutput, match_rows
 from .barycenter import _total
 from .errors import UnknownSupportPointError
-from .measure import Dataset, DiscreteMeasure, coalesce
+from .measure import Dataset, DiscreteMeasure, _label_codes, coalesce
 from .ot import _segment_sum, cost_matrix
 
 __all__ = [
@@ -169,23 +169,20 @@ def independence_tv(output: SampledOutput, nu0: DiscreteMeasure) -> dict:
 
     Laws are compared after coalescing nu0 (duplicate support points
     carry the same mass either way).  Every y row must be an exact
-    support point of nu0.
+    support point of nu0.  The weights are summed per (group, point) and
+    per group by ``np.bincount``, in row order.
     """
     ref = coalesce(nu0)
     index = {ref.support[j].tobytes(): j for j in range(ref.n)}
-    emp: dict = {}
-    mass: dict = {}
-    for g, yrow, w in zip(output.groups, output.y, output.weights):
-        j = index.get(np.ascontiguousarray(yrow).tobytes())
-        if j is None:
-            raise UnknownSupportPointError(
-                f"sampled value {yrow!r} is not a support point of nu0"
-            )
-        if g not in emp:
-            emp[g] = np.zeros(ref.n)
-            mass[g] = 0.0
-        emp[g][j] += w
-        mass[g] += w
-    return {
-        g: 0.5 * float(np.abs(emp[g] / mass[g] - ref.weights).sum()) for g in emp
-    }
+    cols = [index.get(np.ascontiguousarray(yrow).tobytes()) for yrow in output.y]
+    if None in cols:
+        yrow = output.y[cols.index(None)]
+        raise UnknownSupportPointError(
+            f"sampled value {yrow!r} is not a support point of nu0"
+        )
+    labels, group = _label_codes(output.groups)
+    A, K = len(labels), ref.n
+    emp = np.bincount(group * K + np.array(cols, dtype=np.intp), output.weights, A * K)
+    mass = np.bincount(group, output.weights, A)
+    tv = 0.5 * np.abs(emp.reshape(A, K) / mass[:, None] - ref.weights).sum(axis=1)
+    return dict(zip(labels, tv.tolist()))

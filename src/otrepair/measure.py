@@ -7,7 +7,6 @@ can be shared freely across threads and reused between solver calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -187,10 +186,7 @@ def coalesce(mu: DiscreteMeasure) -> DiscreteMeasure:
     w = mu.weights[order]
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    idx = np.cumsum(keep) - 1
-    merged = np.zeros(int(idx[-1]) + 1)
-    np.add.at(merged, idx, w)
-    return DiscreteMeasure(pts[keep], merged)
+    return DiscreteMeasure(pts[keep], np.bincount(np.cumsum(keep) - 1, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +284,13 @@ def mixture(fam: ConditionalFamily) -> DiscreteMeasure:
     return DiscreteMeasure(fam.support, p * fam.weights)
 
 
+def _label_codes(groups) -> tuple[dict, np.ndarray]:
+    """Each distinct label numbered in first-appearance order (labels
+    compare as dict keys do), and every row's label number."""
+    index = dict(zip(dict.fromkeys(groups), range(len(groups))))
+    return index, np.fromiter(map(index.__getitem__, groups), dtype=np.intp, count=len(groups))
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Ingested sample rows: group label, point x, weight, optional u.
@@ -338,12 +341,10 @@ class Dataset:
             if np.any(u < 0.0) or np.any(u > 1.0):
                 raise UOutOfRangeError("u values must lie in [0, 1]")
             u = _freeze(u)
-        rows: dict = {}
-        for i, g in enumerate(groups):
-            rows.setdefault(g, []).append(i)
-        flat = _freeze(np.fromiter(chain(*rows.values()), dtype=int, count=len(groups)))
-        indptr = _freeze(np.cumsum([0, *map(len, rows.values())]))
-        object.__setattr__(self, "_index", dict(zip(rows, range(len(rows)))))
+        index, codes = _label_codes(groups)
+        flat = _freeze(np.argsort(codes, kind="stable"))
+        indptr = _freeze(np.concatenate(([0], np.cumsum(np.bincount(codes)))))
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_grouping", (flat, indptr))
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "x", _freeze(x))

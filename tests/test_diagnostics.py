@@ -19,6 +19,7 @@ from otrepair.errors import DatasetMismatchError, UnknownSupportPointError
 from otrepair.measure import dataset_from_rows, make_measure
 from otrepair.ot import cost_matrix
 
+import groupby
 from conftest import random_dataset, with_conditional
 
 
@@ -278,3 +279,32 @@ def test_independence_tv_handles_duplicate_support():
     )
     tv = independence_tv(out, nu0)
     assert tv["a"] <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_independence_tv_matches_the_loop_oracle(m):
+    # labels of mixed types (1, 1.0 and True are one group); nu0 on a
+    # coarse grid holds duplicate points and the origin
+    rng = np.random.default_rng(m)
+    labels = ["a", 1, "b", 1.0, True, (0, "t")]
+    pts = 0.3 * rng.integers(-2, 3, size=(12, m))
+    pts[0] = 0.0
+    nu0 = make_measure(pts, rng.random(12) + 0.01)
+    for n, n_labels in ((1, 1), (40, 1), (500, 3), (3000, len(labels))):
+        groups = tuple(labels[i] for i in rng.integers(0, n_labels, size=n))
+        y = nu0.support[rng.integers(0, nu0.n, size=n)]
+        out = SampledOutput(groups, y, rng.random(n), y, rng.random(n) + 0.05)
+        got, want = independence_tv(out, nu0), groupby.independence_tv(out, nu0)
+        assert [(type(k), k, v) for k, v in got.items()] == \
+            [(type(k), k, v) for k, v in want.items()]
+        # -0.0 is not nu0's point 0.0; the first unknown row is named
+        y = y.copy()
+        y[min(n - 1, 7)] = 0.5
+        y[min(n - 1, 3)] = -0.0
+        bad = dataclasses.replace(out, y=y)
+        errors = []
+        for tv in (independence_tv, groupby.independence_tv):
+            with pytest.raises(UnknownSupportPointError) as exc:
+                tv(bad, nu0)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]

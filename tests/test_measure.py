@@ -23,6 +23,7 @@ from otrepair.measure import (
     mixture,
 )
 
+import groupby
 from conftest import random_family
 
 
@@ -165,6 +166,18 @@ def test_coalesce_canonical_law_representation(rng):
     assert np.allclose(coalesce(a).weights, coalesce(b).weights, atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_coalesce_matches_the_add_at_oracle(m):
+    # duplicate points on a coarse grid, weights over twelve decades
+    rng = np.random.default_rng(m)
+    for n in (1, 2, 9, 200):
+        pts = rng.integers(0, 3, size=(n, m)).astype(float)
+        mu = make_measure(pts, rng.random(n) * 10.0 ** rng.integers(-6, 6, n))
+        got, want = coalesce(mu), groupby.coalesce(mu)
+        assert got.support.tobytes() == want.support.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
 # --- ConditionalFamily ------------------------------------------------------
 
 def test_family_validation():
@@ -276,6 +289,23 @@ def test_dataset_group_index_matches_naive_scan(rng):
             assert rows[indptr[a]:indptr[a + 1]].tolist() == naive
         with pytest.raises(KeyError):
             d.group_rows("absent")
+
+
+# labels of mixed types, of which 1, 1.0 and True are one dict key
+LABELS = ["a", 1, "b", 1.0, True, (0, "t"), None, 3.5]
+
+
+@pytest.mark.parametrize("n_labels", [1, 3, len(LABELS)])
+def test_dataset_grouping_matches_the_loop_oracle(n_labels):
+    rng = np.random.default_rng(n_labels)
+    for n in (1, 2, 17, 300):
+        groups = tuple(LABELS[i] for i in rng.integers(0, n_labels, size=n))
+        d = Dataset(groups, rng.normal(size=n), np.ones(n))
+        index, rows, indptr = groupby.grouping(groups)
+        assert [(type(k), k, a) for k, a in d._index.items()] == \
+            [(type(k), k, a) for k, a in index.items()]
+        for got, want in zip(d.grouped_rows(), (rows, indptr)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
