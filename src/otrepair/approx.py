@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterResult, _negligible, _total, solve_barycenter
+from .barycenter import BarycenterResult, _negligible, _rng, _total, solve_barycenter
 from .errors import (
     ConfigConflictError,
     DatasetMismatchError,
@@ -187,8 +187,7 @@ class IndependentApproximation:
     def conditional(self, label) -> np.ndarray:
         """One atom's conditionals as a dense matrix: row i is the law of
         y given the atom's i-th source point, over nu0's index order."""
-        a = self.family.labels.index(label)
-        s, e = self.family.starts[a:a + 2]
+        s, e = _atom_bounds(self.family, label)
         dis = self.disintegration
         lo, hi = dis.indptr[s], dis.indptr[e]
         return Disintegration(dis.indptr[s:e + 1] - lo, dis.cols[lo:hi], dis.mass[lo:hi],
@@ -330,6 +329,15 @@ def match_rows(approx: IndependentApproximation, data: Dataset) -> np.ndarray:
     return rows
 
 
+def _atom_bounds(fam: ConditionalFamily, label) -> np.ndarray:
+    """The flat rows ``[start, stop)`` of atom ``label``; raises
+    :class:`UnknownGroupError` for a label the family lacks."""
+    if label not in fam.labels:
+        raise UnknownGroupError(label)
+    a = fam.labels.index(label)
+    return fam.starts[a:a + 2]
+
+
 # the least positive float: a u = 0 draw skips leading zero-mass positions
 _LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
@@ -377,10 +385,7 @@ def sample_y(
     lexicographic support order) whose cumulative conditional weight
     reaches u.
     """
-    if group not in approx.family.labels:
-        raise UnknownGroupError(group)
-    a = approx.family.labels.index(group)
-    start, stop = approx.family.starts[a:a + 2]
+    start, stop = _atom_bounds(approx.family, group)
     if not 0 <= source_index < stop - start:
         raise IndexOutOfRangeError(
             f"source index {source_index} outside atom of size {stop - start}"
@@ -408,7 +413,7 @@ def transform(
     if data.u is not None:
         u = np.asarray(data.u, dtype=float)
     elif seed is not None:
-        u = np.random.default_rng(seed).random(data.n_rows)
+        u = _rng(seed).random(data.n_rows)
     else:
         raise MissingUError("dataset has no u column and no seed was given")
     return SampledOutput(

@@ -334,6 +334,15 @@ def entropic_weights(
 # free support fixed point
 # ---------------------------------------------------------------------------
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator of ``seed``; a seed numpy rejects, such as a
+    negative one, is a :class:`ConfigConflictError`."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigConflictError(f"invalid seed {seed!r}: {exc}") from None
+
+
 def free_support_points(
     family: ConditionalFamily,
     k: int,
@@ -361,8 +370,7 @@ def free_support_points(
         raise ConfigConflictError("k must be at least 1")
     if k > mix.n:
         raise ConfigConflictError(f"k={k} exceeds the {mix.n} available mixture points")
-    rng = np.random.default_rng(init_seed)
-    idx = rng.choice(mix.n, size=k, replace=False, p=mix.weights)
+    idx = _rng(init_seed).choice(mix.n, size=k, replace=False, p=mix.weights)
     Y = mix.support[np.sort(idx)].copy()
     w = np.full(k, 1.0 / k)
     heaviest = mix.support[int(np.argmax(mix.weights))]

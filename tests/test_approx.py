@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 import tracemalloc
 from collections import Counter
 
@@ -22,6 +23,7 @@ from otrepair.barycenter import _total, solve_barycenter
 from otrepair.cli import main
 from otrepair.diagnostics import verify
 from otrepair.errors import (
+    ConfigConflictError,
     DatasetMismatchError,
     IndexOutOfRangeError,
     MissingUError,
@@ -461,6 +463,9 @@ def test_sample_y_errors():
         sample_y(ap, "g1", 2, 0.5)
     with pytest.raises(UOutOfRangeError):
         sample_y(ap, "g1", 0, 1.5)
+    # conditional checks the label as sample_y does
+    with pytest.raises(UnknownGroupError):
+        ap.conditional("nope")
 
 
 # --- transform ----------------------------------------------------------------------
@@ -491,6 +496,16 @@ def test_transform_hand_instance_grid_distance():
     out = transform_grid(ap, d, 1000)
     dist = float(out.weights @ ((out.x - out.y) ** 2).sum(axis=1))
     assert abs(dist - 0.25) <= 1e-3
+
+
+@pytest.mark.parametrize("seed", [-5, 1.5, "abc"])
+def test_a_seed_numpy_rejects_is_a_config_conflict(seed):
+    d = dataset_from_rows([("a", 0.0, 1.0), ("a", 1.0, 1.0), ("b", 2.0, 1.0)])
+    ap = build(d)
+    with pytest.raises(ConfigConflictError, match=re.escape(f"invalid seed {seed!r}")):
+        transform(ap, d, seed=seed)
+    with pytest.raises(ConfigConflictError, match=re.escape(f"invalid seed {seed!r}")):
+        build(d, method="free", k=2, init_seed=seed)
 
 
 def test_transform_errors():

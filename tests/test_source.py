@@ -5,7 +5,10 @@
 - every private module-level name is read in its own module or taken
   from it by another module of the package, by name or as an attribute
   of the module;
-- every ``__all__`` entry is bound in its module.
+- every ``__all__`` entry is bound in its module;
+- only ``_rng`` calls ``np.random.default_rng``, so every seed is
+  checked in one place;
+- no module calls ``np.add.at``: rows are summed by ``np.bincount``.
 """
 import ast
 from pathlib import Path
@@ -77,6 +80,24 @@ def taken_from(stem: str) -> set:
     return taken
 
 
+def callers(dotted: str) -> list:
+    """(module, innermost enclosing function or None) of every call of a
+    dotted name such as ``np.add.at``, as written."""
+    found = []
+
+    def visit(node, stem, owner):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == dotted:
+            found.append((stem, owner))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, stem, owner)
+
+    for stem, tree in MODULES.items():
+        visit(tree, stem, None)
+    return found
+
+
 def test_every_import_is_used():
     unused = []
     for stem, tree in MODULES.items():
@@ -102,3 +123,11 @@ def test_every_dunder_all_entry_exists():
                for name in dunder_all(tree)
                if name not in definitions(tree) | {name for _, name in imports(tree)}]
     assert missing == []
+
+
+def test_only_rng_makes_a_generator():
+    assert callers("np.random.default_rng") == [("barycenter", "_rng")]
+
+
+def test_no_module_calls_np_add_at():
+    assert callers("np.add.at") == []
