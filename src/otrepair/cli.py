@@ -23,7 +23,6 @@ from . import diagnostics
 from .barycenter import _total, solve_barycenter
 from .errors import (
     EXIT_IO,
-    EXIT_SCHEMA,
     CsvParseError,
     EmptyDatasetError,
     MissingColumnError,
@@ -45,11 +44,14 @@ EXIT_OK = 0
 _EPILOG = """\
 exit codes:
   0  success (a report with "checks_failed": true still exits 0)
-  2  I/O error (missing or unreadable/unwritable file)
-  3  schema or parse error (missing column, malformed cell, bad data)
+  2  I/O error (missing or unreadable/unwritable file), or a usage error
+     (unknown flag, missing or malformed option value such as --seed abc)
+  3  schema or parse error (missing column, malformed cell, bad data,
+     a file that is not UTF-8, a malformed approx report)
   4  solver failure
   5  configuration conflict (e.g. quantile1d on multi-d data, samples
-     requested without a u column or --seed, epsilon <= 0, k < 1)
+     requested without a u column or --seed, epsilon <= 0, k < 1,
+     a negative --seed)
 
 CSV dialect: comma-separated, UTF-8, header row required, '.' decimal
 point, no thousands separators.
@@ -108,19 +110,23 @@ def _read_csv(path: str, text=(), numeric=(), optional=()) -> dict:
     ``text`` columns become lists of stripped strings and ``numeric``
     ones float arrays.  A column in ``optional`` that the header lacks
     maps to None; any other missing column is a MissingColumnError, and
-    a row too short to reach a column is a CsvParseError.
+    a row too short to reach a column, a file that is not UTF-8 or a cell
+    beyond csv's field size limit is a CsvParseError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file, header row required")
-        rows, lines = [], []
-        for row in reader:
-            if "".join(row).strip():
-                rows.append(row)
-                lines.append(reader.line_num)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows, lines = [], []
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CsvParseError(f"{path}: {exc}") from None
+    if header is None:
+        raise CsvParseError(f"{path}: empty file, header row required")
+    header = [h.strip() for h in header]
     index = {}
     columns = [*text, *numeric]
     for name in columns:
@@ -148,19 +154,12 @@ def _read_csv(path: str, text=(), numeric=(), optional=()) -> dict:
         except ValueError:
             # the first malformed cell, with its row
             for cell, line in zip(cells, lines):
-                _parse_float(cell, line, name)
+                try:
+                    float(cell)
+                except ValueError:
+                    raise CsvParseError(f"row {line}: cannot parse {cell!r} in column "
+                                        f"{name!r}", row=line, column=name) from None
     return out
-
-
-def _parse_float(cell: str, row: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise CsvParseError(
-            f"row {row}: cannot parse {cell!r} in column {column!r}",
-            row=row,
-            column=column,
-        )
 
 
 def _points(table: dict, value_cols: list[str]) -> np.ndarray:
@@ -405,15 +404,19 @@ def cmd_barycenter(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        ref = json.load(fh)
     try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            ref = json.load(fh)
         support = np.asarray(ref["nu0"]["support"], dtype=float)
         weights = np.asarray(ref["nu0"]["weights"], dtype=float)
         group_col = ref["config"]["group_col"]
         value_cols = list(ref["config"]["value_cols"])
-    except (KeyError, TypeError):
-        raise CsvParseError(f"{args.report}: not a valid approx report")
+        reference = ref.get("achieved_distance_sq")
+        if reference is not None:
+            reference = float(reference)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CsvParseError(f"{args.report}: not a valid approx report "
+                            f"({type(exc).__name__}: {exc})") from None
     nu0 = DiscreteMeasure(support, weights)
 
     y_cols = [f"y{i + 1}" for i in range(len(value_cols))]
@@ -429,7 +432,6 @@ def cmd_diagnose(args) -> int:
     )
     emp = diagnostics.empirical_distance(out)
     tv = diagnostics.independence_tv(out, nu0)
-    reference = ref.get("achieved_distance_sq")
     payload = {
         "schema": 1,
         "subcommand": "diagnose",
@@ -534,11 +536,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OtRepairError, json.JSONDecodeError, OSError) as e:
+    except (OtRepairError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, OtRepairError):
-            return e.exit_code
-        return EXIT_IO if isinstance(e, OSError) else EXIT_SCHEMA
+        return e.exit_code if isinstance(e, OtRepairError) else EXIT_IO
 
 
 if __name__ == "__main__":

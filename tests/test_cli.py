@@ -409,11 +409,31 @@ def test_diagnose_is_byte_identical_across_blas_thread_counts(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_diagnose_rejects_bad_report(tmp_path):
-    rep = write(tmp_path / "r.json", "{}")
+GOOD_REPORT = {"config": {"group_col": "group", "value_cols": ["x"]},
+               "nu0": {"support": [[1.0]], "weights": [1.0]}, "achieved_distance_sq": 0.5}
+
+
+def test_diagnose_rejects_bad_report(tmp_path, capsys):
     smp = write(tmp_path / "s.csv", "group,x,weight,u,y1\ng1,0,1,0.5,1\n")
-    assert main(["diagnose", "--samples", smp, "--report", rep,
-                 "--out", str(tmp_path / "o.json")]) == 3
+    out = tmp_path / "o.json"
+    rep = tmp_path / "r.json"
+    rep.write_bytes(json.dumps(GOOD_REPORT).encode())
+    assert main(["diagnose", "--samples", smp, "--report", str(rep), "--out", str(out)]) == 0
+    out.unlink()
+    for body in (
+        b"{}",
+        b"not json",
+        b"\xff" + json.dumps(GOOD_REPORT).encode(),
+        json.dumps({**GOOD_REPORT, "nu0": {"support": [[1.0], [1.0, 2.0]],
+                                           "weights": [0.5, 0.5]}}).encode(),
+        json.dumps({**GOOD_REPORT, "nu0": {"support": [[1.0]], "weights": ["all"]}}).encode(),
+        json.dumps({**GOOD_REPORT, "achieved_distance_sq": "small"}).encode(),
+    ):
+        rep.write_bytes(body)
+        assert main(["diagnose", "--samples", smp, "--report", str(rep),
+                     "--out", str(out)]) == 3, body
+        assert capsys.readouterr().err.startswith(f"error: {rep}: not a valid approx report (")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("column, value, message", [
@@ -591,10 +611,14 @@ def test_binary_case_is_byte_identical_across_blas_thread_counts(tmp_path, p_a):
     assert blobs[0] == blobs[1]
 
 
-def test_help_documents_exit_codes():
+def test_help_documents_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+    assert "usage error\n     (unknown flag" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", "--input", "d.csv", "--report", "r.json", "--no-such-flag"])
+    assert exc.value.code == 2
 
 
 # --- input hardening and exit codes -------------------------------------------------
@@ -699,6 +723,27 @@ def test_short_csv_row_is_a_parse_error(tmp_path, capsys, subcommand, text):
     assert (exc.value.row, exc.value.column) == (3, "x")
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"a,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"a," + b"1" * 131_073 + b"\n", "field larger than field limit (131072)"),
+], ids=["not-utf-8", "long-cell"])
+@pytest.mark.parametrize("subcommand, header, flags", [
+    ("approx", b"group,x", []),
+    ("ot", b"measure,weight,x", []),
+    ("barycenter", b"measure,weight,x", []),
+    ("binary-case", b"atom,p,f,g", ["--pA", "0.5"]),
+], ids=["approx", "ot", "barycenter", "binary-case"])
+def test_unreadable_csv_is_a_parse_error(tmp_path, capsys, subcommand, header, flags,
+                                         body, message):
+    inp = tmp_path / "d.csv"
+    inp.write_bytes(header + b"\n" + body)
+    rep = tmp_path / "r.json"
+    assert main([subcommand, "--input", str(inp), "--report", str(rep), *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {inp}: ") and message in err
+    assert not rep.exists()
+
+
 def test_read_csv_names_the_first_short_row_in_file_order(tmp_path):
     # the columns are checked in the order asked for, A (header place 1)
     # before B (place 3), but row 2 lacks only B and row 3 lacks A too
@@ -745,13 +790,17 @@ def test_read_csv_parses_cells_as_float_does(tmp_path, capsys):
     assert "x contains the non-finite value inf" in capsys.readouterr().err
 
 
-def test_invalid_option_values_exit_5(tmp_path):
+def test_invalid_option_values_exit_5(tmp_path, capsys):
     inp = write(tmp_path / "d.csv", HAND_CSV)
     rep = str(tmp_path / "r.json")
-    for flags in (["--method", "free", "--k", "0"], ["--resolution", "0"]):
+    for flags in (["--method", "free", "--k", "0"], ["--resolution", "0"],
+                  ["--samples", str(tmp_path / "s.csv"), "--seed", "-1"],
+                  ["--method", "free", "--seed", "-3"]):
         assert main(["approx", "--input", inp, "--report", rep, *flags]) == 5
     assert main(["ot", "--input", inp, "--measure-col", "group", "--weight-col", "x",
                  "--method", "entropic", "--epsilon", "-1", "--report", rep]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
 def _library_errors(cls=OtRepairError):
