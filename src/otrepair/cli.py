@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -26,7 +27,6 @@ from .errors import (
     CsvParseError,
     EmptyDatasetError,
     MissingColumnError,
-    MissingUError,
     OtRepairError,
 )
 from .measure import Dataset, DiscreteMeasure, _finite, make_measure
@@ -38,8 +38,6 @@ from .special_binary import (
     solve_half,
     solve_nonhalf,
 )
-
-EXIT_OK = 0
 
 _EPILOG = """\
 exit codes:
@@ -94,9 +92,10 @@ def _emit_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write_report(path: str, payload: dict) -> None:
+def _write_report(path: str, subcommand: str, body: dict) -> None:
+    """The report of ``subcommand``: its envelope, then ``body``'s fields."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_emit_json(payload))
+        fh.write(_emit_json({"schema": 1, "subcommand": subcommand, **body}))
         fh.write("\n")
 
 
@@ -193,36 +192,28 @@ def _nu0_payload(nu0: DiscreteMeasure) -> dict:
     return {"support": nu0.support, "weights": nu0.weights}
 
 
-def cmd_approx(args) -> int:
+def _solver_options(args) -> dict:
+    """The solver flags as keywords of ``build`` and ``solve_barycenter``."""
+    return {"epsilon": args.epsilon, "max_iter": args.max_iter, "tol": args.tol,
+            "resolution": args.resolution, "k": args.k,
+            "init_seed": args.seed if args.seed is not None else 0}
+
+
+def cmd_approx(args) -> None:
     value_cols = _value_cols(args)
     data = _load_dataset(args.input, args.group_col, value_cols,
                          args.weight_col, args.u_col)
-    if args.samples and data.u is None and args.seed is None:
-        raise MissingUError(
-            "samples requested but the dataset has no u column and no --seed "
-            "was given; refusing nondeterministic output"
-        )
-
-    ap = approx_mod.build(
-        data,
-        method=args.method,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        resolution=args.resolution,
-        k=args.k,
-        init_seed=args.seed if args.seed is not None else 0,
-    )
+    ap = approx_mod.build(data, method=args.method, **_solver_options(args))
     report = diagnostics.verify(ap, data)
+    # every check runs before the first file is written
+    out = approx_mod.transform(ap, data, seed=args.seed) if args.samples else None
 
     config = _common_config(args, [
         "input", "group_col", "weight_col", "u_col", "method", "epsilon",
         "max_iter", "tol", "resolution", "k", "seed",
     ])
     config["value_cols"] = value_cols
-    payload = {
-        "schema": 1,
-        "subcommand": "approx",
+    _write_report(args.report, "approx", {
         "config": config,
         "n_rows": data.n_rows,
         "dimension": data.dim,
@@ -237,26 +228,18 @@ def cmd_approx(args) -> int:
         "achieved_distance_sq": ap.achieved_distance_sq,
         "mean_x": report.mean_x,
         "mean_y": report.mean_y,
-        "per_atom_w2": {str(k): v for k, v in report.per_atom_w2.items()},
-        "independence_tv": {str(k): v for k, v in report.independence_tv.items()},
-        "checks": [
-            {"name": c.name, "passed": c.passed, "value": c.value,
-             "tolerance": c.tolerance}
-            for c in report.checks
-        ],
+        "per_atom_w2": report.per_atom_w2,
+        "independence_tv": report.independence_tv,
+        "checks": list(map(dataclasses.asdict, report.checks)),
         "checks_failed": not report.passed,
-    }
-    _write_report(args.report, payload)
-
-    if args.samples:
-        out = approx_mod.transform(ap, data, seed=args.seed)
+    })
+    if out is not None:
         with open(args.samples, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(
                 [args.group_col] + value_cols + ["weight", "u"]
                 + [f"y{i + 1}" for i in range(data.dim)]
             )
             _write_samples(fh, out)
-    return EXIT_OK
 
 
 def _csv_cells(values) -> dict:
@@ -299,7 +282,7 @@ def _write_samples(fh, out: approx_mod.SampledOutput) -> None:
         fh.write("\n".join(map(",".join, zip(groups, *block))) + "\n")
 
 
-def cmd_binary_case(args) -> int:
+def cmd_binary_case(args) -> None:
     t = _read_csv(args.input, ["atom"], ["p", "f", "g"], optional=["atom"])
     labels = t["atom"] or [str(i) for i in range(len(t["p"]))]
     inst = BinaryInstance(tuple(labels), t["p"], t["f"], t["g"], args.pA)
@@ -310,9 +293,7 @@ def cmd_binary_case(args) -> int:
         bf = brute_force(inst)
         agrees = bool(abs(bf.distance_sq - sol.distance_sq) <= 1e-12)
 
-    payload = {
-        "schema": 1,
-        "subcommand": "binary-case",
+    _write_report(args.report, "binary-case", {
         "config": {"input": args.input, "pA": args.pA, "verify": bool(args.verify)},
         "regime": "half" if half else "nonhalf",
         "alpha": sol.alpha,
@@ -322,9 +303,7 @@ def cmd_binary_case(args) -> int:
         "y_off_event": sol.y_off_event,
         "distance_sq": sol.distance_sq,
         "brute_force_agrees": agrees,
-    }
-    _write_report(args.report, payload)
-    return EXIT_OK
+    })
 
 
 def _two_measures(args) -> tuple[DiscreteMeasure, DiscreteMeasure]:
@@ -341,7 +320,7 @@ def _two_measures(args) -> tuple[DiscreteMeasure, DiscreteMeasure]:
                  for mid in distinct)
 
 
-def cmd_ot(args) -> int:
+def cmd_ot(args) -> None:
     mu, nu = _two_measures(args)
     if args.method == "entropic":
         sol = solve_entropic(mu, nu, args.epsilon, args.max_iter, args.tol)
@@ -349,9 +328,7 @@ def cmd_ot(args) -> int:
         sol = solve_comonotone_1d(mu, nu)
     else:
         sol = solve_exact(mu, nu)
-    payload = {
-        "schema": 1,
-        "subcommand": "ot",
+    _write_report(args.report, "ot", {
         "config": _common_config(args, [
             "input", "measure_col", "weight_col", "value_cols", "method",
             "epsilon", "max_iter", "tol",
@@ -367,43 +344,33 @@ def cmd_ot(args) -> int:
             "col_weights": sol.coupling.col_measure.weights,
             "weights": sol.coupling.weights,
         },
-    }
-    _write_report(args.report, payload)
-    return EXIT_OK
+    })
 
 
-def cmd_barycenter(args) -> int:
+def cmd_barycenter(args) -> None:
     value_cols = _value_cols(args)
     data = _load_dataset(args.input, args.measure_col, value_cols,
                          args.weight_col, None)
     fam = approx_mod.estimate_conditionals(data)
     support = (_points(_read_csv(args.support, numeric=value_cols), value_cols)
                if args.support else None)
-    res = solve_barycenter(
-        fam, args.method, support=support, epsilon=args.epsilon,
-        max_iter=args.max_iter, tol=args.tol, resolution=args.resolution,
-        k=args.k, init_seed=args.seed if args.seed is not None else 0,
-    )
+    res = solve_barycenter(fam, args.method, support=support, **_solver_options(args))
     *_, w2 = approx_mod._coupled_arcs(fam, res, res.nu0, np.zeros(fam.dim))
-    payload = {
-        "schema": 1,
-        "subcommand": "barycenter",
+    _write_report(args.report, "barycenter", {
         "config": _common_config(args, [
             "input", "measure_col", "weight_col", "value_cols", "method",
             "epsilon", "max_iter", "tol", "resolution", "k", "seed", "support",
         ]),
         "method": res.method,
         "objective": _total(fam.probabilities, w2),
-        "per_measure_w2": {str(label): c for label, c in zip(fam.labels, w2.tolist())},
+        "per_measure_w2": dict(zip(fam.labels, w2.tolist())),
         "iterations": res.iterations,
         "converged": res.converged,
         "nu0": _nu0_payload(res.nu0),
-    }
-    _write_report(args.report, payload)
-    return EXIT_OK
+    })
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             ref = json.load(fh)
@@ -432,19 +399,15 @@ def cmd_diagnose(args) -> int:
     )
     emp = diagnostics.empirical_distance(out)
     tv = diagnostics.independence_tv(out, nu0)
-    payload = {
-        "schema": 1,
-        "subcommand": "diagnose",
+    _write_report(args.out, "diagnose", {
         "config": {"samples": args.samples, "report": args.report},
         "empirical_distance": emp,
-        "independence_tv": {str(k): v for k, v in sorted(tv.items())},
+        "independence_tv": dict(sorted(tv.items())),
         "reference_objective": reference,
         "abs_error_vs_reference": (
             abs(emp - reference) if reference is not None else None
         ),
-    }
-    _write_report(args.out, payload)
-    return EXIT_OK
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +498,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (OtRepairError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code if isinstance(e, OtRepairError) else EXIT_IO
+    return 0
 
 
 if __name__ == "__main__":
