@@ -297,6 +297,8 @@ def entropic_weights(
     """
     if not epsilon > 0.0:
         raise ConfigConflictError("epsilon must be positive")
+    if max_iter < 1:
+        raise ConfigConflictError("max_iter must be at least 1")
     family = _solvable_family(family)
     S = _check_support(family, support)
     K = S.shape[0]
@@ -368,6 +370,8 @@ def free_support_points(
     mix = mixture(family)
     if k < 1:
         raise ConfigConflictError("k must be at least 1")
+    if max_iter < 1:
+        raise ConfigConflictError("max_iter must be at least 1")
     if k > mix.n:
         raise ConfigConflictError(f"k={k} exceeds the {mix.n} available mixture points")
     idx = _rng(init_seed).choice(mix.n, size=k, replace=False, p=mix.weights)

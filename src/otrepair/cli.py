@@ -44,15 +44,16 @@ exit codes:
   0  success (a report with "checks_failed": true still exits 0)
   2  I/O error (missing or unreadable/unwritable file), or a usage error
      (unknown flag, missing or malformed option value such as --seed abc)
-  3  schema or parse error (missing column, malformed cell, bad data,
-     a file that is not UTF-8, a malformed approx report)
+  3  schema or parse error (missing or duplicated column, malformed cell,
+     bad data, a file that is not UTF-8, a malformed approx report)
   4  solver failure
   5  configuration conflict (e.g. quantile1d on multi-d data, samples
      requested without a u column or --seed, epsilon <= 0, k < 1,
-     a negative --seed)
+     --max-iter < 1, a negative --seed)
+A run that exits 3, 4 or 5 writes no report and no samples.
 
-CSV dialect: comma-separated, UTF-8, header row required, '.' decimal
-point, no thousands separators.
+CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is
+skipped), header row required, '.' decimal point, no thousands separators.
 """
 
 
@@ -109,11 +110,12 @@ def _read_csv(path: str, text=(), numeric=(), optional=()) -> dict:
     ``text`` columns become lists of stripped strings and ``numeric``
     ones float arrays.  A column in ``optional`` that the header lacks
     maps to None; any other missing column is a MissingColumnError, and
-    a row too short to reach a column, a file that is not UTF-8 or a cell
-    beyond csv's field size limit is a CsvParseError.
+    a column the header names twice, a row too short to reach a column, a
+    file that is not UTF-8 (a leading byte-order mark is skipped) or a
+    cell beyond csv's field size limit is a CsvParseError.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows, lines = [], []
@@ -129,7 +131,11 @@ def _read_csv(path: str, text=(), numeric=(), optional=()) -> dict:
     index = {}
     columns = [*text, *numeric]
     for name in columns:
-        if name in header:
+        count = header.count(name)
+        if count > 1:
+            raise CsvParseError(f"{path}: column {name!r} appears {count} times in "
+                                "the header", column=name)
+        if count:
             index[name] = header.index(name)
         elif name not in optional:
             raise MissingColumnError(f"{path}: column {name!r} not found in {header}")

@@ -17,13 +17,14 @@ Implements three routes to a coupling between two discrete measures:
   matrix.  ``solve_comonotone_1d`` is its one-pair case, with the plan
   laid out dense and the column potentials read off the arcs.
 
-``optimal_coupling`` picks the cheapest exact one for the dimension, and
-``_family_couplings`` for every measure of a flat layout.  The two exact
-solvers also return dual potentials, which certify their plans without a
-second solve.  This LP and the joint barycenter LP are both solved by
-``_solve_lp``.  ``_check_marginals`` checks every plan, dense or as arcs,
-and ``_row_potentials`` gives every 1-D plan's row potentials, here and
-in the quantile merge of :mod:`otrepair.barycenter`.
+``_family_couplings`` gives an optimal coupling of every measure of a flat
+layout to one measure: the 1-D closed form when m = 1, the transport LP
+otherwise.  The two exact solvers also return dual potentials, which
+certify their plans without a second solve.  This LP and the joint
+barycenter LP are both solved by ``_solve_lp``.  ``_check_marginals``
+checks every plan, dense or as arcs, and ``_row_potentials`` gives every
+1-D plan's row potentials, here and in the quantile merge of
+:mod:`otrepair.barycenter`.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -56,7 +57,6 @@ __all__ = [
     "solve_entropic",
     "solve_comonotone_1d",
     "comonotone_staircases",
-    "optimal_coupling",
 ]
 
 # Per-entry marginal tolerance a Coupling must satisfy.
@@ -496,6 +496,8 @@ def solve_entropic(
         raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
     if not epsilon > 0.0:
         raise ConfigConflictError("epsilon must be positive")
+    if max_iter < 1:
+        raise ConfigConflictError("max_iter must be at least 1")
     a, b = mu.weights, nu.weights
     C = cost_matrix(mu.support, nu.support)
 
@@ -555,19 +557,15 @@ def solve_entropic(
     return OtSolution(coupling, cost, "entropic", iterations, bool(violation < tol))
 
 
-def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
-    """An optimal coupling: the 1-D closed form when m = 1, the transport LP otherwise."""
-    return solve_comonotone_1d(mu, nu) if mu.dim == 1 else solve_exact(mu, nu)
-
-
 # 1-D couplings are formed in batches of about this many staircase arcs
 _BATCH_ARCS = 1 << 14
 
 
 def _family_couplings(support: np.ndarray, weights: np.ndarray, starts: np.ndarray,
                       nu: DiscreteMeasure):
-    """:func:`optimal_coupling` of every measure of a flat layout (as in
-    :class:`otrepair.measure.ConditionalFamily`) to ``nu``, the same floats,
+    """An optimal coupling of every measure of a flat layout (as in
+    :class:`otrepair.measure.ConditionalFamily`) to ``nu``, the same floats
+    as :func:`solve_comonotone_1d` in 1-D and :func:`solve_exact` otherwise,
     in batches of consecutive measures (rows, cols, flow, u, costs):
     ``rows`` numbers the arcs' source points in the layout, ``cols`` their
     points of nu, ``u`` is the row potentials of the batch's points and

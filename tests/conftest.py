@@ -15,8 +15,13 @@ from otrepair.measure import (
     make_measure,
     mean,
 )
-from otrepair.ot import cost_matrix, solve_exact
+from otrepair.ot import cost_matrix, solve_comonotone_1d, solve_exact
 from otrepair.special_binary import is_half, solve_half, solve_nonhalf
+
+
+def optimal_coupling(mu, nu):
+    """An optimal coupling: the 1-D closed form when m = 1, the transport LP otherwise."""
+    return solve_comonotone_1d(mu, nu) if mu.dim == 1 else solve_exact(mu, nu)
 
 
 def reference_conditionals(data):

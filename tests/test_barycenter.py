@@ -25,9 +25,9 @@ from otrepair.measure import (
     mean,
     mixture,
 )
-from otrepair.ot import Coupling, _logsumexp, cost_matrix, optimal_coupling, solve_exact
+from otrepair.ot import Coupling, _logsumexp, cost_matrix, solve_exact
 
-from conftest import random_family, simplex_objective
+from conftest import optimal_coupling, random_family, simplex_objective
 from densesimplex import solve_standard_form
 
 

@@ -744,6 +744,33 @@ def test_unreadable_csv_is_a_parse_error(tmp_path, capsys, subcommand, header, f
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("subcommand, text, flags, column", [
+    ("approx", "group,x, x\na,0,1\nb,1,2\n", [], "x"),
+    ("ot", "measure,weight,x,x\nm1,1,0,1\nm2,1,1,2\n", [], "x"),
+    ("barycenter", "measure,weight,x,x\nm1,1,0,1\nm2,1,1,2\n", [], "x"),
+    ("binary-case", "p,f,g,f\n0.5,0,1,2\n0.5,1,2,3\n", ["--pA", "0.5"], "f"),
+], ids=["approx", "ot", "barycenter", "binary-case"])
+def test_duplicated_header_column_is_a_parse_error(tmp_path, capsys, subcommand, text,
+                                                   flags, column):
+    inp = write(tmp_path / "d.csv", text)
+    rep = tmp_path / "r.json"
+    assert main([subcommand, "--input", inp, "--report", str(rep), *flags]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {inp}: column {column!r} appears 2 times in the header\n"
+    assert not rep.exists()
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    inp, rep = tmp_path / "d.csv", tmp_path / "r.json"
+    blobs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        inp.write_bytes(bom + HAND_CSV.encode("utf-8"))
+        assert main(["approx", "--input", str(inp), "--report", str(rep)]) == 0
+        blobs.append(rep.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_read_csv_names_the_first_short_row_in_file_order(tmp_path):
     # the columns are checked in the order asked for, A (header place 1)
     # before B (place 3), but row 2 lacks only B and row 3 lacks A too
@@ -791,16 +818,24 @@ def test_read_csv_parses_cells_as_float_does(tmp_path, capsys):
 
 
 def test_invalid_option_values_exit_5(tmp_path, capsys):
+    # every check runs before the first file is written, so none is left
     inp = write(tmp_path / "d.csv", HAND_CSV)
-    rep = str(tmp_path / "r.json")
-    for flags in (["--method", "free", "--k", "0"], ["--resolution", "0"],
-                  ["--samples", str(tmp_path / "s.csv"), "--seed", "-1"],
-                  ["--method", "free", "--seed", "-3"]):
-        assert main(["approx", "--input", inp, "--report", rep, *flags]) == 5
-    assert main(["ot", "--input", inp, "--measure-col", "group", "--weight-col", "x",
-                 "--method", "entropic", "--epsilon", "-1", "--report", rep]) == 5
+    rep, smp = tmp_path / "r.json", tmp_path / "s.csv"
+    approx_ = ["approx", "--input", inp]
+    ot = ["ot", "--input", inp, "--measure-col", "group", "--weight-col", "x",
+          "--method", "entropic"]
+    for argv in ([*approx_, "--method", "free", "--k", "0"],
+                 [*approx_, "--resolution", "0"],
+                 [*approx_, "--samples", str(smp), "--seed", "-1"],
+                 [*approx_, "--method", "free", "--seed", "-3"],
+                 [*approx_, "--method", "free", "--max-iter", "0"],
+                 [*approx_, "--method", "entropic", "--max-iter", "-1"],
+                 [*ot, "--epsilon", "-1"],
+                 [*ot, "--max-iter", "0"]):
+        assert main([*argv, "--report", str(rep)]) == 5
+        assert not rep.exists() and not smp.exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 5 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 8 and all(line.startswith("error: ") for line in err)
 
 
 def _library_errors(cls=OtRepairError):

@@ -19,13 +19,12 @@ from otrepair.ot import (
     Coupling,
     _check_marginals,
     cost_matrix,
-    optimal_coupling,
     solve_comonotone_1d,
     solve_entropic,
     solve_exact,
 )
 
-from conftest import random_measure
+from conftest import optimal_coupling, random_measure
 from northwest import comonotone_reference
 
 

@@ -8,7 +8,9 @@
 - every ``__all__`` entry is bound in its module;
 - only ``_rng`` calls ``np.random.default_rng``, so every seed is
   checked in one place;
-- no module calls ``np.add.at``: rows are summed by ``np.bincount``.
+- no module calls ``np.add.at``: rows are summed by ``np.bincount``;
+- in ``cli``, only ``_write_report`` writes the report envelope's
+  ``"schema"`` and no ``cmd_*`` subcommand returns a value.
 """
 import ast
 from pathlib import Path
@@ -131,3 +133,15 @@ def test_only_rng_makes_a_generator():
 
 def test_no_module_calls_np_add_at():
     assert callers("np.add.at") == []
+
+
+def test_cli_writes_the_report_envelope_in_one_place():
+    tree = MODULES["cli"]
+    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Constant) and node.value == "schema"]
+    assert owners == ["_write_report"]
+    commands = [top for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name.startswith("cmd_")]
+    assert len(commands) == 5
+    assert [fn.name for fn in commands for node in ast.walk(fn)
+            if isinstance(node, ast.Return) and node.value is not None] == []
