@@ -6,8 +6,7 @@ p-weighted sum of squared Wasserstein distances to the family's atoms:
 
 - ``exact`` (``fixed_support_weights``): the restricted problem on a
   fixed grid is one joint linear program over the grid weights and one
-  coupling per atom, solved exactly by interior point with crossover;
-  its couplings come with the result.
+  coupling per atom, solved exactly; its couplings come with the result.
 - ``entropic`` (``entropic_weights``): iterative Bregman projections on
   a fixed grid, log-domain.
 - ``free`` (``free_support_points``): fixed-point iteration alternating
@@ -30,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ConfigConflictError,
@@ -52,11 +50,10 @@ from .ot import (
     _family_couplings,
     _length_groups,
     _logsumexp,
-    _marginal_blocks,
     _row_ends,
     _row_potentials,
     _segment_sum,
-    _solve_lp,
+    _solve_joint_lp,
     _sorted_1d,
     cost_matrix,
 )
@@ -212,64 +209,16 @@ def _check_support(family: ConditionalFamily, support) -> np.ndarray:
     return S
 
 
-def _assemble_joint_lp(family: ConditionalFamily, C: np.ndarray):
-    """Joint LP on the cost matrix ``C`` of the family's flat support to
-    the grid: variables [gamma row-major, w], one plan over all the rows,
-    atom a's being rows ``starts[a]:starts[a + 1]`` at cost p_a C, and the
-    grid weights.  Constraints: row sums fixed to the family's weights,
-    each atom's column sums tied to w, and sum(w) = 1.  Returns (c, A as
-    CSR, b).
-    """
-    (N, K), A = C.shape, len(family)
-    sizes = np.diff(family.starts)
-    c = np.concatenate([(np.repeat(family.probabilities, sizes)[:, None] * C).ravel(),
-                        np.zeros(K)])
-    row_sums, col_sums = _marginal_blocks(sizes, K)
-    lp = sparse.bmat([
-        [row_sums, None],
-        [col_sums, -sparse.vstack([sparse.eye(K)] * A)],
-        [None, np.ones((1, K))],
-    ], format="csr")
-    return c, lp, np.concatenate([family.weights, np.zeros(A * K), [1.0]])
-
-
 def fixed_support_weights(
     family: ConditionalFamily,
     support,
 ) -> tuple[DiscreteMeasure, int, tuple]:
-    """Globally optimal weights on a fixed grid via one joint LP.
-
-    The LP of :func:`_assemble_joint_lp` is solved by SciPy's HiGHS
-    interior point method with crossover, which is deterministic and
-    ends at a vertex.  Its solution holds, for every atom a, an optimal
-    coupling of a's law with the grid weights w (Anderson, Borgwardt &
-    Miller, "Discrete Wasserstein barycenters", MMOR 2016): the plan is
-    a's rows of the LP's x, clipped at 0, and its row potentials are a's
-    row-sum duals divided by the p_a the LP used (after negligible atoms
-    are dropped), so that with the column-sum duals divided alike
-    u_i + v_j <= |x_i - s_j|^2, with equality on the plan's arcs.  The
-    plans are checked like a :class:`otrepair.ot.Coupling`, all at once,
-    and each is costed on a's rows of the cost matrix.  Returns (measure,
-    LP iterations as SciPy reports them, couplings), ``couplings`` being
-    the plans' positive entries as one arc record (rows, cols, flow, u,
-    costs), as in :attr:`BarycenterResult.couplings`.
-    """
+    """Globally optimal weights on a fixed grid via one joint LP, on the
+    family without its negligible atoms: (measure, LP iterations,
+    couplings) as :func:`otrepair.ot._solve_joint_lp` gives them."""
     family = _solvable_family(family)
     S = _check_support(family, support)
-    C = cost_matrix(family.support, S)
-    x, duals, nit = _solve_lp(*_assemble_joint_lp(family, C), "highs-ipm", "joint")
-    N, K = C.shape
-    w = np.maximum(x[-K:], 0.0)
-    nu0 = DiscreteMeasure(S, w / w.sum())
-    # x holds the plan's rows, then w; the duals the row sums, then the column sums
-    plan = np.maximum(x[:N * K].reshape(N, K), 0.0)
-    rows, cols = np.nonzero(plan)
-    flow = plan[rows, cols]
-    _check_marginals(rows, cols, flow, np.searchsorted(rows, family.starts), family.weights, nu0)
-    b = family.starts.tolist()
-    costs = np.array([np.einsum("ij,ij->", plan[lo:hi], C[lo:hi]) for lo, hi in zip(b, b[1:])])
-    u = duals[:N] / np.repeat(family.probabilities, np.diff(family.starts))
-    return nu0, nit, (rows, cols, flow, u, costs)
+    return _solve_joint_lp(family, S, cost_matrix(family.support, S))
 
 
 # ---------------------------------------------------------------------------

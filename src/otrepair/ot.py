@@ -2,9 +2,8 @@
 
 Implements three routes to a coupling between two discrete measures:
 
-- ``solve_exact``: the transportation linear program, solved by SciPy's
-  HiGHS dual simplex, which is deterministic, so the same inputs always
-  produce the same optimal coupling.
+- ``solve_exact``: the transportation linear program, solved by HiGHS,
+  which is deterministic: the same inputs give the same optimal coupling.
 - ``solve_entropic``: log-domain Sinkhorn iterations on the Gibbs kernel
   with an epsilon-scaling schedule (start at the largest cost entry,
   halve down to the target).  The returned plan is rounded onto the
@@ -20,11 +19,11 @@ Implements three routes to a coupling between two discrete measures:
 ``_family_couplings`` gives an optimal coupling of every measure of a flat
 layout to one measure: the 1-D closed form when m = 1, the transport LP
 otherwise.  The two exact solvers also return dual potentials, which
-certify their plans without a second solve.  This LP and the joint
-barycenter LP are both solved by ``_solve_lp``.  ``_check_marginals``
-checks every plan, dense or as arcs, and ``_row_potentials`` gives every
-1-D plan's row potentials, here and in the quantile merge of
-:mod:`otrepair.barycenter`.
+certify their plans without a second solve.  Every LP, the joint
+barycenter LP too, is set up, solved by ``_solve_lp`` with HiGHS as
+``_LPS`` sets it, and read here.  ``_check_marginals`` checks every plan,
+dense or as arcs, and ``_row_potentials`` gives every 1-D plan's row
+potentials, here and in the quantile merge of :mod:`otrepair.barycenter`.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -47,7 +46,7 @@ from .errors import (
     SolverFailureError,
     WeightSumError,
 )
-from .measure import DiscreteMeasure
+from .measure import ConditionalFamily, DiscreteMeasure
 
 __all__ = [
     "Coupling",
@@ -141,7 +140,7 @@ class OtSolution:
 
 
 # ---------------------------------------------------------------------------
-# linear programs: the one HiGHS call, and the transportation LP
+# linear programs: their settings, the one HiGHS call, and the two LPs
 # ---------------------------------------------------------------------------
 
 # HiGHS's tolerances are absolute, so every LP is solved on its costs
@@ -150,6 +149,13 @@ class OtSolution:
 # enough that its plans meet MARGINAL_ATOL.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
+
+_LPS = {  # every LP by name: (HiGHS method, presolve)
+    # dual simplex without presolve, which calls this always feasible LP
+    # infeasible when a marginal holds weights near 1e-9
+    "transport": ("highs-ds", False),
+    "joint": ("highs-ipm", True),  # interior point, crossover to a vertex
+}
 
 
 def _marginal_blocks(sizes: np.ndarray, k: int):
@@ -164,9 +170,31 @@ def _marginal_blocks(sizes: np.ndarray, k: int):
                               shape=(len(sizes) * k, n * k)))
 
 
-def _solve_lp(c: np.ndarray, A, b: np.ndarray, method: str, name: str, presolve=True):
+def _assemble_joint_lp(family: ConditionalFamily, C: np.ndarray):
+    """Joint LP on the cost matrix ``C`` of the family's flat support to
+    the grid: variables [gamma row-major, w], one plan over all the rows,
+    atom a's being rows ``starts[a]:starts[a + 1]`` at cost p_a C, and the
+    grid weights.  Constraints: row sums fixed to the family's weights,
+    each atom's column sums tied to w, and sum(w) = 1.  Returns (c, A as
+    CSR, b).
+    """
+    (N, K), A = C.shape, len(family)
+    sizes = np.diff(family.starts)
+    c = np.concatenate([(np.repeat(family.probabilities, sizes)[:, None] * C).ravel(),
+                        np.zeros(K)])
+    row_sums, col_sums = _marginal_blocks(sizes, K)
+    lp = sparse.bmat([
+        [row_sums, None],
+        [col_sums, -sparse.vstack([sparse.eye(K)] * A)],
+        [None, np.ones((1, K))],
+    ], format="csr")
+    return c, lp, np.concatenate([family.weights, np.zeros(A * K), [1.0]])
+
+
+def _solve_lp(c: np.ndarray, A, b: np.ndarray, name: str):
     """(x, equality duals, iterations) of min c.x s.t. A x = b, x >= 0, by
-    HiGHS ``method``; a :class:`SolverFailureError` names the ``name`` LP."""
+    HiGHS as ``_LPS[name]`` sets it; a :class:`SolverFailureError` names it."""
+    method, presolve = _LPS[name]
     scale = 2.0 ** int(np.frexp(c.max(initial=0.0))[1])
     res = linprog(c / scale, A_eq=A, b_eq=b, bounds=(0, None), method=method,
                   options={**_HIGHS_OPTIONS, "presolve": presolve})
@@ -178,14 +206,11 @@ def _solve_lp(c: np.ndarray, A, b: np.ndarray, method: str, name: str, presolve=
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """Exact optimal coupling between two discrete measures.
 
-    Solves the transportation LP with SciPy's HiGHS dual simplex: the
+    Solves the transportation LP with HiGHS, which is deterministic: the
     plan is the LP solution clipped at 0, its cost is the squared
     Wasserstein-2 distance, the potentials are the LP's equality duals
-    and ``iterations`` counts HiGHS iterations.  HiGHS is deterministic,
-    so the same inputs always select the same optimal plan.  Presolve is
-    off: it calls this always feasible LP infeasible when a marginal holds
-    weights near 1e-9.  Raises :class:`SolverFailureError` when HiGHS
-    reports no optimum.
+    and ``iterations`` counts HiGHS iterations.  Raises
+    :class:`SolverFailureError` when HiGHS reports no optimum.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
@@ -193,10 +218,36 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     n, k = C.shape
     b = np.concatenate([mu.weights, nu.weights])
     x, duals, nit = _solve_lp(C.ravel(), sparse.vstack(_marginal_blocks(np.array([n]), k)), b,
-                              "highs-ds", "transport", presolve=False)
+                              "transport")
     plan = np.maximum(x.reshape(n, k), 0.0)
     return OtSolution(Coupling(mu, nu, plan), float(np.einsum("ij,ij->", plan, C)), "exact",
                       nit, True, (duals[:n], duals[n:]))
+
+
+def _solve_joint_lp(family: ConditionalFamily, S: np.ndarray, C: np.ndarray) -> tuple:
+    """The joint LP of :func:`_assemble_joint_lp` on the grid ``S``, solved
+    and read: for every atom a, its solution holds an optimal coupling of
+    a's law with the grid weights w (Anderson, Borgwardt & Miller,
+    "Discrete Wasserstein barycenters", MMOR 2016).  The plan is a's rows
+    of x, clipped at 0; its row potentials are a's row-sum duals over p_a,
+    so that with the column-sum duals divided alike u_i + v_j <=
+    |x_i - s_j|^2, with equality on the plan's arcs.  All plans are checked
+    like a :class:`Coupling` at once, each costed on a's rows of ``C``.
+    Returns (measure on S, SciPy's LP iteration count, the plans' positive
+    entries as :attr:`otrepair.barycenter.BarycenterResult.couplings`)."""
+    x, duals, nit = _solve_lp(*_assemble_joint_lp(family, C), "joint")
+    N, K = C.shape
+    w = np.maximum(x[-K:], 0.0)
+    nu0 = DiscreteMeasure(S, w / w.sum())
+    # x holds the plan's rows, then w; the duals the row sums, then the column sums
+    plan = np.maximum(x[:N * K].reshape(N, K), 0.0)
+    rows, cols = np.nonzero(plan)
+    flow = plan[rows, cols]
+    _check_marginals(rows, cols, flow, np.searchsorted(rows, family.starts), family.weights, nu0)
+    b = family.starts.tolist()
+    costs = np.array([np.einsum("ij,ij->", plan[lo:hi], C[lo:hi]) for lo, hi in zip(b, b[1:])])
+    u = duals[:N] / np.repeat(family.probabilities, np.diff(family.starts))
+    return nu0, nit, (rows, cols, flow, u, costs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import otrepair.barycenter
 import otrepair.ot
 from otrepair.approx import lower_bound
 from otrepair.barycenter import (
-    _assemble_joint_lp,
     default_support,
     entropic_weights,
     free_support_points,
@@ -25,7 +24,7 @@ from otrepair.measure import (
     mean,
     mixture,
 )
-from otrepair.ot import Coupling, _logsumexp, cost_matrix, solve_exact
+from otrepair.ot import Coupling, _assemble_joint_lp, _logsumexp, cost_matrix, solve_exact
 
 from conftest import optimal_coupling, random_family, simplex_objective
 from densesimplex import solve_standard_form
