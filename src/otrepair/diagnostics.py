@@ -114,8 +114,7 @@ def verify(approx: IndependentApproximation, data: Dataset) -> Report:
         # reduceat down the columns is slow on a block of one atom's rows
         mins = C.min(axis=0) if len(cuts) == 1 else np.minimum.reduceat(C, cuts, axis=0)
         np.minimum(u_c[first:last], mins, out=u_c[first:last])
-    dual = (_segment_sum(w * dis.potential, starts)
-            + _segment_sum(u_c.ravel() * np.tile(nu0.weights, A), np.arange(A + 1) * K))
+    dual = _segment_sum(w * dis.potential, starts) + (u_c * nu0.weights).sum(axis=1)
     per_atom = dict(zip(fam.labels, dual.tolist()))
 
     arc_rows = np.repeat(np.arange(len(x)), np.diff(dis.indptr))
