@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import diagnostics
 from .barycenter import _total, solve_barycenter
 from .errors import (
     EXIT_IO,
+    ConfigConflictError,
     CsvParseError,
     EmptyDatasetError,
     MissingColumnError,
@@ -49,8 +51,10 @@ exit codes:
   4  solver failure
   5  configuration conflict (e.g. quantile1d on multi-d data, samples
      requested without a u column or --seed, epsilon <= 0, k < 1,
-     --max-iter < 1, a negative --seed)
-A run that exits 3, 4 or 5 writes no report and no samples.
+     --max-iter < 1, a negative --seed, a CSV column named twice by the
+     column flags)
+A run that exits 3, 4 or 5, or cannot open an output path, leaves no
+report and no samples.
 
 CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is
 skipped), header row required, '.' decimal point, no thousands separators.
@@ -187,7 +191,14 @@ def _load_dataset(path: str, group_col: str, value_cols: list[str],
 # ---------------------------------------------------------------------------
 
 def _value_cols(args) -> list[str]:
-    return [c.strip() for c in args.value_cols.split(",") if c.strip()]
+    """The --value-cols entries; a column named twice by the column flags is a conflict."""
+    value_cols = [c.strip() for c in args.value_cols.split(",") if c.strip()]
+    flags = ("group_col", "measure_col", "weight_col", "u_col")
+    named = [*filter(None, map(vars(args).get, flags)), *value_cols]
+    for i, name in enumerate(named):
+        if name in named[:i]:
+            raise ConfigConflictError(f"column {name!r} is named twice by the column flags")
+    return value_cols
 
 
 def _common_config(args, keys) -> dict:
@@ -219,7 +230,7 @@ def cmd_approx(args) -> None:
         "max_iter", "tol", "resolution", "k", "seed",
     ])
     config["value_cols"] = value_cols
-    _write_report(args.report, "approx", {
+    body = {
         "config": config,
         "n_rows": data.n_rows,
         "dimension": data.dim,
@@ -238,7 +249,7 @@ def cmd_approx(args) -> None:
         "independence_tv": report.independence_tv,
         "checks": list(map(dataclasses.asdict, report.checks)),
         "checks_failed": not report.passed,
-    })
+    }
     if out is not None:
         with open(args.samples, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(
@@ -246,6 +257,13 @@ def cmd_approx(args) -> None:
                 + [f"y{i + 1}" for i in range(data.dim)]
             )
             _write_samples(fh, out)
+    # samples first, removed if the report fails: a failed run leaves no file
+    try:
+        _write_report(args.report, "approx", body)
+    except OSError:
+        if out is not None:
+            os.remove(args.samples)
+        raise
 
 
 def _csv_cells(values) -> dict:

@@ -517,11 +517,18 @@ def test_transform_errors():
             [("g1", 5.0, 1.0), ("g1", 2.0, 1.0),
              ("g2", 1.0, 1.0), ("g2", 3.0, 1.0)]
         ), seed=0)
+    with pytest.raises(DatasetMismatchError,
+                       match="dataset groups differ from the approximation's"):
+        transform(ap, dataset_from_rows([("g1", 0.0, 1.0), ("g1", 2.0, 1.0)]), seed=0)
     d = dataset_from_rows(
         [("g1", 0.0, 1.0), ("g1", 2.0, 1.0), ("g2", 1.0, 1.0), ("g2", 3.0, 1.0)]
     )
     with pytest.raises(MissingUError):
         transform(ap, d)
+    with pytest.raises(ConfigConflictError, match="resolution must be at least 1"):
+        transform_grid(ap, d, 0)
+    with pytest.raises(ConfigConflictError, match="unknown method 'nope'"):
+        build(d, method="nope")
 
 
 def test_row_weights_must_match_the_build():

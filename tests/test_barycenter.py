@@ -8,6 +8,7 @@ from otrepair.approx import lower_bound
 from otrepair.barycenter import (
     default_support,
     entropic_weights,
+    fixed_support_weights,
     free_support_points,
     solve_barycenter,
 )
@@ -351,6 +352,8 @@ def test_fixed_support_dimension_check():
     fam = family([("a", 1.0, dirac([0.0]))])
     with pytest.raises(SupportDimensionMismatchError):
         solve_barycenter(fam, "exact", support=np.array([[0.0, 1.0]]))
+    with pytest.raises(SupportDimensionMismatchError, match="nonempty point list"):
+        fixed_support_weights(fam, np.empty((0, 1)))
 
 
 # --- entropic -----------------------------------------------------------------

@@ -18,6 +18,7 @@ from otrepair.errors import CsvParseError, OtRepairError
 from otrepair.measure import ConditionalAtom, Dataset
 
 HAND_CSV = "group,x\ng1,0\ng1,2\ng2,1\ng2,3\n"
+WEIGHTED_CSV = "group,x,w\ng1,0,1\ng1,2,1\ng2,1,1\ng2,3,1\n"
 
 
 def write(path, text):
@@ -710,6 +711,18 @@ def test_binary_case_rejects_non_finite_input(tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file, header row required"),
+    ("group,x\n", "no data rows"),
+], ids=["empty", "header-only"])
+def test_approx_rejects_a_csv_without_data_rows(tmp_path, capsys, text, message):
+    inp = write(tmp_path / "d.csv", text)
+    rep = tmp_path / "r.json"
+    assert main(["approx", "--input", inp, "--report", str(rep)]) == 3
+    assert capsys.readouterr().err == f"error: {inp}: {message}\n"
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("subcommand, text", [
     ("approx", "group,x\na,0\nb\n"),
     ("ot", "measure,weight,x\nm1,1,0\nm2,1\n"),
@@ -820,9 +833,10 @@ def test_read_csv_parses_cells_as_float_does(tmp_path, capsys):
 def test_invalid_option_values_exit_5(tmp_path, capsys):
     # every check runs before the first file is written, so none is left
     inp = write(tmp_path / "d.csv", HAND_CSV)
+    weighted = write(tmp_path / "w.csv", WEIGHTED_CSV)
     rep, smp = tmp_path / "r.json", tmp_path / "s.csv"
     approx_ = ["approx", "--input", inp]
-    ot = ["ot", "--input", inp, "--measure-col", "group", "--weight-col", "x",
+    ot = ["ot", "--input", weighted, "--measure-col", "group", "--weight-col", "w",
           "--method", "entropic"]
     for argv in ([*approx_, "--method", "free", "--k", "0"],
                  [*approx_, "--resolution", "0"],
@@ -836,6 +850,41 @@ def test_invalid_option_values_exit_5(tmp_path, capsys):
         assert not rep.exists() and not smp.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 8 and all(line.startswith("error: ") for line in err)
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("approx", ["--value-cols", "x,x"]),
+    ("approx", ["--group-col", "x"]),
+    ("approx", ["--weight-col", "x"]),
+    ("approx", ["--u-col", "x"]),
+    ("ot", ["--measure-col", "group", "--weight-col", "w", "--value-cols", "x,x"]),
+    ("barycenter", ["--measure-col", "group", "--weight-col", "w", "--value-cols", "x,x"]),
+], ids=["approx-value-cols", "approx-group-col", "approx-weight-col", "approx-u-col",
+        "ot-value-cols", "barycenter-value-cols"])
+def test_a_column_named_twice_is_a_config_conflict(tmp_path, capsys, subcommand, flags):
+    # the flags are checked before any file is read, so a missing input
+    # file exits 5 as well
+    rep = tmp_path / "r.json"
+    for inp in (write(tmp_path / "d.csv", WEIGHTED_CSV), str(tmp_path / "missing.csv")):
+        assert main([subcommand, "--input", inp, "--report", str(rep), *flags]) == 5
+        assert capsys.readouterr().err == \
+            "error: column 'x' is named twice by the column flags\n"
+        assert not rep.exists()
+
+
+@pytest.mark.parametrize("report, samples", [
+    ("r.json", "nodir/s.csv"),
+    ("nodir/r.json", "s.csv"),
+], ids=["samples", "report"])
+def test_an_output_path_that_cannot_be_opened_leaves_no_file(tmp_path, capsys, monkeypatch,
+                                                            report, samples):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "d.csv", HAND_CSV)
+    assert main(["approx", "--input", "d.csv", "--report", report, "--samples", samples,
+                 "--seed", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "nodir" in err[0]
+    assert os.listdir(tmp_path) == ["d.csv"]
 
 
 def _library_errors(cls=OtRepairError):

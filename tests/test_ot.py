@@ -84,8 +84,10 @@ def test_coupling_validation():
     nu = make_measure([0.0, 1.0], [1.0, 3.0])
     good = np.array([[0.25, 0.25], [0.0, 0.5]])
     Coupling(mu, nu, good)
-    with pytest.raises(WeightSumError):
-        Coupling(mu, nu, np.array([[0.5, 0.0], [0.0, 0.5]]))  # col sums wrong
+    with pytest.raises(WeightSumError, match="column sums"):
+        Coupling(mu, nu, np.array([[0.5, 0.0], [0.0, 0.5]]))
+    with pytest.raises(WeightSumError, match="row sums do not match the row measure"):
+        Coupling(mu, nu, np.array([[0.25, 0.0], [0.0, 0.75]]))
     with pytest.raises(NegativeWeightError):
         Coupling(mu, nu, np.array([[0.6, -0.1], [0.0, 0.5]]))
     with pytest.raises(DimensionMismatchError):

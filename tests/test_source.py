@@ -9,6 +9,8 @@
 - only ``_rng`` calls ``np.random.default_rng``, so every seed is
   checked in one place;
 - no module calls ``np.add.at``: rows are summed by ``np.bincount``;
+- only ``ot`` imports ``scipy``, at any depth, and only ``_solve_lp``
+  calls ``linprog``, so every LP is set up, solved and read in one module;
 - in ``cli``, only ``_write_report`` writes the report envelope's
   ``"schema"`` and no ``cmd_*`` subcommand returns a value.
 """
@@ -32,6 +34,17 @@ def imports(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield node, alias.asname or alias.name.split(".")[0]
+
+
+def packages(tree) -> set:
+    """The top-level package of every absolute import, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
 
 
 def source_module(node) -> str | None:
@@ -133,6 +146,11 @@ def test_only_rng_makes_a_generator():
 
 def test_no_module_calls_np_add_at():
     assert callers("np.add.at") == []
+
+
+def test_only_ot_imports_scipy_and_only_solve_lp_calls_linprog():
+    assert {stem for stem, tree in MODULES.items() if "scipy" in packages(tree)} == {"ot"}
+    assert callers("linprog") == [("ot", "_solve_lp")]
 
 
 def test_cli_writes_the_report_envelope_in_one_place():
