@@ -45,16 +45,12 @@ from .measure import (
     mixture,
 )
 from .ot import (
-    _check_marginals,
-    _check_reach,
     _family_couplings,
     _length_groups,
     _logsumexp,
-    _row_ends,
-    _row_potentials,
-    _segment_sum,
     _solve_joint_lp,
     _sorted_1d,
+    _staircases,
     cost_matrix,
 )
 
@@ -368,14 +364,15 @@ def free_support_points(
 
 def _sorted_quantiles(family: ConditionalFamily):
     """Every atom's support sorted ascending and its cumulative weights, in
-    the family's flat layout (see :func:`otrepair.ot._sorted_1d`), with
-    each atom's last cumulative weight raised to 1 so that t = 1 finds its
-    top point.  Returns (order, sorted values, cumulative weights)."""
+    the family's flat layout (see :func:`otrepair.ot._sorted_1d`), clipped
+    at 1 and with each atom's last one set to 1, so that t = 1 finds its
+    top point and no cumulative weight passes it.  Returns (order, sorted
+    values, cumulative weights)."""
     if family.dim != 1:
         raise DimensionNotOneError("quantile averaging requires 1-D atoms")
     order, xs, cum = _sorted_1d(family.support[:, 0], family.weights, family.starts)
-    top = family.starts[1:] - 1
-    cum[top] = np.maximum(cum[top], 1.0)
+    np.minimum(cum, 1.0, out=cum)
+    cum[family.starts[1:] - 1] = 1.0
     return order, xs, cum
 
 
@@ -389,7 +386,7 @@ def _level_slots(family: ConditionalFamily, rank: np.ndarray, levels: int):
     yields each block's first and end atom and its (atoms, levels) sorted
     slots.
 
-    ``rank`` (from 0 to ``levels`` + 1) places each sorted slot's
+    ``rank`` (from 0 to ``levels``) places each sorted slot's
     cumulative weight among the levels so that F_a^{-1} on level k is
     atom a's first slot past those of rank at most k: a count of ranks.
     The levels are either the merge's intervals between consecutive
@@ -401,8 +398,8 @@ def _level_slots(family: ConditionalFamily, rank: np.ndarray, levels: int):
     for a0 in range(0, len(family), step):
         a1 = min(a0 + step, len(family))
         owner = np.repeat(np.arange(a1 - a0), np.diff(starts[a0:a1 + 1]))
-        counts = np.bincount(owner * (levels + 2) + rank[starts[a0]:starts[a1]],
-                             minlength=(a1 - a0) * (levels + 2)).reshape(a1 - a0, -1)
+        counts = np.bincount(owner * (levels + 1) + rank[starts[a0]:starts[a1]],
+                             minlength=(a1 - a0) * (levels + 1)).reshape(a1 - a0, -1)
         yield a0, a1, starts[a0:a1, None] + np.cumsum(counts[:, :levels], axis=1)
 
 
@@ -442,66 +439,29 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     The quantile average is a step function whose jumps can only sit at
     some atom's cumulative weight; evaluating it once per level, an
     interval of the merged breakpoint grid, represents its law exactly,
-    for arbitrary weight patterns.  The same levels couple every atom
-    comonotonically: level k carries its mass from atom a's point
-    F_a^{-1} there to nu0's point there, which is the k-th value's place
-    among the distinct ones, a running count, since the values never
-    decrease.  A run of levels with the same pair of points is one arc,
-    carrying the mass between the run's ends.  Row potentials are the
-    staircases' (:func:`otrepair.ot._row_potentials`), through the point
-    of nu0 where each row ends (its cumulative weight, also for a
-    zero-weight row).  All atoms are sorted together, once, the atoms are
-    read in blocks (see :func:`_level_slots`), and the arcs are checked
-    like a :class:`otrepair.ot.Coupling`.  Returns (nu0, couplings), couplings
-    being one arc record (rows, cols, flow, u, costs) over the family
-    without its negligible atoms, as in :attr:`BarycenterResult.couplings`.
+    for arbitrary weight patterns.  nu0's points are the distinct values,
+    which never decrease, so each point's mass ends at the edge where the
+    next one's first level starts.  All atoms are sorted together, once,
+    and read in blocks (see :func:`_level_slots`); the same sort and nu0's
+    ends go to the staircase core :func:`otrepair.ot._staircases`, which
+    couples every atom comonotonically.  Returns (nu0, couplings),
+    couplings being one arc record (rows, cols, flow, u, costs) of the
+    staircases' positive arcs over the family without its negligible
+    atoms, as in :attr:`BarycenterResult.couplings`.
     """
     family = _solvable_family(family)
     order, xs, cum = _sorted_quantiles(family)
-    starts, A = family.starts, len(family)
     breaks = np.unique(np.concatenate([cum, [1.0]]))
-    edges = np.concatenate([[0.0], breaks[(breaks > 0.0) & (breaks <= 1.0)]])
+    edges = np.concatenate([[0.0], breaks[breaks > 0.0]])
     L = len(edges) - 1
     rank = np.searchsorted(edges, cum)
-    # the slots are read twice: kept if they are one block, counted again
-    # otherwise, to keep memory flat
-    slots = list(_level_slots(family, rank, L)) if A * L <= _MERGE_BLOCK else None
-    values = _quantile_values(family, xs, slots or _level_slots(family, rank, L), L)
-    # the values never decrease: a level's column counts the changes
+    values = _quantile_values(family, xs, _level_slots(family, rank, L), L)
     head = np.concatenate([[True], values[1:] != values[:-1]])
-    col = np.cumsum(head) - 1
     masses = np.diff(edges)
-    nu0 = DiscreteMeasure(values[head][:, None], np.bincount(col, masses / masses.sum()))
-    y = nu0.support[:, 0]
-    _check_reach(xs, starts, y)
-
-    # a run of levels starts where an atom's slot or column moves (both
-    # never decrease, so where their sum does) and is one arc; an atom has
-    # no more runs than staircase arcs
-    size = len(xs) + A * (nu0.n - 1)
-    rows, cols, flow = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
-    costs, arc_starts = np.empty(A), np.zeros(A + 1, dtype=np.intp)
-    for a0, a1, pos in slots or _level_slots(family, rank, L):
-        key = np.full((a1 - a0, L + 1), -1)
-        np.add(pos, col, out=key[:, 1:])
-        run_starts = np.flatnonzero(key[:, 1:] - key[:, :-1])
-        atom = run_starts // L
-        first, slot = run_starts - atom * L, pos.ravel()[run_starts]
-        bounds = np.searchsorted(atom, np.arange(a1 - a0 + 1))
-        # a run ends where the atom's next one starts, an atom's last at 1
-        lower = edges[first]
-        run = np.append(lower[1:], 1.0) - lower
-        run[bounds[1:] - 1] = 1.0 - lower[bounds[1:] - 1]
-        lo = arc_starts[a0]
-        r, c = order[slot], col[first]
-        rows[lo:lo + len(r)], cols[lo:lo + len(r)], flow[lo:lo + len(r)] = r, c, run
-        arc_starts[a0 + 1:a1 + 1] = lo + bounds[1:]
-        _check_marginals(r - starts[a0], c, run, bounds, family.weights[starts[a0]:starts[a1]],
-                         nu0)
-        costs[a0:a1] = _segment_sum(run * (xs[slot] - y[c]) ** 2, bounds)
-    rows, cols, flow = rows[:arc_starts[-1]], cols[:arc_starts[-1]], flow[:arc_starts[-1]]
-    # each row but an atom's top ends at its cumulative weight, an edge,
-    # and so on the level below it (the first level for a weight of 0)
-    end_level = np.clip(rank[_row_ends(starts)], 1, L) - 1
-    u = _row_potentials(xs, y[col[end_level]], starts, order)
-    return nu0, (rows, cols, flow, u, costs)
+    nu0 = DiscreteMeasure(values[head][:, None],
+                          np.bincount(np.cumsum(head) - 1, masses / masses.sum()))
+    cb = edges[np.append(np.flatnonzero(head)[1:], L)]
+    rows, cols, flow, u, costs = _staircases(order, xs, cum, family.starts, np.arange(nu0.n),
+                                             cb, family.weights, nu0)
+    moved = flow > 0.0
+    return nu0, (rows[moved], cols[moved], flow[moved], u, costs)

@@ -320,19 +320,9 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
 
     Measure a is ``support[starts[a]:starts[a + 1]]``, (n_a, 1) points,
     with the weights there: flat, as in :class:`otrepair.measure.ConditionalFamily`.
-    nu is sorted once and every measure on its own.  A plan is the
-    staircase that merges the measure's cumulative weights with nu's, so
-    no cost matrix is formed.  Each row and each column but the last
-    ends at its cumulative weight, and the n + K - 2 ends, sorted stably
-    with rows first, are the staircase's steps: a row end moves to the
-    next row, a column end to the next column.  A row end's place in the
-    merge is its own rank plus the count of column ends below it, so one
-    ``searchsorted`` against nu's ends merges every measure.  Arc t
-    carries the mass between the t-th and the (t+1)-th end.  Ties among
-    equal support values keep their index order, which pins every plan
-    down uniquely.  Every float is the one the same merge computes for
-    that measure alone.  :func:`_check_marginals` checks all plans
-    together.
+    nu is sorted once and every measure on its own, and :func:`_staircases`
+    merges their cumulative weights.  Every float is the one the same
+    merge computes for that measure alone.
 
     Returns the arc batch (rows, cols, flow, u, costs): arcs
     ``starts[a] + a (K - 1)`` up to the next measure's are mu_a's
@@ -340,23 +330,46 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
     points, ``cols`` their points of nu and ``flow`` their mass; zero-flow
     arcs are kept, so each plan's arcs form a spanning tree.  ``u`` holds
     every source point's potential (:func:`_row_potentials`) and
-    ``costs[a]`` is mu_a's transport cost.  Raises
-    :class:`NonFiniteValueError` when a squared distance overflows.
+    ``costs[a]`` is mu_a's transport cost, added over its positive arcs.
+    Raises :class:`NonFiniteValueError` when a squared distance overflows.
     """
     if nu.dim != 1 or support.shape[1] != 1:
         raise DimensionNotOneError("comonotone coupling requires 1-D measures")
     order_r, xs, ca = _sorted_1d(support[:, 0], weights, starts)
     order_c = np.argsort(nu.support[:, 0], kind="stable")
+    return _staircases(order_r, xs, ca, starts, order_c, np.cumsum(nu.weights[order_c]),
+                       weights, nu)
+
+
+def _staircases(order_r, xs, ca, starts, order_c, cb, weights, nu) -> tuple:
+    """The one core of every 1-D coupling: the staircases of measures
+    already sorted, as :func:`_sorted_1d` gives them (``order_r``, ``xs``,
+    cumulative weights ``ca`` in segments ``starts``), to nu sorted by
+    ``order_c``, whose points end at the cumulative weights ``cb``.
+
+    A plan is the staircase that merges the measure's cumulative weights
+    with nu's, so no cost matrix is formed.  Each row and each column but
+    the last ends at its cumulative weight, and the n + K - 2 ends, sorted
+    stably with rows first, are the staircase's steps: a row end moves to
+    the next row, a column end to the next column.  A row end's place in
+    the merge is its own rank plus the count of column ends below it, so
+    one ``searchsorted`` against nu's ends merges every measure.  Arc t
+    carries the mass between the t-th and the (t+1)-th end.  Ties among
+    equal support values keep their sorted order, which pins every plan
+    down uniquely.  :func:`_check_marginals` checks all plans together
+    against the flat ``weights`` and nu.  Returns the arc batch of
+    :func:`comonotone_staircases`.
+    """
     ys = nu.support[order_c, 0]
     _check_reach(xs, starts, ys)
     A, K = len(starts) - 1, nu.n
-    cb = np.cumsum(nu.weights[order_c])
     arc_starts = starts + np.arange(A + 1) * (K - 1)
     is_row, flow, end_col = _merged_flows(starts, ca, cb, arc_starts)
     rows, cols, cost = _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys)
     _check_marginals(rows, cols, flow, arc_starts, weights, nu)
+    moved = np.flatnonzero(flow > 0.0)
     return (rows, cols, flow, _row_potentials(xs, ys[end_col], starts, order_r),
-            _segment_sum(flow * cost, arc_starts))
+            _segment_sum(flow[moved] * cost[moved], np.searchsorted(moved, arc_starts)))
 
 
 def _check_reach(xs, starts, ys) -> None:

@@ -685,11 +685,13 @@ def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("light", [False, True], ids=["all_kept", "negligible_group"])
-def test_default_1d_build_sorts_once_and_forms_no_staircase(rng, monkeypatch, light):
-    # nu0 and every kept group's coupling come from one sort and one merge;
-    # only a group dropped as negligible is coupled alone, by a staircase
+def test_default_1d_build_sorts_once_and_couples_through_one_staircase_core(
+        rng, monkeypatch, light):
+    # nu0 and every kept group's coupling come from one sort, handed to the
+    # staircase core once; only a group dropped as negligible is coupled
+    # alone, by a staircase that sorts it and calls the core again
     calls = Counter()
-    for name in ("_sorted_1d", "comonotone_staircases"):
+    for name in ("_sorted_1d", "comonotone_staircases", "_staircases"):
         real = getattr(otrepair.ot, name)
         for module in (otrepair.ot, otrepair.barycenter, otrepair.approx):
             if getattr(module, name, None) is real:
@@ -706,7 +708,8 @@ def test_default_1d_build_sorts_once_and_forms_no_staircase(rng, monkeypatch, li
             ap = build(d)
     else:
         ap = build(d)
-    assert calls == Counter(_sorted_1d=1 + light, comonotone_staircases=light)
+    assert calls == Counter(_sorted_1d=1 + light, comonotone_staircases=light,
+                            _staircases=1 + light)
     assert verify(ap, d).passed
 
 

@@ -18,6 +18,7 @@ from otrepair.errors import (
     SupportDimensionMismatchError,
 )
 from otrepair.measure import (
+    ConditionalFamily,
     DiscreteMeasure,
     dirac,
     family,
@@ -571,6 +572,24 @@ def test_quantile_exact_arbitrary_weights(rng):
         assert obj <= lower_bound(fam, lp.nu0) + 1e-9
         grid = solve_barycenter(fam, "quantile1d", resolution=64)
         assert obj <= lower_bound(fam, grid.nu0) + 1e-12
+
+
+def test_quantile_couplings_where_cumulative_weights_pass_1_before_a_zero_weight():
+    # atom a's cumulative weights reach 1.0000000000000002 at its fourth
+    # point, before its zero-weight fifth: every one must stay at 1 for the
+    # merge, or the staircase gives its last arc a negative flow
+    fam = ConditionalFamily(("a", "b"), [0.5, 0.5], [0, 5, 7],
+                            [[0], [1], [2], [3], [4], [0.5], [2.5]],
+                            [0.2, 0.4, 0.3, 0.1, 0.0, 0.5, 0.5])
+    assert np.cumsum(fam.weights[:4])[-1] > 1.0
+    res = solve_barycenter(fam, "quantile1d")
+    rows, cols, flow, u, costs = res.couplings
+    for lo, hi in zip(fam.starts.tolist(), fam.starts[1:].tolist()):
+        plan = np.zeros((hi - lo, res.nu0.n))
+        mine = (rows >= lo) & (rows < hi)
+        plan[rows[mine] - lo, cols[mine]] = flow[mine]
+        Coupling(DiscreteMeasure(fam.support[lo:hi], fam.weights[lo:hi]), res.nu0, plan)
+    assert otrepair.barycenter._total(fam.probabilities, costs) == lower_bound(fam, res.nu0)
 
 
 def test_quantile_requires_1d():

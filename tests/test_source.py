@@ -11,6 +11,9 @@
 - no module calls ``np.add.at``: rows are summed by ``np.bincount``;
 - only ``ot`` imports ``scipy``, at any depth, and only ``_solve_lp``
   calls ``linprog``, so every LP is set up, solved and read in one module;
+- only ``ot`` calls ``_check_marginals``, ``_merged_flows`` and
+  ``_staircase_arcs``, so every coupling's arcs are formed and checked in
+  one module;
 - in ``cli``, only ``_write_report`` writes the report envelope's
   ``"schema"`` and no ``cmd_*`` subcommand returns a value.
 """
@@ -151,6 +154,11 @@ def test_no_module_calls_np_add_at():
 def test_only_ot_imports_scipy_and_only_solve_lp_calls_linprog():
     assert {stem for stem, tree in MODULES.items() if "scipy" in packages(tree)} == {"ot"}
     assert callers("linprog") == [("ot", "_solve_lp")]
+
+
+def test_only_ot_forms_and_checks_coupling_arcs():
+    for name in ("_check_marginals", "_merged_flows", "_staircase_arcs"):
+        assert {stem for stem, _ in callers(name)} == {"ot"}, name
 
 
 def test_cli_writes_the_report_envelope_in_one_place():
