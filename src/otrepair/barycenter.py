@@ -128,13 +128,17 @@ def default_support(family: ConditionalFamily) -> np.ndarray:
     return coalesce(mixture(family)).support
 
 
+# every method name solve_barycenter and the CLI accept
+METHODS = ("auto", "exact", "entropic", "free", "quantile1d")
+
+
 def _resolve_method(method: str, dim: int) -> str:
     """The backend name for ``method`` on data of dimension ``dim``."""
     if method == "auto":
         return "quantile1d" if dim == 1 else "exact"
     if method == "quantile1d" and dim != 1:
         raise DimensionNotOneError("method quantile1d requires 1-D data")
-    if method not in ("exact", "entropic", "free", "quantile1d"):
+    if method not in METHODS:
         raise ConfigConflictError(f"unknown method {method!r}")
     return method
 
@@ -451,8 +455,7 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     """
     family = _solvable_family(family)
     order, xs, cum = _sorted_quantiles(family)
-    breaks = np.unique(np.concatenate([cum, [1.0]]))
-    edges = np.concatenate([[0.0], breaks[breaks > 0.0]])
+    edges = np.union1d(0.0, cum)  # every atom's top cumulative weight is 1
     L = len(edges) - 1
     rank = np.searchsorted(edges, cum)
     values = _quantile_values(family, xs, _level_slots(family, rank, L), L)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import approx as approx_mod
 from . import diagnostics
-from .barycenter import _total, solve_barycenter
+from .barycenter import METHODS, _total, solve_barycenter
 from .errors import (
     EXIT_IO,
     ConfigConflictError,
@@ -323,8 +323,8 @@ def cmd_binary_case(args) -> None:
         "alpha": sol.alpha,
         "beta": sol.beta,
         "set_b": sorted(str(l) for l in sol.set_b) if sol.set_b is not None else None,
-        "y_on_event": sol.y_on_event,
-        "y_off_event": sol.y_off_event,
+        "y_on_event": sol.alpha,
+        "y_off_event": sol.beta,
         "distance_sq": sol.distance_sq,
         "brute_force_agrees": agrees,
     })
@@ -467,8 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated coordinate columns, order fixed")
     p.add_argument("--weight-col", default=None)
     p.add_argument("--u-col", default=None)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "entropic", "free", "quantile1d"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     add_solver_flags(p)
     p.add_argument("--report", required=True, help="output JSON path")
     p.add_argument("--samples", default=None, help="optional output CSV path")
@@ -500,8 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure-col", default="measure")
     p.add_argument("--weight-col", default="weight")
     p.add_argument("--value-cols", default="x")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "entropic", "free", "quantile1d"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--support", default=None,
                    help="CSV of grid points (same value columns); "
                         "default: union of the measures' supports")

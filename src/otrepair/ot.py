@@ -11,10 +11,13 @@ Implements three routes to a coupling between two discrete measures:
   the unregularized evaluation of that plan.
 - ``comonotone_staircases``: the closed-form north-west-corner plans of
   many 1-D measures to one, optimal in one dimension, as one arc batch
-  (rows, cols, flow, u, costs).  It merges cumulative-weight vectors and
-  forms only the costs of each plan's n + k - 1 arcs, never a cost
-  matrix.  ``solve_comonotone_1d`` is its one-pair case, with the plan
-  laid out dense and the column potentials read off the arcs.
+  (rows, cols, flow, u, costs).  It sorts the measures and hands them to
+  ``_staircases``, the one core of every 1-D coupling, which merges
+  cumulative-weight vectors and forms only the costs of each plan's
+  n + k - 1 arcs, never a cost matrix.  The exact 1-D barycenter of
+  :mod:`otrepair.barycenter` hands the core the sort it already made.
+  ``solve_comonotone_1d`` is the one-pair case, with the plan laid out
+  dense and the column potentials read off the arcs.
 
 ``_family_couplings`` gives an optimal coupling of every measure of a flat
 layout to one measure: the 1-D closed form when m = 1, the transport LP
@@ -22,8 +25,7 @@ otherwise.  The two exact solvers also return dual potentials, which
 certify their plans without a second solve.  Every LP, the joint
 barycenter LP too, is set up, solved by ``_solve_lp`` with HiGHS as
 ``_LPS`` sets it, and read here.  ``_check_marginals`` checks every plan,
-dense or as arcs, and ``_row_potentials`` gives every 1-D plan's row
-potentials, here and in the quantile merge of :mod:`otrepair.barycenter`.
+dense or as arcs.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -320,11 +322,8 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
 
     Measure a is ``support[starts[a]:starts[a + 1]]``, (n_a, 1) points,
     with the weights there: flat, as in :class:`otrepair.measure.ConditionalFamily`.
-    nu is sorted once and every measure on its own, and :func:`_staircases`
-    merges their cumulative weights.  Every float is the one the same
-    merge computes for that measure alone.
-
-    Returns the arc batch (rows, cols, flow, u, costs): arcs
+    nu is sorted once and every measure on its own, for :func:`_staircases`.
+    Returns its arc batch (rows, cols, flow, u, costs): arcs
     ``starts[a] + a (K - 1)`` up to the next measure's are mu_a's
     n_a + K - 1 arcs in staircase order, ``rows`` numbering their source
     points, ``cols`` their points of nu and ``flow`` their mass; zero-flow
@@ -343,22 +342,19 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
 
 def _staircases(order_r, xs, ca, starts, order_c, cb, weights, nu) -> tuple:
     """The one core of every 1-D coupling: the staircases of measures
-    already sorted, as :func:`_sorted_1d` gives them (``order_r``, ``xs``,
-    cumulative weights ``ca`` in segments ``starts``), to nu sorted by
-    ``order_c``, whose points end at the cumulative weights ``cb``.
+    sorted as :func:`_sorted_1d` sorts them (``order_r``, ``xs`` and
+    cumulative weights ``ca`` in segments ``starts``) to nu sorted by
+    ``order_c``, its points ending at the cumulative weights ``cb``.
 
-    A plan is the staircase that merges the measure's cumulative weights
-    with nu's, so no cost matrix is formed.  Each row and each column but
-    the last ends at its cumulative weight, and the n + K - 2 ends, sorted
-    stably with rows first, are the staircase's steps: a row end moves to
-    the next row, a column end to the next column.  A row end's place in
-    the merge is its own rank plus the count of column ends below it, so
-    one ``searchsorted`` against nu's ends merges every measure.  Arc t
-    carries the mass between the t-th and the (t+1)-th end.  Ties among
-    equal support values keep their sorted order, which pins every plan
-    down uniquely.  :func:`_check_marginals` checks all plans together
-    against the flat ``weights`` and nu.  Returns the arc batch of
-    :func:`comonotone_staircases`.
+    A plan merges the measure's cumulative weights with nu's, so no cost
+    matrix is formed.  Each row and each column but the last ends at its
+    cumulative weight; the n + K - 2 ends, sorted stably with rows first,
+    are the staircase's steps, and arc t carries the mass between the t-th
+    and the (t+1)-th.  A row end's place in the merge is its rank plus the
+    count of column ends below it, so one ``searchsorted`` merges every
+    measure, each in the floats of its merge alone.  Ties keep their sorted
+    order, which pins every plan down.  :func:`_check_marginals` checks
+    all plans together against the flat ``weights`` and nu.
     """
     ys = nu.support[order_c, 0]
     _check_reach(xs, starts, ys)

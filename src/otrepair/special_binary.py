@@ -11,9 +11,11 @@ makes the optimum computable in closed form:
 - pA != 1/2: only A and its complement remain as independent events, so
   the optimum is the plain projection y = E[f] on A, E[g] off it.
 
-``brute_force`` checks the closed forms by exhaustive subset search.
-Sums over the atoms add in one fixed order (``np.add.reduce``), not by
-BLAS dot products, whose order moves with the BLAS thread count.
+``brute_force`` checks them by subset search, or by least squares when
+pA != 1/2.  Sums of squares are taken about the centre c = E[f + g] / 2,
+so data far from 0 keep their spread's digits; sums over the atoms add
+in one fixed order (``np.add.reduce``), not by BLAS dot products, whose
+order moves with the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -105,9 +107,13 @@ class BinarySolution:
     alpha: float
     beta: float
     set_b: frozenset | None
-    y_on_event: float
-    y_off_event: float
     distance_sq: float
+
+
+def _centred(inst: BinaryInstance) -> tuple:
+    """(c, f - c, g - c) for the centre c = sum_a p_a (f_a + g_a) / 2."""
+    c = float(np.add.reduce(inst.probs * (inst.f + inst.g))) / 2.0
+    return c, inst.f - c, inst.g - c
 
 
 def solve_half(inst: BinaryInstance) -> BinarySolution:
@@ -120,29 +126,28 @@ def solve_half(inst: BinaryInstance) -> BinarySolution:
     """
     if not is_half(inst.p_a):
         raise NotHalfError(f"p_a={inst.p_a!r} is not 1/2; use solve_nonhalf")
-    p, f, g = inst.probs, inst.f, inst.g
-    hi = np.maximum(f, g)
-    lo = np.minimum(f, g)
+    (c, f, g), p = _centred(inst), inst.probs
+    hi, lo = np.maximum(f, g), np.minimum(f, g)
     alpha = float(np.add.reduce(p * hi))
     beta = float(np.add.reduce(p * lo))
     dist_sq = 0.5 * float(np.add.reduce(p * hi**2) - alpha**2
                           + np.add.reduce(p * lo**2) - beta**2)
-    set_b = frozenset(l for l, fi, gi in zip(inst.labels, f, g) if fi >= gi)
-    return BinarySolution(alpha, beta, set_b, alpha, beta, dist_sq)
+    set_b = frozenset(l for l, fi, gi in zip(inst.labels, inst.f, inst.g) if fi >= gi)
+    return BinarySolution(alpha + c, beta + c, set_b, dist_sq)
 
 
 def solve_nonhalf(inst: BinaryInstance) -> BinarySolution:
     """Projection optimum for pA != 1/2: y = E[f] on the event, E[g] off it."""
     if is_half(inst.p_a):
         raise HalfNotAllowedError("p_a is 1/2; use solve_half")
-    p, f, g = inst.probs, inst.f, inst.g
+    (c, f, g), p = _centred(inst), inst.probs
     pa = float(inst.p_a)
     alpha = float(np.add.reduce(p * f))
     beta = float(np.add.reduce(p * g))
     var_f = float(np.add.reduce(p * f**2) - alpha**2)
     var_g = float(np.add.reduce(p * g**2) - beta**2)
     dist_sq = pa * var_f + (1.0 - pa) * var_g
-    return BinarySolution(alpha, beta, None, alpha, beta, dist_sq)
+    return BinarySolution(alpha + c, beta + c, None, dist_sq)
 
 
 def brute_force(inst: BinaryInstance) -> BinarySolution:
@@ -151,19 +156,24 @@ def brute_force(inst: BinaryInstance) -> BinarySolution:
     Balanced case: enumerates every atom subset B with the closed-form
     inner optimum for (alpha, beta) and keeps the best (first-found on
     ties, enumerating bitmasks in increasing order).  Unbalanced case:
-    only the inner optimization remains.
+    the weighted least-squares projection of x, over the (atom, event)
+    cells, onto the indicators of A and its complement, with the weighted
+    sum of squared residuals as the distance.
     """
     n = inst.n_atoms
     if n > _BRUTE_FORCE_CAP:
         raise TooManyAtomsError(f"{n} atoms exceeds the 2^{_BRUTE_FORCE_CAP} cap")
+    (c, f, g), p = _centred(inst), inst.probs
     if not is_half(inst.p_a):
-        return solve_nonhalf(inst)
-
-    p, f, g = inst.probs, inst.f, inst.g
+        pa = float(inst.p_a)
+        cell = np.concatenate([pa * p, (1.0 - pa) * p])
+        x, side, root = np.concatenate([f, g]), np.repeat([0, 1], n), np.sqrt(cell)
+        coef = np.linalg.lstsq(root[:, None] * np.eye(2)[side], root * x, rcond=None)[0]
+        dist_sq = float(np.add.reduce(cell * (x - coef[side]) ** 2))
+        return BinarySolution(float(coef[0]) + c, float(coef[1]) + c, None, dist_sq)
     const = float(np.add.reduce(p * f**2) + np.add.reduce(p * g**2))
     pf, pg = p * f, p * g
-    best_val = -np.inf
-    best_mask = 0
+    best_val, best_mask = -np.inf, 0
     total = 1 << n
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
@@ -186,4 +196,4 @@ def brute_force(inst: BinaryInstance) -> BinarySolution:
         alpha, beta = beta, alpha
     chosen = frozenset(inst.labels[i] for i in range(n) if in_b[i])
     dist_sq = 0.5 * (const - best_val)
-    return BinarySolution(alpha, beta, chosen, alpha, beta, dist_sq)
+    return BinarySolution(alpha + c, beta + c, chosen, dist_sq)

@@ -93,7 +93,7 @@ def test_half_constant_components_zero_distance():
     inst = BinaryInstance(("a", "b"), [0.3, 0.7], [5.0, 5.0], [2.0, 2.0], 0.5)
     sol = solve_half(inst)
     assert sol.distance_sq <= 1e-12
-    assert (sol.y_on_event, sol.y_off_event) == (5.0, 2.0)
+    assert (sol.alpha, sol.beta) == (5.0, 2.0)
 
 
 # --- solve_nonhalf ------------------------------------------------------------------
@@ -215,3 +215,19 @@ def test_compare_unconstrained_never_worse(rng):
             inst = random_instance(rng, p_a=p_a)
             con, unc = compare_unconstrained(inst)
             assert unc <= con + 1e-10
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 2.0**40])
+@pytest.mark.parametrize("p_a, dist_sq, alpha, beta",
+                         [(0.5, 0.15625, 1.5, 0.25), (0.3, 0.46875, 0.5, 1.25)])
+def test_closed_forms_keep_their_digits_on_offset_data(offset, p_a, dist_sq, alpha, beta):
+    # shifting x shifts alpha and beta and leaves the distance: every sum
+    # of squares is taken about the data's centre, not about 0, where
+    # E[f^2] - E[f]^2 loses every digit of the spread by an offset of 1e8
+    inst = BinaryInstance(("a", "b"), [0.5, 0.5], offset + np.array([0.0, 1.0]),
+                          offset + np.array([2.0, 0.5]), p_a)
+    closed = solve_half(inst) if p_a == 0.5 else solve_nonhalf(inst)
+    for sol in (closed, brute_force(inst)):
+        assert sol.distance_sq == pytest.approx(dist_sq, rel=1e-12)
+        assert (sol.alpha, sol.beta) == pytest.approx((offset + alpha, offset + beta),
+                                                      rel=1e-15, abs=1e-15)
