@@ -360,8 +360,8 @@ def _staircases(order_r, xs, ca, starts, order_c, cb, weights, nu) -> tuple:
     _check_reach(xs, starts, ys)
     A, K = len(starts) - 1, nu.n
     arc_starts = starts + np.arange(A + 1) * (K - 1)
-    is_row, flow, end_col = _merged_flows(starts, ca, cb, arc_starts)
-    rows, cols, cost = _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys)
+    after_row, flow, end_col = _merged_flows(starts, ca, cb, arc_starts)
+    rows, cols, cost = _staircase_arcs(after_row, arc_starts, order_r, xs, order_c, ys)
     _check_marginals(rows, cols, flow, arc_starts, weights, nu)
     moved = np.flatnonzero(flow > 0.0)
     return (rows, cols, flow, _row_potentials(xs, ys[end_col], starts, order_r),
@@ -382,50 +382,46 @@ def _check_reach(xs, starts, ys) -> None:
 def _merged_flows(starts, ca, cb, arc_starts):
     """Every measure's ends merged with nu's, and the arcs' flows.
 
-    Returns ``is_row``, which marks the merged ends that are row ends
-    (measure a's n_a + K - 2 ends come after those of the measures
-    before it), each arc's flow, the mass between the ends on either
-    side of it: a measure's first arc starts at 0 and its last one ends
-    at the larger of the two totals, which no earlier end exceeds, so no
-    flow is negative; and the sorted column where each row ends.
+    Arc t of measure a ends at the merge's (t - a)-th end (measure a's
+    n_a + K - 2 ends come after those of the measures before it), its last
+    arc at the larger of the two totals, which no earlier end exceeds, so
+    no flow is negative.  An arc's flow is the mass between its end and
+    the previous arc's, or 0 for a measure's first.  Returns the arcs that
+    follow a row end, each arc's flow and the sorted column where each row
+    ends.
     """
     A = len(starts) - 1
-    end_starts = arc_starts - np.arange(A + 1)
     # a row end's place in the merge is its rank plus the count of column
     # ends below it
     row_end = _row_ends(starts)
     owner = np.repeat(np.arange(A), np.diff(starts))[row_end]
     end_col = np.searchsorted(cb[:-1], ca[row_end])
-    place = end_starts[owner] + np.arange(len(ca))[row_end] - starts[owner] + end_col
-    is_row = np.zeros(int(end_starts[-1]), dtype=bool)
-    is_row[place] = True
-    ends = np.empty(len(is_row))
-    ends[is_row] = ca[row_end]
-    ends[~is_row] = np.tile(cb[:-1], A)
-    n_arcs = int(arc_starts[-1])
-    first = np.zeros(n_arcs, dtype=bool)
-    first[arc_starts[:-1]] = True
-    last = np.zeros(n_arcs, dtype=bool)
-    last[arc_starts[1:] - 1] = True
-    flow = np.empty(n_arcs)
-    flow[~last] = ends
-    flow[last] = np.maximum(ca[starts[1:] - 1], cb[-1])
-    below = np.zeros(n_arcs)
-    below[~first] = ends
-    flow -= below
-    return is_row, flow, end_col
+    at_row = arc_starts[owner] + np.arange(len(ca))[row_end] - starts[owner] + end_col
+    last = arc_starts[1:] - 1
+    upper = np.empty(int(arc_starts[-1]))
+    at_col = np.ones(len(upper), dtype=bool)
+    at_col[at_row] = False
+    at_col[last] = False
+    upper[at_row] = ca[row_end]
+    upper[at_col] = np.tile(cb[:-1], A)
+    upper[last] = np.maximum(ca[starts[1:] - 1], cb[-1])
+    flow = np.diff(upper, prepend=0.0)
+    flow[arc_starts[:-1]] = upper[arc_starts[:-1]]
+    return at_row + 1, flow, end_col
 
 
-def _staircase_arcs(is_row, arc_starts, order_r, xs, order_c, ys):
-    """(rows, cols, cost) of every arc.  Arc g of measure a follows g - a
-    merged ends: its sorted row is a's first plus the row ends among them,
-    its sorted column the column ends among them."""
-    A = len(arc_starts) - 1
-    K = len(ys)
-    owner = np.repeat(np.arange(A), np.diff(arc_starts))
-    g = np.arange(len(owner))
-    slot = np.concatenate(([0], np.cumsum(is_row)))[g - owner] + owner
-    j = g - slot - owner * (K - 1)
+def _staircase_arcs(after_row, arc_starts, order_r, xs, order_c, ys):
+    """(rows, cols, cost) of every arc.  An arc is one sorted row past the
+    arc before it when a row end lies between them, one sorted column past
+    it otherwise; a measure's first arc starts at nu's first point and one
+    row past the top of the measure before it."""
+    row_step = np.zeros(int(arc_starts[-1]), dtype=np.intp)
+    row_step[after_row] = 1
+    col_step = 1 - row_step
+    col_step[0] = 0
+    col_step[arc_starts[1:-1]] = 1 - len(ys)
+    row_step[arc_starts[1:-1]] = 1
+    slot, j = np.cumsum(row_step), np.cumsum(col_step)
     return order_r[slot], order_c[j], (xs[slot] - ys[j]) ** 2
 
 
