@@ -33,6 +33,7 @@ from .errors import (
     DatasetMismatchError,
     IndexOutOfRangeError,
     MissingUError,
+    NegativeWeightError,
     UnknownGroupError,
     UnseenValueError,
     UOutOfRangeError,
@@ -109,7 +110,7 @@ class Disintegration:
     Row r's arcs are ``indptr[r]:indptr[r + 1]``, sorted in the samplers'
     support order (see :func:`_support_order`): ``cols`` holds their nu0
     indices and ``mass`` the positive probabilities of the target given
-    source point r.  A coupling's zeros are not stored, so a 1-D
+    source point r.  Only the arcs that move mass are stored, so a 1-D
     staircase keeps at most n_a + K - 1 arcs per atom.  Reconstructing
     the column marginal, sum_i mu_a(i) * mass over each atom's arcs,
     gives back nu0's weights.  ``potential[r]`` is the coupling's dual
@@ -128,11 +129,12 @@ class Disintegration:
         """The store of couplings given as arcs (row, nu0 index, flow),
         with one row per entry of ``potential``.
 
-        Each row's positive flows are divided by their sum.  A row
-        without mass is unconstrained and gets nu0 itself.
+        Each row's flows are divided by their sum; a flow <= 0 raises
+        :class:`NegativeWeightError`.  A row without arcs is
+        unconstrained and gets nu0 itself.
         """
-        keep = flow > 0.0
-        rows, cols, flow = rows[keep], cols[keep], flow[keep]
+        if not (flow > 0.0).all():
+            raise NegativeWeightError("coupling arcs must carry positive flow")
         charged = np.zeros(len(potential), dtype=bool)
         charged[rows] = True
         empty = np.flatnonzero(~charged)
@@ -141,11 +143,11 @@ class Disintegration:
         rows = np.concatenate([rows, np.repeat(empty, len(fill))])
         cols = np.concatenate([cols, np.tile(fill, len(empty))])
         flow = np.concatenate([flow, np.tile(nu0.weights[fill], len(empty))])
+        counts = np.bincount(rows, minlength=len(potential))
         rank = np.empty(nu0.n, dtype=np.intp)
         rank[order] = np.arange(nu0.n)
         arcs = np.lexsort((rank[cols], rows))
-        rows, cols, flow = rows[arcs], cols[arcs], flow[arcs]
-        counts = np.bincount(rows, minlength=len(potential))
+        cols, flow = cols[arcs], flow[arcs]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         row_mass = _segment_sum(flow, indptr)
         row_mass[empty] = 1.0

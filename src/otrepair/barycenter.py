@@ -449,9 +449,9 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     and read in blocks (see :func:`_level_slots`); the same sort and nu0's
     ends go to the staircase core :func:`otrepair.ot._staircases`, which
     couples every atom comonotonically.  Returns (nu0, couplings),
-    couplings being one arc record (rows, cols, flow, u, costs) of the
-    staircases' positive arcs over the family without its negligible
-    atoms, as in :attr:`BarycenterResult.couplings`.
+    couplings being the core's arc record (rows, cols, flow, u, costs)
+    over the family without its negligible atoms, as in
+    :attr:`BarycenterResult.couplings`.
     """
     family = _solvable_family(family)
     order, xs, cum = _sorted_quantiles(family)
@@ -464,7 +464,5 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     nu0 = DiscreteMeasure(values[head][:, None],
                           np.bincount(np.cumsum(head) - 1, masses / masses.sum()))
     cb = edges[np.append(np.flatnonzero(head)[1:], L)]
-    rows, cols, flow, u, costs = _staircases(order, xs, cum, family.starts, np.arange(nu0.n),
-                                             cb, family.weights, nu0)
-    moved = flow > 0.0
-    return nu0, (rows[moved], cols[moved], flow[moved], u, costs)
+    return nu0, _staircases(order, xs, cum, family.starts, np.arange(nu0.n), cb,
+                            family.weights, nu0)

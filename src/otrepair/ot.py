@@ -17,7 +17,7 @@ Implements three routes to a coupling between two discrete measures:
   n + k - 1 arcs, never a cost matrix.  The exact 1-D barycenter of
   :mod:`otrepair.barycenter` hands the core the sort it already made.
   ``solve_comonotone_1d`` is the one-pair case, with the plan laid out
-  dense and the column potentials read off the arcs.
+  dense and the column potentials the c-transform of the row ones.
 
 ``_family_couplings`` gives an optimal coupling of every measure of a flat
 layout to one measure: the 1-D closed form when m = 1, the transport LP
@@ -25,7 +25,7 @@ otherwise.  The two exact solvers also return dual potentials, which
 certify their plans without a second solve.  Every LP, the joint
 barycenter LP too, is set up, solved by ``_solve_lp`` with HiGHS as
 ``_LPS`` sets it, and read here.  ``_check_marginals`` checks every plan,
-dense or as arcs.
+dense or as arcs; every arc of an arc record moves mass.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
 a single solve is single-threaded.
@@ -129,8 +129,8 @@ class OtSolution:
     tolerance, with equality wherever the plan moves mass, so
     mu.weights @ u + nu.weights @ v equals ``cost``.  Any u certifies a
     lower bound on the squared distance through its c-transform (see
-    :func:`otrepair.diagnostics.verify`).  ``None`` for the entropic
-    solver.
+    :func:`otrepair.diagnostics.verify`), which is the v of
+    :func:`solve_comonotone_1d`.  ``None`` for the entropic solver.
     """
 
     coupling: Coupling
@@ -323,14 +323,13 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
     Measure a is ``support[starts[a]:starts[a + 1]]``, (n_a, 1) points,
     with the weights there: flat, as in :class:`otrepair.measure.ConditionalFamily`.
     nu is sorted once and every measure on its own, for :func:`_staircases`.
-    Returns its arc batch (rows, cols, flow, u, costs): arcs
-    ``starts[a] + a (K - 1)`` up to the next measure's are mu_a's
-    n_a + K - 1 arcs in staircase order, ``rows`` numbering their source
-    points, ``cols`` their points of nu and ``flow`` their mass; zero-flow
-    arcs are kept, so each plan's arcs form a spanning tree.  ``u`` holds
-    every source point's potential (:func:`_row_potentials`) and
-    ``costs[a]`` is mu_a's transport cost, added over its positive arcs.
-    Raises :class:`NonFiniteValueError` when a squared distance overflows.
+    Returns its arc batch (rows, cols, flow, u, costs) of the arcs that
+    move mass: ``rows`` numbers their source points, ``cols`` their points
+    of nu and ``flow`` their positive mass; mu_a's arcs are those whose
+    rows lie in ``starts[a]:starts[a + 1]``, in staircase order.  ``u``
+    holds every source point's potential (:func:`_row_potentials`) and
+    ``costs[a]`` is mu_a's transport cost.  Raises
+    :class:`NonFiniteValueError` when a squared distance overflows.
     """
     if nu.dim != 1 or support.shape[1] != 1:
         raise DimensionNotOneError("comonotone coupling requires 1-D measures")
@@ -354,7 +353,8 @@ def _staircases(order_r, xs, ca, starts, order_c, cb, weights, nu) -> tuple:
     count of column ends below it, so one ``searchsorted`` merges every
     measure, each in the floats of its merge alone.  Ties keep their sorted
     order, which pins every plan down.  :func:`_check_marginals` checks
-    all plans together against the flat ``weights`` and nu.
+    all plans together against the flat ``weights`` and nu; only the arcs
+    with positive flow are then kept, and costed.
     """
     ys = nu.support[order_c, 0]
     _check_reach(xs, starts, ys)
@@ -364,8 +364,9 @@ def _staircases(order_r, xs, ca, starts, order_c, cb, weights, nu) -> tuple:
     rows, cols, cost = _staircase_arcs(after_row, arc_starts, order_r, xs, order_c, ys)
     _check_marginals(rows, cols, flow, arc_starts, weights, nu)
     moved = np.flatnonzero(flow > 0.0)
-    return (rows, cols, flow, _row_potentials(xs, ys[end_col], starts, order_r),
-            _segment_sum(flow[moved] * cost[moved], np.searchsorted(moved, arc_starts)))
+    flow = flow[moved]
+    return (rows[moved], cols[moved], flow, _row_potentials(xs, ys[end_col], starts, order_r),
+            _segment_sum(flow * cost[moved], np.searchsorted(moved, arc_starts)))
 
 
 def _check_reach(xs, starts, ys) -> None:
@@ -477,17 +478,16 @@ def solve_comonotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """North-west-corner plan on ascending supports; optimal for m = 1.
 
     The one-pair case of :func:`comonotone_staircases` (a batch of one),
-    with the plan laid out as a dense matrix.  Every column has an arc,
-    and its potential is read off the first one: cost minus the row's
-    potential.  Raises :class:`NonFiniteValueError` when any squared
-    distance overflows.
+    with the plan laid out as a dense matrix.  The column potentials are
+    the c-transform of the row potentials over the dense cost, the rule
+    :func:`otrepair.diagnostics.verify` certifies with.  Raises
+    :class:`NonFiniteValueError` when any squared distance overflows.
     """
     rows, cols, flow, u, costs = comonotone_staircases(mu.support, mu.weights,
                                                        np.array([0, mu.n]), nu)
     plan = np.zeros((mu.n, nu.n))
     plan[rows, cols] = flow
-    first = rows[np.unique(cols, return_index=True)[1]]
-    v = (mu.support[first, 0] - nu.support[:, 0]) ** 2 - u[first]
+    v = np.min(cost_matrix(mu.support, nu.support) - u[:, None], axis=0)
     return OtSolution(Coupling(mu, nu, plan), float(costs[0]), "comonotone_1d", 0,
                       True, (u, v))
 
@@ -625,10 +625,10 @@ def _family_couplings(support: np.ndarray, weights: np.ndarray, starts: np.ndarr
     in batches of consecutive measures (rows, cols, flow, u, costs):
     ``rows`` numbers the arcs' source points in the layout, ``cols`` their
     points of nu, ``u`` is the row potentials of the batch's points and
-    ``costs`` each of its measures' cost.  In 1-D a batch is one
-    :func:`comonotone_staircases` over about ``_BATCH_ARCS`` arcs, zero
-    flows kept; otherwise one :func:`solve_exact` plan's positive arcs.
-    Batching bounds the arcs held at once.
+    ``costs`` each of its measures' cost.  Every flow is positive.  In 1-D
+    a batch is one :func:`comonotone_staircases` over about ``_BATCH_ARCS``
+    staircase arcs; otherwise one :func:`solve_exact` plan's positive
+    arcs.  Batching bounds the arcs held at once.
     """
     if support.shape[1] == 1:
         arcs = starts + np.arange(len(starts)) * (nu.n - 1)
