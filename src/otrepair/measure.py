@@ -143,19 +143,29 @@ class DiscreteMeasure:
         return f"DiscreteMeasure(n={self.n}, m={self.dim})"
 
 
+def _total_weight(w: np.ndarray) -> float:
+    """The sum of finite weights >= 0; a :class:`WeightSumError` says so
+    when it overflows."""
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if total == np.inf:
+        raise WeightSumError("the weights' total overflows; rescale the weights")
+    return total
+
+
 def make_measure(points, weights) -> DiscreteMeasure:
     """Build a measure from points and weights on an arbitrary scale.
 
-    Weights must be nonnegative with a positive total; they are divided
-    by their sum, so scaling all weights by a constant yields the same
-    measure.
+    Weights must be nonnegative with a positive, finite total; they are
+    divided by their sum, so scaling all weights by a constant yields the
+    same measure.
     """
     pts = _as_support(points)
     w = _finite("weights", weights).ravel()
     if np.any(w < 0.0):
         raise NegativeWeightError("weights must be nonnegative")
-    total = float(w.sum())
-    if not np.isfinite(total) or total <= 0.0:
+    total = _total_weight(w)
+    if total <= 0.0:
         raise WeightSumError("weights must have a positive total mass")
     return DiscreteMeasure(pts, w / total)
 
@@ -295,12 +305,12 @@ def _label_codes(groups) -> tuple[dict, np.ndarray]:
 class Dataset:
     """Ingested sample rows: group label, point x, weight, optional u.
 
-    Weights must be strictly positive, also once they are renormalized
-    to sum 1 on load.  If any row carries a uniform draw u, every row
-    must, and each u must lie in [0, 1].  x, weights and u must be
-    finite.  Row order is significant: within a group, the i-th row is
-    paired with the i-th support point of the estimated conditional law,
-    which is what makes duplicate x values unambiguous.
+    Weights must be strictly positive with a finite total, also once
+    they are renormalized to sum 1 on load.  If any row carries a uniform
+    draw u, every row must, and each u must lie in [0, 1].  x, weights and
+    u must be finite.  Row order is significant: within a group, the i-th
+    row is paired with the i-th support point of the estimated conditional
+    law, which is what makes duplicate x values unambiguous.
     """
 
     groups: tuple
@@ -324,9 +334,7 @@ class Dataset:
             raise DimensionMismatchError(f"{len(groups)} rows but {len(w)} weights")
         if np.any(w <= 0.0):
             raise NegativeWeightError("dataset weights must be strictly positive")
-        total = float(w.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            raise WeightSumError("dataset weights must have positive total")
+        total = _total_weight(w)
         normalized = w / total
         if np.any(normalized <= 0.0):
             i = int(np.argmax(normalized <= 0.0))

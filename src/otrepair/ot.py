@@ -542,11 +542,14 @@ def solve_entropic(
         Regularization strength (> 0).  The solver anneals from the
         largest cost entry down to this target, halving each stage.
     max_iter : int
-        Total budget of Sinkhorn sweeps across all stages.
+        Total budget of Sinkhorn sweeps across all stages: at most 30 per
+        earlier stage, the rest at the target.
     tol : float
-        L1 marginal violation below which the plan counts as converged.
-        The ``converged`` flag reflects the violation *before* the final
-        rounding step; the returned coupling always has exact marginals.
+        L1 marginal violation below which a stage ends.  ``converged``
+        holds only if the target stage ran and met it *before* the final
+        rounding step.  The plan is rounded at the epsilon of the last
+        stage that ran, so the returned coupling always has exact
+        marginals.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
@@ -571,16 +574,17 @@ def solve_entropic(
     f = np.zeros(mu.n)
     g = np.zeros(nu.n)
     iterations = 0
-    violation = np.inf
 
     def plan_for(eps: float) -> np.ndarray:
         with np.errstate(over="ignore"):
             return np.exp((f[:, None] + g[None, :] - C) / eps)
 
-    for stage, eps in enumerate(schedule):
-        last = stage == len(schedule) - 1
-        budget = max(max_iter - iterations, 1) if last else min(30, max_iter)
-        for _ in range(budget):
+    for eps in schedule:
+        left = max_iter - iterations
+        if not left:
+            break  # out of budget before reaching the target epsilon
+        # only the target epsilon (the last stage) may spend what is left
+        for _ in range(left if eps == epsilon else min(30, left)):
             f = eps * (log_a - _logsumexp((g[None, :] - C) / eps, axis=1))
             f = np.where(np.isneginf(log_a), -np.inf, f)
             g = eps * (log_b - _logsumexp((f[:, None] - C) / eps, axis=0))
@@ -592,12 +596,7 @@ def solve_entropic(
             )
             if violation < tol:
                 break
-            if iterations >= max_iter:
-                break
-        if iterations >= max_iter and not last:
-            # out of budget before reaching the target epsilon
-            eps = epsilon
-            break
+        solved = eps  # the epsilon the potentials are solved for
 
     # -inf potentials are legitimate (zero-weight points); NaN and +inf are not
     if (np.any(np.isnan(f)) or np.any(np.isnan(g))
@@ -607,10 +606,11 @@ def solve_entropic(
             "for the cost scale"
         )
 
-    G = _round_to_marginals(plan_for(schedule[-1]), a, b)
+    G = _round_to_marginals(plan_for(solved), a, b)
     coupling = Coupling(mu, nu, G)
     cost = float(np.einsum("ij,ij->", G, C))
-    return OtSolution(coupling, cost, "entropic", iterations, bool(violation < tol))
+    return OtSolution(coupling, cost, "entropic", iterations,
+                      solved == epsilon and violation < tol)
 
 
 # 1-D couplings are formed in batches of about this many staircase arcs

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     HalfNotAllowedError,
     NegativeComponentError,
     NotHalfError,
@@ -57,9 +58,10 @@ def is_half(p_a) -> bool:
 class BinaryInstance:
     """Atoms of the grouping with the two components of x on each.
 
-    ``probs`` are the atom probabilities (sum 1); ``f`` and ``g`` hold
-    the value of x on the independent event and its complement per atom,
-    both finite and nonnegative; ``p_a`` is the probability of the event.
+    ``labels`` name the atoms, each once; ``probs`` are the atom
+    probabilities (sum 1); ``f`` and ``g`` hold the value of x on the
+    independent event and its complement per atom, both finite and
+    nonnegative; ``p_a`` is the probability of the event.
     """
 
     labels: tuple
@@ -75,6 +77,8 @@ class BinaryInstance:
         labels = tuple(self.labels)
         if not (len(labels) == len(probs) == len(f) == len(g)):
             raise WeightSumError("labels, probs, f, g must have equal length")
+        if len(set(labels)) != len(labels):
+            raise DimensionMismatchError("atom labels must be distinct")
         if abs(float(probs.sum()) - 1.0) > 1e-9 or np.any(probs <= 0):
             raise WeightSumError("atom probabilities must be positive and sum to 1")
         if np.any(f < 0) or np.any(g < 0):

@@ -27,6 +27,7 @@ from otrepair.errors import (
     DatasetMismatchError,
     IndexOutOfRangeError,
     MissingUError,
+    NegativeWeightError,
     UnknownGroupError,
     UnseenValueError,
     UOutOfRangeError,
@@ -405,6 +406,15 @@ def test_sample_y_dirac_row_constant():
     ap = build(d)
     for u in (0.0, 0.3, 1.0):
         assert sample_y(ap, "a", 0, u).tolist() == ap.nu0.support[0].tolist()
+
+
+@pytest.mark.parametrize("flow", [0.0, -0.25])
+def test_from_arcs_rejects_arcs_that_move_no_mass(flow):
+    # a row whose arcs all carried 0 would have no law to sample
+    nu0 = make_measure([10.0, 20.0], [0.25, 0.75])
+    with pytest.raises(NegativeWeightError, match="positive flow"):
+        Disintegration.from_arcs(np.array([0, 0, 1]), np.array([0, 1, 1]),
+                                 np.array([0.25, flow, 0.5]), np.zeros(2), nu0)
 
 
 def test_sample_y_inverse_cdf_thresholds():

@@ -236,6 +236,15 @@ def test_binary_case_missing_column(tmp_path):
                  "--report", str(tmp_path / "r.json")]) == 3
 
 
+def test_binary_case_rejects_duplicate_atom_labels(tmp_path, capsys):
+    # with two atoms labelled a, set_b = ["a"] could not say which one is in B
+    inp = write(tmp_path / "b.csv", "atom,p,f,g\na,0.5,1,0\na,0.5,0,1\n")
+    rep = tmp_path / "r.json"
+    assert main(["binary-case", "--input", inp, "--pA", "0.5", "--report", str(rep)]) == 3
+    assert capsys.readouterr().err == "error: atom labels must be distinct\n"
+    assert not rep.exists()
+
+
 # --- ot / barycenter ----------------------------------------------------------------
 
 def test_ot_identical_measures(tmp_path):
@@ -253,6 +262,22 @@ def test_ot_two_diracs(tmp_path):
     r = load(rep)
     assert r["cost"] == 1.0
     assert r["coupling"]["weights"] == [[1.0]]
+
+
+def test_ot_entropic_out_of_budget_is_not_converged(tmp_path):
+    # three sweeps end in the first of the annealing stages, short of the
+    # target epsilon
+    rng = np.random.default_rng(0)
+    points = [("m1", x) for x in rng.normal(size=(6, 2)).tolist()]
+    points += [("m2", y) for y in (rng.normal(size=(5, 2)) + 1.0).tolist()]
+    inp = write(tmp_path / "m.csv", "measure,weight,x1,x2\n" + "".join(
+        f"{m},1,{x1!r},{x2!r}\n" for m, (x1, x2) in points))
+    rep = str(tmp_path / "r.json")
+    assert main(["ot", "--input", inp, "--value-cols", "x1,x2", "--method", "entropic",
+                 "--epsilon", "1e-3", "--tol", "1e-3", "--max-iter", "3",
+                 "--report", rep]) == 0
+    r = load(rep)
+    assert r["iterations"] == 3 and r["converged"] is False
 
 
 def test_ot_requires_two_measures(tmp_path):
@@ -645,6 +670,37 @@ def test_approx_rejects_weights_that_underflow(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "weight 1e-320 of a row of group 'a' underflows to 0" in err
     assert "Warning" not in err and not rep.exists()
+
+
+@pytest.mark.parametrize("command", ["approx", "ot", "diagnose"])
+def test_weight_totals_that_overflow_say_so(tmp_path, capsys, command):
+    # two weights of 1e308 are each finite and positive, but their total
+    # overflows: one error line and no numpy warning
+    out = tmp_path / "o.json"
+    if command == "approx":
+        inp = write(tmp_path / "d.csv", "group,x,w\na,0,1e308\nb,1,1e308\n")
+        argv = ["approx", "--input", inp, "--weight-col", "w", "--report", str(out)]
+    elif command == "ot":
+        inp = write(tmp_path / "m.csv", "measure,weight,x\nm1,1e308,0\nm1,1e308,1\nm2,1,0\n")
+        argv = ["ot", "--input", inp, "--report", str(out)]
+    else:
+        inp = write(tmp_path / "d.csv", HAND_CSV)
+        rep, smp = str(tmp_path / "r.json"), tmp_path / "s.csv"
+        assert main(["approx", "--input", inp, "--report", rep,
+                     "--samples", str(smp), "--seed", "11"]) == 0
+        lines = smp.read_text(encoding="utf-8").splitlines()
+        column = lines[0].split(",").index("weight")
+        for i in (1, 2):
+            cells = lines[i].split(",")
+            cells[column] = "1e308"
+            lines[i] = ",".join(cells)
+        write(smp, "\n".join(lines) + "\n")
+        argv = ["diagnose", "--samples", str(smp), "--report", rep, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: the weights' total overflows; rescale the weights\n")
+    assert not out.exists()
 
 
 def test_approx_takes_every_group_from_one_grouped_pass(tmp_path, monkeypatch):

@@ -14,10 +14,19 @@ from otrepair.errors import (
     SolverFailureError,
     WeightSumError,
 )
-from otrepair.measure import DiscreteMeasure, coalesce, dirac, make_measure
+from otrepair.barycenter import (
+    default_support,
+    fixed_support_weights,
+    quantile_exact_measure,
+    solve_barycenter,
+)
+from otrepair.measure import DiscreteMeasure, coalesce, dirac, family, make_measure
 from otrepair.ot import (
     Coupling,
     _check_marginals,
+    _family_couplings,
+    _staircases,
+    comonotone_staircases,
     cost_matrix,
     solve_comonotone_1d,
     solve_entropic,
@@ -346,6 +355,25 @@ def test_comonotone_arcs_match_loop_oracle_on_dyadic_weights(rng):
         assert tight == set(arcs)
 
 
+@pytest.mark.parametrize("kind", ["generic", "ties", "zeros", "single", "dyadic"])
+def test_comonotone_column_potentials_are_the_c_transform(rng, kind):
+    for _ in range(40):
+        mu, nu = _staircase_case(rng, kind)
+        u, v = solve_comonotone_1d(mu, nu).potentials
+        C = cost_matrix(mu.support, nu.support)
+        assert np.array_equal(v, np.min(C - u[:, None], axis=0))
+
+
+def test_staircase_core_checks_every_arc_before_keeping_the_moving_ones():
+    # cumulative weights that pass the top one before it give the last arc
+    # a negative flow; the core's check sees it, though it keeps no such arc
+    nu = make_measure([0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(NegativeWeightError):
+        _staircases(np.arange(2), np.array([0.0, 1.0]), np.array([1.2, 1.0]),
+                    np.array([0, 2]), np.arange(2), np.array([0.5, 1.0]),
+                    np.array([0.5, 0.5]), nu)
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6, 1e9])
 def test_comonotone_certified_at_every_cost_scale(rng, scale):
     for offset in (0.0, 1e4, -1e8, 1e8):
@@ -381,6 +409,55 @@ def test_comonotone_rejects_overflowing_cross_pairs(tmp_path):
     assert main(["ot", "--input", str(inp), "--method", "comonotone1d",
                  "--report", str(tmp_path / "r.json")]) == 3
     assert not (tmp_path / "r.json").exists()
+
+
+# --- arc records ---------------------------------------------------------------
+
+def _record_case(rng, m):
+    """A family of three m-dimensional atoms, the first a point mass, and
+    a target measure, on few integer points (so with ties) and with zero
+    weights."""
+    def measure(n):
+        w = rng.random(n) * (rng.random(n) > 0.3)
+        if not w.any():
+            w[0] = 1.0
+        return DiscreteMeasure(rng.integers(0, 4, (n, m)).astype(float), w / w.sum())
+
+    laws = [measure(1), *(measure(int(n)) for n in rng.integers(1, 7, 2))]
+    p = rng.random(3) + 0.1
+    return (family([(f"a{a}", pa, law) for a, (pa, law) in enumerate(zip(p / p.sum(), laws))]),
+            measure(int(rng.integers(1, 7))))
+
+
+def _batches(fam, nu):
+    return list(_family_couplings(fam.support, fam.weights, fam.starts, nu))
+
+
+RECORDS = {  # producer: (dimension, its arc records for a family and a target)
+    "comonotone_staircases": (1, lambda fam, nu: [
+        comonotone_staircases(fam.support, fam.weights, fam.starts, nu)]),
+    "family_couplings_1d": (1, _batches),
+    "family_couplings_2d": (2, _batches),
+    "quantile_exact_measure": (1, lambda fam, nu: [quantile_exact_measure(fam)[1]]),
+    "fixed_support_weights": (2, lambda fam, nu: [
+        fixed_support_weights(fam, default_support(fam))[2]]),
+    "solve_barycenter_1d": (1, lambda fam, nu: [solve_barycenter(fam).couplings]),
+    "solve_barycenter_2d": (2, lambda fam, nu: [solve_barycenter(fam).couplings]),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(RECORDS))
+def test_every_arc_record_holds_only_arcs_that_move_mass(rng, producer):
+    m, records = RECORDS[producer]
+    formed = 0
+    for _ in range(30):
+        for record in records(*_record_case(rng, m)):
+            if record is not None:  # None: the closed form of point masses
+                rows, cols, flow, u, costs = record
+                assert len(rows) == len(cols) == len(flow)
+                assert np.all(flow > 0.0)
+                formed += 1
+    assert formed
 
 
 # --- solve_entropic ----------------------------------------------------------
@@ -441,6 +518,26 @@ def test_entropic_marginals_exact_even_unconverged(rng):
     g = sol.coupling.weights
     assert np.max(np.abs(g.sum(axis=1) - mu.weights)) <= 1e-12
     assert np.max(np.abs(g.sum(axis=0) - nu.weights)) <= 1e-12
+
+
+def test_entropic_converged_only_at_the_target_epsilon():
+    # a budget that ends before the target epsilon's stage leaves the plan
+    # unconverged, however small the violation of an earlier stage was; the
+    # plan is then the one of the stage whose potentials were solved, not
+    # the independent coupling that rounding the target's underflowed
+    # kernel gives
+    rng = np.random.default_rng(0)
+    mu = make_measure(rng.normal(size=(6, 2)), np.ones(6))
+    nu = make_measure(rng.normal(size=(5, 2)) + 1.0, np.ones(5))
+    C = cost_matrix(mu.support, nu.support)
+    independent = mu.weights @ C @ nu.weights
+    for max_iter in (1, 2, 3, 5, 30, 31):
+        sol = solve_entropic(mu, nu, epsilon=1e-3, max_iter=max_iter, tol=1e-3)
+        assert not sol.converged and sol.iterations == max_iter
+        assert sol.cost < independent
+    sol = solve_entropic(mu, nu, epsilon=1e-3, max_iter=5000, tol=1e-3)
+    assert sol.converged and sol.iterations == 262
+    assert abs(sol.cost - solve_exact(mu, nu).cost) <= 1e-3
 
 
 def test_entropic_rejects_bad_epsilon():
