@@ -4,9 +4,8 @@ Given a dataset of (group, x) samples, this module estimates the
 conditional law of x within each group, computes a barycenter nu0 of
 those laws, couples every group law optimally to nu0 (both exact
 barycenters, the fixed-support LP and the 1-D quantile merge, already
-hold these couplings, so those routes solve no further transport
-problem; otherwise one batched staircase couples every group at once
-in 1-D), stores the couplings' disintegrations over the source
+hold these couplings and are only recentred; otherwise the groups are
+coupled afresh), stores the couplings' disintegrations over the source
 points in one sparse structure and realizes the repaired variable y
 through an inverse-CDF lookup driven by a uniform draw u.  The result
 is, at sample level, the closest-in-L2 variable that is independent of
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterResult, _negligible, _rng, _total, solve_barycenter
+from .barycenter import BarycenterResult, _rng, _total, solve_barycenter
 from .errors import (
     ConfigConflictError,
     DatasetMismatchError,
@@ -41,6 +40,7 @@ from .errors import (
 from .measure import ConditionalFamily, Dataset, DiscreteMeasure, mean
 from .ot import (
     _family_couplings,
+    _joined,
     _search_segments,
     _segment_cumsum,
     _segment_sum,
@@ -215,38 +215,23 @@ def _coupled_arcs(family: ConditionalFamily, bary: BarycenterResult,
                   nu0: DiscreteMeasure, shift: np.ndarray) -> tuple:
     """Every atom's exact coupling to nu0, the barycenter's measure
     translated by ``shift``, as one arc record (rows, cols, flow, u,
-    costs) over the family's flat rows, shaped like a batch of
-    :func:`otrepair.ot._family_couplings`.
+    costs) over the family's flat rows.
 
-    The couplings of both exact routes are recentred in one pass:
+    The exact routes' record covers every atom and is only recentred:
     translating nu0 by t changes C_ij by -2 (x_i - s_j).t + |t|^2, so a
     plan stays optimal, its row potential becomes u - 2 x.t (the
     c-transform absorbs the column terms) and its cost follows from the
-    barycenter's and the plan's arcs.  The atoms without one (all on the
-    other routes, the negligible ones on the exact routes) are coupled by
-    one :func:`otrepair.ot._family_couplings`, their arcs appended.
+    barycenter's and the plan's arcs.  Otherwise one
+    :func:`otrepair.ot._family_couplings` couples every atom afresh.
     """
-    x, sizes = family.support, np.diff(family.starts)
-    u, costs = np.empty(len(x)), np.empty(len(family))
-    alone, record = np.ones(len(family), dtype=bool), []
-    if bary.couplings is not None:
-        rows, cols, flow, kept_u, kept_costs = bary.couplings
-        alone, n = _negligible(family), len(kept_costs)
-        points = np.flatnonzero(np.repeat(~alone, sizes))
-        owner = np.repeat(np.arange(n), sizes[~alone])[rows]
-        rows = points[rows]
-        drift = np.bincount(owner, flow * ((x[rows] - bary.nu0.support[cols]) @ shift), n)
-        costs[~alone] = np.bincount(owner, flow, n) * (shift @ shift) - 2.0 * drift + kept_costs
-        u[points] = kept_u - 2.0 * (x[points] @ shift)
-        record.append((rows, cols, flow))
-    if alone.any():
-        points = np.flatnonzero(np.repeat(alone, sizes))
-        batches = _family_couplings(x[points], family.weights[points],
-                                    np.concatenate([[0], np.cumsum(sizes[alone])]), nu0)
-        rows, cols, flow, u[points], costs[alone] = map(np.concatenate, zip(*batches))
-        record.append((points[rows], cols, flow))
-    rows, cols, flow = map(np.concatenate, zip(*record))
-    return rows, cols, flow, u, costs
+    if bary.couplings is None:
+        return _joined(_family_couplings(family.support, family.weights, family.starts, nu0))
+    rows, cols, flow, u, costs = bary.couplings
+    x, A = family.support, len(family)
+    owner = np.repeat(np.arange(A), np.diff(family.starts))[rows]
+    drift = np.bincount(owner, flow * ((x[rows] - bary.nu0.support[cols]) @ shift), A)
+    costs = np.bincount(owner, flow, A) * (shift @ shift) - 2.0 * drift + costs
+    return rows, cols, flow, u - 2.0 * (x @ shift), costs
 
 
 def build(data: Dataset, *, method: str = "auto", **options) -> IndependentApproximation:

@@ -46,6 +46,7 @@ from .measure import (
 )
 from .ot import (
     _family_couplings,
+    _joined,
     _length_groups,
     _logsumexp,
     _solve_joint_lp,
@@ -75,13 +76,11 @@ class BarycenterResult:
     forms) and ``history`` holds the free-support objective of every
     round.  ``couplings`` holds, for the two exact routes (the joint LP
     of :func:`fixed_support_weights` and :func:`quantile_exact_measure`),
-    the optimal coupling of every atom they kept with ``nu0``, as one arc
-    record (rows, cols, flow, u, costs), the shape of
-    :func:`otrepair.ot._family_couplings`' batches: ``rows`` number the
-    flat rows of the family without its negligible atoms, ``cols`` the
-    points of ``nu0``, ``u`` is every such row's potential and ``costs``
-    the kept atoms' transport costs.  None for the other methods and the
-    closed form of point masses.
+    an optimal coupling of every atom with ``nu0``, the negligible ones
+    included, as one arc record (rows, cols, flow, u, costs) like a block
+    of :func:`otrepair.ot._family_couplings`: ``rows`` number the family's
+    flat rows, ``u`` is every row's potential and ``costs`` every atom's
+    cost.  None for the other methods and the closed form of point masses.
     """
 
     nu0: DiscreteMeasure
@@ -121,6 +120,25 @@ def _solvable_family(family: ConditionalFamily) -> ConditionalFamily:
         tuple(label for label in family.labels if label not in dropped),
         p / _total(p, 1.0), np.cumsum([0, *sizes[keep].tolist()]),
         family.support[rows], family.weights[rows])
+
+
+def _every_atom(family: ConditionalFamily, nu0: DiscreteMeasure, couplings: tuple) -> tuple:
+    """The arc record ``couplings`` of the family without its negligible
+    atoms, extended to them, coupled to nu0 by
+    :func:`otrepair.ot._family_couplings`: over all rows and atoms."""
+    light = _negligible(family)
+    if not light.any():
+        return couplings
+    sizes = np.diff(family.starts)
+    kept, dropped = (np.flatnonzero(np.repeat(mask, sizes)) for mask in (~light, light))
+    rows, cols, flow, u, costs = couplings
+    rows_d, cols_d, flow_d, u_d, costs_d = _joined(_family_couplings(
+        family.support[dropped], family.weights[dropped], np.cumsum([0, *sizes[light]]), nu0))
+    every_u, every_cost = np.empty(len(family.weights)), np.empty(len(family))
+    every_u[kept], every_u[dropped] = u, u_d
+    every_cost[~light], every_cost[light] = costs, costs_d
+    return (np.concatenate([kept[rows], dropped[rows_d]]), np.concatenate([cols, cols_d]),
+            np.concatenate([flow, flow_d]), every_u, every_cost)
 
 
 def default_support(family: ConditionalFamily) -> np.ndarray:
@@ -165,30 +183,33 @@ def solve_barycenter(
     draw seeded by ``init_seed``; ``max_iter`` and ``tol`` bound the
     iterative ones.  If every atom is a point mass, ``quantile1d`` and
     ``exact`` without ``support`` return the optimum, the point mass at
-    the weighted mean.  No coupling is solved to score the result.
+    the weighted mean.  No coupling is solved to score the result.  The
+    exact routes couple the atoms every solver drops as negligible to
+    their measure, so their couplings cover the given family.
     """
     method = _resolve_method(method, family.dim)
-    family = _solvable_family(family)
+    kept = _solvable_family(family)
     if ((method == "quantile1d" or (method == "exact" and support is None))
-            and len(family.weights) == len(family)):
-        point = sum(p * x for p, x in zip(family.probabilities.tolist(), family.support))
+            and len(kept.weights) == len(kept)):
+        point = sum(p * x for p, x in zip(kept.probabilities.tolist(), kept.support))
         return BarycenterResult(dirac(point), "dirac_closed_form", 0, True)
     if method == "quantile1d":
         if resolution is None:
-            nu0, couplings = quantile_exact_measure(family)
-            return BarycenterResult(nu0, "quantile_exact", 0, True, couplings=couplings)
-        return BarycenterResult(quantile_grid_measure(family, resolution), "quantile_grid",
+            nu0, couplings = quantile_exact_measure(kept)
+            return BarycenterResult(nu0, "quantile_exact", 0, True,
+                                    couplings=_every_atom(family, nu0, couplings))
+        return BarycenterResult(quantile_grid_measure(kept, resolution), "quantile_grid",
                                 0, True)
     if method == "free":
-        kk = mixture(family).n if k is None else k
-        nu0, it, conv, history = free_support_points(family, kk, init_seed, max_iter, tol)
+        kk = mixture(kept).n if k is None else k
+        nu0, it, conv, history = free_support_points(kept, kk, init_seed, max_iter, tol)
         return BarycenterResult(nu0, "free_support", it, conv, history=history)
-    S = default_support(family) if support is None else support
+    S = default_support(kept) if support is None else support
     if method == "exact":
-        nu0, nit, couplings = fixed_support_weights(family, S)
+        nu0, nit, couplings = fixed_support_weights(kept, S)
         return BarycenterResult(nu0, "fixed_support_exact", nit, True,
-                                couplings=couplings)
-    nu0, it, conv = entropic_weights(family, S, epsilon, max_iter, tol)
+                                couplings=_every_atom(family, nu0, couplings))
+    nu0, it, conv = entropic_weights(kept, S, epsilon, max_iter, tol)
     return BarycenterResult(nu0, "fixed_support_entropic", it, conv)
 
 
@@ -334,10 +355,8 @@ def free_support_points(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        arcs = [(rows, cols, flow, costs) for rows, cols, flow, _, costs
-                in _family_couplings(family.support, family.weights, family.starts,
-                                     DiscreteMeasure(Y, w))]
-        rows, cols, flow, costs = map(np.concatenate, zip(*arcs))
+        rows, cols, flow, _, costs = _joined(_family_couplings(
+            family.support, family.weights, family.starts, DiscreteMeasure(Y, w)))
         obj = _total(family.probabilities, costs)
         if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
             raise SolverFailureError(
@@ -385,35 +404,25 @@ def _sorted_quantiles(family: ConditionalFamily):
 _MERGE_BLOCK = 1 << 12
 
 
-def _level_slots(family: ConditionalFamily, rank: np.ndarray, levels: int):
-    """Every atom's quantile slot on every level, over blocks of atoms:
-    yields each block's first and end atom and its (atoms, levels) sorted
-    slots.
-
-    ``rank`` (from 0 to ``levels``) places each sorted slot's
-    cumulative weight among the levels so that F_a^{-1} on level k is
-    atom a's first slot past those of rank at most k: a count of ranks.
-    The levels are either the merge's intervals between consecutive
-    edges, or points t of the grid, where rank at most k means a
-    cumulative weight below t_k.
+def _quantile_values(family: ConditionalFamily, xs: np.ndarray, rank: np.ndarray,
+                     levels: int) -> np.ndarray:
+    """sum_a p_a F_a^{-1} on every level, added in atom order block by
+    block, from the sorted values ``xs``.  ``rank`` (from 0 to ``levels``)
+    places each sorted slot's cumulative weight among the levels so that
+    F_a^{-1} on level k is atom a's first slot past those of rank at most
+    k: a count of ranks.  The levels are either the merge's intervals
+    between consecutive edges, or points t of the grid, where rank at
+    most k means a cumulative weight below t_k.
     """
-    starts = family.starts
+    starts, probs = family.starts, family.probabilities[:, None]
     step = max(1, _MERGE_BLOCK // levels)
+    values = np.zeros(levels)
     for a0 in range(0, len(family), step):
         a1 = min(a0 + step, len(family))
         owner = np.repeat(np.arange(a1 - a0), np.diff(starts[a0:a1 + 1]))
         counts = np.bincount(owner * (levels + 1) + rank[starts[a0]:starts[a1]],
                              minlength=(a1 - a0) * (levels + 1)).reshape(a1 - a0, -1)
-        yield a0, a1, starts[a0:a1, None] + np.cumsum(counts[:, :levels], axis=1)
-
-
-def _quantile_values(family: ConditionalFamily, xs: np.ndarray, slots, levels: int) -> np.ndarray:
-    """sum_a p_a F_a^{-1} on every level, added in atom order, from the
-    sorted values ``xs`` and the blocks of :func:`_level_slots`."""
-    probs = family.probabilities[:, None]
-    values = np.zeros(levels)
-    for a0, a1, pos in slots:
-        terms = probs[a0:a1] * xs[pos]
+        terms = probs[a0:a1] * xs[starts[a0:a1, None] + np.cumsum(counts[:, :levels], axis=1)]
         terms[0] += values
         values = np.cumsum(terms, axis=0)[-1]
     return values
@@ -432,7 +441,7 @@ def quantile_grid_measure(family: ConditionalFamily, resolution: int) -> Discret
     t = (np.arange(resolution) + 0.5) / resolution
     _, xs, cum = _sorted_quantiles(family)
     rank = np.searchsorted(t, cum, side="right")
-    values = _quantile_values(family, xs, _level_slots(family, rank, resolution), resolution)
+    values = _quantile_values(family, xs, rank, resolution)
     return coalesce(DiscreteMeasure(values[:, None], np.full(resolution, 1.0 / resolution)))
 
 
@@ -446,23 +455,23 @@ def quantile_exact_measure(family: ConditionalFamily) -> tuple[DiscreteMeasure, 
     for arbitrary weight patterns.  nu0's points are the distinct values,
     which never decrease, so each point's mass ends at the edge where the
     next one's first level starts.  All atoms are sorted together, once,
-    and read in blocks (see :func:`_level_slots`); the same sort and nu0's
+    and read in blocks (see :func:`_quantile_values`); the same sort and nu0's
     ends go to the staircase core :func:`otrepair.ot._staircases`, which
-    couples every atom comonotonically.  Returns (nu0, couplings),
-    couplings being the core's arc record (rows, cols, flow, u, costs)
-    over the family without its negligible atoms, as in
-    :attr:`BarycenterResult.couplings`.
+    couples every atom comonotonically, block by block.  Returns (nu0,
+    couplings), couplings being the core's blocks joined into one arc
+    record (rows, cols, flow, u, costs) over the family without its
+    negligible atoms, which :func:`solve_barycenter` extends to them.
     """
     family = _solvable_family(family)
     order, xs, cum = _sorted_quantiles(family)
     edges = np.union1d(0.0, cum)  # every atom's top cumulative weight is 1
     L = len(edges) - 1
     rank = np.searchsorted(edges, cum)
-    values = _quantile_values(family, xs, _level_slots(family, rank, L), L)
+    values = _quantile_values(family, xs, rank, L)
     head = np.concatenate([[True], values[1:] != values[:-1]])
     masses = np.diff(edges)
     nu0 = DiscreteMeasure(values[head][:, None],
                           np.bincount(np.cumsum(head) - 1, masses / masses.sum()))
     cb = edges[np.append(np.flatnonzero(head)[1:], L)]
-    return nu0, _staircases(order, xs, cum, family.starts, np.arange(nu0.n), cb,
-                            family.weights, nu0)
+    return nu0, _joined(_staircases(order, xs, cum, family.starts, np.arange(nu0.n), cb,
+                                    family.weights, nu0))

@@ -10,21 +10,22 @@ Implements three routes to a coupling between two discrete measures:
   transport polytope so its marginals are exact; the reported cost is
   the unregularized evaluation of that plan.
 - ``comonotone_staircases``: the closed-form north-west-corner plans of
-  many 1-D measures to one, optimal in one dimension, as one arc batch
-  (rows, cols, flow, u, costs).  It sorts the measures and hands them to
-  ``_staircases``, the one core of every 1-D coupling, which merges
-  cumulative-weight vectors and forms only the costs of each plan's
-  n + k - 1 arcs, never a cost matrix.  The exact 1-D barycenter of
-  :mod:`otrepair.barycenter` hands the core the sort it already made.
-  ``solve_comonotone_1d`` is the one-pair case, with the plan laid out
-  dense and the column potentials the c-transform of the row ones.
+  many 1-D measures to one, optimal in one dimension, as one arc record
+  (rows, cols, flow, u, costs).  ``_staircases`` is the one core of every
+  1-D coupling: it cuts sorted measures into blocks of about
+  ``_BATCH_ARCS`` arcs and, per block, merges cumulative-weight vectors
+  and forms only the costs of each plan's n + k - 1 arcs, never a cost
+  matrix.  The exact 1-D barycenter of :mod:`otrepair.barycenter` hands
+  the core the sort it already made.  ``solve_comonotone_1d`` is the
+  one-pair case, with the plan laid out dense and the column potentials
+  the c-transform of the row ones.
 
 ``_family_couplings`` gives an optimal coupling of every measure of a flat
-layout to one measure: the 1-D closed form when m = 1, the transport LP
-otherwise.  The two exact solvers also return dual potentials, which
-certify their plans without a second solve.  Every LP, the joint
-barycenter LP too, is set up, solved by ``_solve_lp`` with HiGHS as
-``_LPS`` sets it, and read here.  ``_check_marginals`` checks every plan,
+layout to one measure, in blocks that ``_joined`` joins: the 1-D closed
+form when m = 1, the transport LP otherwise.  The two exact solvers also
+return dual potentials, which certify their plans without a second solve.
+Every LP, the joint barycenter LP too, is set up, solved by ``_solve_lp``
+with HiGHS as ``_LPS`` sets it, and read here.  ``_check_marginals`` checks every plan,
 dense or as arcs; every arc of an arc record moves mass.
 
 Solvers are pure functions of immutable inputs and may run concurrently;
@@ -322,62 +323,73 @@ def comonotone_staircases(support: np.ndarray, weights: np.ndarray, starts: np.n
 
     Measure a is ``support[starts[a]:starts[a + 1]]``, (n_a, 1) points,
     with the weights there: flat, as in :class:`otrepair.measure.ConditionalFamily`.
-    nu is sorted once and every measure on its own, for :func:`_staircases`.
-    Returns its arc batch (rows, cols, flow, u, costs) of the arcs that
-    move mass: ``rows`` numbers their source points, ``cols`` their points
-    of nu and ``flow`` their positive mass; mu_a's arcs are those whose
-    rows lie in ``starts[a]:starts[a + 1]``, in staircase order.  ``u``
-    holds every source point's potential (:func:`_row_potentials`) and
-    ``costs[a]`` is mu_a's transport cost.  Raises
-    :class:`NonFiniteValueError` when a squared distance overflows.
+    Returns :func:`_family_couplings`' blocks joined into one arc record
+    (rows, cols, flow, u, costs) of the arcs that move mass: ``rows``
+    numbers their source points, ``cols`` their points of nu and ``flow``
+    their positive mass; mu_a's arcs are those whose rows lie in
+    ``starts[a]:starts[a + 1]``, in staircase order.  ``u`` holds every
+    source point's potential (:func:`_row_potentials`) and ``costs[a]`` is
+    mu_a's transport cost.  Raises :class:`NonFiniteValueError` when a
+    squared distance overflows.
     """
     if nu.dim != 1 or support.shape[1] != 1:
         raise DimensionNotOneError("comonotone coupling requires 1-D measures")
-    order_r, xs, ca = _sorted_1d(support[:, 0], weights, starts)
-    order_c = np.argsort(nu.support[:, 0], kind="stable")
-    return _staircases(order_r, xs, ca, starts, order_c, np.cumsum(nu.weights[order_c]),
-                       weights, nu)
+    return _joined(_family_couplings(support, weights, starts, nu))
 
 
-def _staircases(order_r, xs, ca, starts, order_c, cb, weights, nu) -> tuple:
+def _joined(blocks) -> tuple:
+    """One arc record (rows, cols, flow, u, costs) of consecutive blocks of
+    measures, each such a record: a single block as it is, without a copy."""
+    blocks = list(blocks)
+    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+
+
+# the staircase core forms the arcs of about this many at a time, or of one measure
+_BATCH_ARCS = 1 << 14
+
+
+def _staircases(order_r, xs, ca, starts, order_c, cb, weights, nu):
     """The one core of every 1-D coupling: the staircases of measures
     sorted as :func:`_sorted_1d` sorts them (``order_r``, ``xs`` and
     cumulative weights ``ca`` in segments ``starts``) to nu sorted by
-    ``order_c``, its points ending at the cumulative weights ``cb``.
+    ``order_c``, its points ending at the cumulative weights ``cb``, in
+    blocks of consecutive measures whose n + K - 1 arcs start in one run
+    of ``_BATCH_ARCS`` (a larger measure alone), so that few arcs are
+    formed at once.  Yields each block's arc record (rows, cols, flow, u,
+    costs), with the potentials and costs of its points and measures.
 
     A plan merges the measure's cumulative weights with nu's, so no cost
     matrix is formed.  Each row and each column but the last ends at its
     cumulative weight; the n + K - 2 ends, sorted stably with rows first,
     are the staircase's steps, and arc t carries the mass between the t-th
     and the (t+1)-th.  A row end's place in the merge is its rank plus the
-    count of column ends below it, so one ``searchsorted`` merges every
-    measure, each in the floats of its merge alone.  Ties keep their sorted
-    order, which pins every plan down.  :func:`_check_marginals` checks
-    all plans together against the flat ``weights`` and nu; only the arcs
-    with positive flow are then kept, and costed.
+    count of column ends below it, so one ``searchsorted`` merges a block,
+    each measure in the floats of its merge alone.  Ties keep their sorted
+    order, which pins every plan down.  :func:`_check_marginals` checks a
+    block's plans against ``weights`` and nu; only the arcs with positive
+    flow are then kept, and costed.
     """
     ys = nu.support[order_c, 0]
-    _check_reach(xs, starts, ys)
-    A, K = len(starts) - 1, nu.n
-    arc_starts = starts + np.arange(A + 1) * (K - 1)
-    after_row, flow, end_col = _merged_flows(starts, ca, cb, arc_starts)
-    rows, cols, cost = _staircase_arcs(after_row, arc_starts, order_r, xs, order_c, ys)
-    _check_marginals(rows, cols, flow, arc_starts, weights, nu)
-    moved = np.flatnonzero(flow > 0.0)
-    flow = flow[moved]
-    return (rows[moved], cols[moved], flow, _row_potentials(xs, ys[end_col], starts, order_r),
-            _segment_sum(flow * cost[moved], np.searchsorted(moved, arc_starts)))
-
-
-def _check_reach(xs, starts, ys) -> None:
-    """Raise :class:`NonFiniteValueError` unless every squared distance
-    between a point of a measure (sorted ``xs`` in segments ``starts``)
-    and one of the sorted ``ys`` is finite: the farthest pairs are at the
-    ends."""
     with np.errstate(over="ignore", invalid="ignore"):
+        # no squared distance may overflow: the farthest pairs are at the ends
         reach = np.maximum(xs[starts[1:] - 1] - ys[0], ys[-1] - xs[starts[:-1]])
         if not np.isfinite(reach * reach).all():
             raise NonFiniteValueError(_OVERFLOW)
+    arcs = starts + np.arange(len(starts)) * (nu.n - 1)
+    cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, len(starts) - 1]):
+        s, e = starts[lo], starts[hi]
+        # the block's rows number its own points, shifted back when yielded
+        seg, arc_starts = starts[lo:hi + 1] - s, arcs[lo:hi + 1] - arcs[lo]
+        order = order_r[s:e] - s if s else order_r[:e]
+        after_row, flow, end_col = _merged_flows(seg, ca[s:e], cb, arc_starts)
+        rows, cols, cost = _staircase_arcs(after_row, arc_starts, order, xs[s:e], order_c, ys)
+        _check_marginals(rows, cols, flow, arc_starts, weights[s:e], nu)
+        moved = np.flatnonzero(flow > 0.0)
+        flow, rows = flow[moved], rows[moved]
+        yield (rows + s if s else rows, cols[moved], flow,
+               _row_potentials(xs[s:e], ys[end_col], seg, order),
+               _segment_sum(flow * cost[moved], np.searchsorted(moved, arc_starts)))
 
 
 def _merged_flows(starts, ca, cb, arc_starts):
@@ -477,7 +489,7 @@ def _check_marginals(rows, cols, flow, arc_starts, w, nu) -> None:
 def solve_comonotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """North-west-corner plan on ascending supports; optimal for m = 1.
 
-    The one-pair case of :func:`comonotone_staircases` (a batch of one),
+    The one-pair case of :func:`comonotone_staircases` (a family of one),
     with the plan laid out as a dense matrix.  The column potentials are
     the c-transform of the row potentials over the dense cost, the rule
     :func:`otrepair.diagnostics.verify` certifies with.  Raises
@@ -613,31 +625,24 @@ def solve_entropic(
                       solved == epsilon and violation < tol)
 
 
-# 1-D couplings are formed in batches of about this many staircase arcs
-_BATCH_ARCS = 1 << 14
-
-
 def _family_couplings(support: np.ndarray, weights: np.ndarray, starts: np.ndarray,
                       nu: DiscreteMeasure):
     """An optimal coupling of every measure of a flat layout (as in
     :class:`otrepair.measure.ConditionalFamily`) to ``nu``, the same floats
     as :func:`solve_comonotone_1d` in 1-D and :func:`solve_exact` otherwise,
-    in batches of consecutive measures (rows, cols, flow, u, costs):
+    in blocks of consecutive measures (rows, cols, flow, u, costs):
     ``rows`` numbers the arcs' source points in the layout, ``cols`` their
-    points of nu, ``u`` is the row potentials of the batch's points and
+    points of nu, ``u`` is the row potentials of the block's points and
     ``costs`` each of its measures' cost.  Every flow is positive.  In 1-D
-    a batch is one :func:`comonotone_staircases` over about ``_BATCH_ARCS``
-    staircase arcs; otherwise one :func:`solve_exact` plan's positive
-    arcs.  Batching bounds the arcs held at once.
+    the layout and nu are sorted once for the staircase core
+    :func:`_staircases`, whose blocks are passed on; otherwise a block is
+    one :func:`solve_exact` plan's positive arcs.
     """
-    if support.shape[1] == 1:
-        arcs = starts + np.arange(len(starts)) * (nu.n - 1)
-        cuts = np.flatnonzero(np.diff(arcs[:-1] // _BATCH_ARCS)) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, len(starts) - 1]):
-            s, e = starts[lo], starts[hi]
-            rows, *batch = comonotone_staircases(support[s:e], weights[s:e],
-                                                 starts[lo:hi + 1] - s, nu)
-            yield rows + s, *batch
+    if support.shape[1] == nu.dim == 1:
+        order_r, xs, ca = _sorted_1d(support[:, 0], weights, starts)
+        order_c = np.argsort(nu.support[:, 0], kind="stable")
+        yield from _staircases(order_r, xs, ca, starts, order_c,
+                               np.cumsum(nu.weights[order_c]), weights, nu)
         return
     for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
         sol = solve_exact(DiscreteMeasure._of_checked(support[s:e], weights[s:e]), nu)

@@ -699,7 +699,8 @@ def test_default_1d_build_sorts_once_and_couples_through_one_staircase_core(
         rng, monkeypatch, light):
     # nu0 and every kept group's coupling come from one sort, handed to the
     # staircase core once; only a group dropped as negligible is coupled
-    # alone, by a staircase that sorts it and calls the core again
+    # alone, by the barycenter's _family_couplings, which sorts it and
+    # calls the core again
     calls = Counter()
     for name in ("_sorted_1d", "comonotone_staircases", "_staircases"):
         real = getattr(otrepair.ot, name)
@@ -718,8 +719,7 @@ def test_default_1d_build_sorts_once_and_couples_through_one_staircase_core(
             ap = build(d)
     else:
         ap = build(d)
-    assert calls == Counter(_sorted_1d=1 + light, comonotone_staircases=light,
-                            _staircases=1 + light)
+    assert calls == Counter(_sorted_1d=1 + light, _staircases=1 + light)
     assert verify(ap, d).passed
 
 
@@ -749,25 +749,30 @@ def concatenate(parts):
 @pytest.mark.parametrize("m, G, n", [(1, 6, 600), (2, 3, 5)],
                          ids=["1d-over-2^14-arcs", "2d-joint-lp"])
 def test_one_store_is_the_per_group_stores(rng, m, G, n):
-    # build stores every coupling by one from_arcs over one record, in
-    # which the negligible middle group's fresh arcs follow the others';
+    # build stores every coupling by one from_arcs over one record, the
+    # barycenter's, which covers the negligible middle group too, recentred;
     # a store per group, concatenated, holds the same bytes
     d = _shifted_groups(rng, m, G, n, light=G // 2)
     ap = build(d)
     fam, nu0 = ap.family, ap.nu0
     bary = solve_barycenter(fam)
     assert bary.couplings is not None
-    rows, cols, flow, u, costs = _coupled_arcs(fam, bary, nu0, d.mean_x() - mean(bary.nu0))
+    shift = d.mean_x() - mean(bary.nu0)
+    rows, cols, flow, u, costs = _coupled_arcs(fam, bary, nu0, shift)
     assert m > 1 or len(rows) > 2**14
     parts = []
     for a, (s, e) in enumerate(zip(fam.starts[:-1].tolist(), fam.starts[1:].tolist())):
         arc = (rows >= s) & (rows < e)
         if a == G // 2:
-            # the dropped group, coupled alone
+            # the dropped group, coupled alone to the barycenter's measure,
+            # then recentred like the others
             (r, c, f, v, cost), = _family_couplings(fam.support[s:e], fam.weights[s:e],
-                                                   np.array([0, e - s]), nu0)
+                                                   np.array([0, e - s]), bary.nu0)
+            x, one = fam.support[s:e], np.zeros(len(r), dtype=np.intp)
+            drift = np.bincount(one, f * ((x[r] - bary.nu0.support[c]) @ shift), 1)
+            cost = np.bincount(one, f, 1) * (shift @ shift) - 2.0 * drift + cost
             for got, ref in zip((rows[arc] - s, cols[arc], flow[arc], u[s:e], costs[a:a + 1]),
-                                (r, c, f, v, cost)):
+                                (r, c, f, v - 2.0 * (x @ shift), cost)):
                 assert np.array_equal(got, ref)
         parts.append(Disintegration.from_arcs(rows[arc] - s, cols[arc], flow[arc], u[s:e], nu0))
     ref = concatenate(parts)

@@ -366,12 +366,13 @@ def test_comonotone_column_potentials_are_the_c_transform(rng, kind):
 
 def test_staircase_core_checks_every_arc_before_keeping_the_moving_ones():
     # cumulative weights that pass the top one before it give the last arc
-    # a negative flow; the core's check sees it, though it keeps no such arc
+    # a negative flow; the core's check sees it, though it keeps no such
+    # arc (the core yields its blocks lazily, so the test consumes it)
     nu = make_measure([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(NegativeWeightError):
-        _staircases(np.arange(2), np.array([0.0, 1.0]), np.array([1.2, 1.0]),
+        list(_staircases(np.arange(2), np.array([0.0, 1.0]), np.array([1.2, 1.0]),
                     np.array([0, 2]), np.arange(2), np.array([0.5, 1.0]),
-                    np.array([0.5, 0.5]), nu)
+                    np.array([0.5, 0.5]), nu))
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6, 1e9])

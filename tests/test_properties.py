@@ -270,11 +270,11 @@ def within(a, b, rtol, atol):
 @hypothesis.settings(PROPERTY, max_examples=30)
 @given(coords=COORDS, atoms=QUANTILE_ATOMS, zeros=st.booleans(), light=st.booleans())
 def test_quantile_merge_couplings_match_fresh_couplings(coords, atoms, zeros, light):
-    # the 1-D barycenter's own couplings against oracles that do not read
-    # them: fresh staircases (lower_bound) and simplex solves (conftest)
+    # the 1-D barycenter's own couplings, which cover the negligible atom
+    # too, against oracles that do not read them: fresh staircases
+    # (lower_bound) and simplex solves (conftest)
     triples = quantile_triples(coords, atoms, zeros, light)
     fam = family(triples)
-    kept = _solvable_family(fam)
     res = solve_barycenter(fam, "quantile1d")
     # a staircase may move a rounding's worth of mass (1e-15) across the
     # whole range, and HiGHS meets its constraints to 1e-10 of the costs
@@ -283,19 +283,19 @@ def test_quantile_merge_couplings_match_fresh_couplings(coords, atoms, zeros, li
         assert res.method == "dirac_closed_form"
         return
     rows, cols, flow, u, costs = res.couplings
-    *_, fresh = comonotone_staircases(kept.support, kept.weights, kept.starts, res.nu0)
+    *_, fresh = comonotone_staircases(fam.support, fam.weights, fam.starts, res.nu0)
     for cost, ref in zip(costs.tolist(), fresh.tolist()):
         assert within(cost, ref, 1e-12, 1e-15 * reach)
-    achieved = float(kept.probabilities @ costs)
-    assert within(achieved, lower_bound(kept, res.nu0), 1e-12, 1e-15 * reach)
-    assert within(achieved, simplex_objective(kept, res.nu0), 1e-8, 1e-10 * reach)
+    achieved = float(fam.probabilities @ costs)
+    assert within(achieved, lower_bound(fam, res.nu0), 1e-12, 1e-15 * reach)
+    assert within(achieved, simplex_objective(fam, res.nu0), 1e-8, 1e-10 * reach)
     # each plan is a coupling of its atom with nu0 and its row potentials
     # certify its cost through their c-transform, as verify does, to the
     # rounding of the potentials' sums
-    plan = np.zeros((len(kept.support), res.nu0.n))
+    plan = np.zeros((len(fam.support), res.nu0.n))
     np.add.at(plan, (rows, cols), flow)
     dual, size = 0.0, 0.0
-    for a, lo, hi in zip(kept.atoms, kept.starts, kept.starts[1:]):
+    for a, lo, hi in zip(fam.atoms, fam.starts, fam.starts[1:]):
         Coupling(a.law, res.nu0, plan[lo:hi])
         u_c = (cost_matrix(a.law.support, res.nu0.support) - u[lo:hi, None]).min(axis=0)
         dual += a.p * (a.law.weights @ u[lo:hi] + res.nu0.weights @ u_c)
