@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     ConfigConflictError,
     DimensionNotOneError,
+    NumericalUnderflowError,
     SolverFailureError,
     SupportDimensionMismatchError,
 )
@@ -265,8 +266,8 @@ def entropic_weights(
     the flag recording which happened.  Returns (measure, sweeps,
     converged).
     """
-    if not epsilon > 0.0:
-        raise ConfigConflictError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ConfigConflictError("epsilon must be positive and finite")
     if max_iter < 1:
         raise ConfigConflictError("max_iter must be at least 1")
     family = _solvable_family(family)
@@ -274,7 +275,11 @@ def entropic_weights(
     K = S.shape[0]
     owner = np.repeat(np.arange(len(family)), np.diff(family.starts))
 
-    log_kernel = -cost_matrix(family.support, S) / epsilon
+    with np.errstate(over="ignore"):
+        log_kernel = -cost_matrix(family.support, S) / epsilon
+    if not np.isfinite(log_kernel).all():
+        raise NumericalUnderflowError("the log-kernel -C/epsilon overflows; epsilon is too "
+                                      "small for the cost scale")
     with np.errstate(divide="ignore"):
         log_mu = np.log(family.weights)
     g = np.zeros((len(family), K))

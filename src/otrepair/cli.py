@@ -50,9 +50,9 @@ exit codes:
      bad data, a file that is not UTF-8, a malformed approx report)
   4  solver failure
   5  configuration conflict (e.g. quantile1d on multi-d data, samples
-     requested without a u column or --seed, epsilon <= 0, k < 1,
-     --max-iter < 1, a negative --seed, a CSV column named twice by the
-     column flags)
+     requested without a u column or --seed, epsilon <= 0, a non-finite
+     --epsilon or --tol, k < 1, --max-iter < 1, a negative --seed, a CSV
+     column named twice by the column flags, --value-cols naming no column)
 A run that exits 3, 4 or 5, or cannot open an output path, leaves no
 report and no samples.
 
@@ -191,14 +191,26 @@ def _load_dataset(path: str, group_col: str, value_cols: list[str],
 # ---------------------------------------------------------------------------
 
 def _value_cols(args) -> list[str]:
-    """The --value-cols entries; a column named twice by the column flags is a conflict."""
+    """The --value-cols entries; none, or a column named twice by the
+    column flags, is a conflict."""
     value_cols = [c.strip() for c in args.value_cols.split(",") if c.strip()]
+    if not value_cols:
+        raise ConfigConflictError("--value-cols names no column")
     flags = ("group_col", "measure_col", "weight_col", "u_col")
     named = [*filter(None, map(vars(args).get, flags)), *value_cols]
     for i, name in enumerate(named):
         if name in named[:i]:
             raise ConfigConflictError(f"column {name!r} is named twice by the column flags")
     return value_cols
+
+
+def _check_finite_flags(args) -> None:
+    """A non-finite --epsilon or --tol is a conflict, before any file is
+    read: no solver can use one, and no JSON report can hold it."""
+    for flag in ("epsilon", "tol"):
+        value = getattr(args, flag, 0.0)
+        if not np.isfinite(value):
+            raise ConfigConflictError(f"--{flag} must be finite, got {value}")
 
 
 def _common_config(args, keys) -> dict:
@@ -405,6 +417,8 @@ def cmd_diagnose(args) -> None:
         reference = ref.get("achieved_distance_sq")
         if reference is not None:
             reference = float(reference)
+            if not np.isfinite(reference):
+                raise ValueError(f"achieved_distance_sq is {reference}")
     except (ValueError, KeyError, TypeError) as exc:
         raise CsvParseError(f"{args.report}: not a valid approx report "
                             f"({type(exc).__name__}: {exc})") from None
@@ -520,6 +534,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite_flags(args)
         args.func(args)
     except (OtRepairError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -551,8 +551,8 @@ def solve_entropic(
     Parameters
     ----------
     epsilon : float
-        Regularization strength (> 0).  The solver anneals from the
-        largest cost entry down to this target, halving each stage.
+        Regularization strength, positive and finite.  The solver anneals
+        from the largest cost entry down to this target, halving each stage.
     max_iter : int
         Total budget of Sinkhorn sweeps across all stages: at most 30 per
         earlier stage, the rest at the target.
@@ -565,8 +565,8 @@ def solve_entropic(
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"measures have dimensions {mu.dim} and {nu.dim}")
-    if not epsilon > 0.0:
-        raise ConfigConflictError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ConfigConflictError("epsilon must be positive and finite")
     if max_iter < 1:
         raise ConfigConflictError("max_iter must be at least 1")
     a, b = mu.weights, nu.weights

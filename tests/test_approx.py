@@ -672,6 +672,24 @@ def test_1d_build_verify_transform_stay_sparse_at_10x1000(rng):
     assert out.y.shape == (G * n, 1)
 
 
+def test_1d_build_peaks_below_five_and_a_half_stores():
+    # the Baseline's 10 x 1,000 rung: the staircase core forms the arcs of
+    # one block at a time and the build hands the barycenter's record to
+    # the store as it is, so build's peak stays under 5.5 times the four
+    # store arrays (6.1 times while the core formed every arc at once and
+    # the build renumbered and copied the record)
+    d = _shifted_groups(np.random.default_rng(0), 1, 10, 1000)
+    tracemalloc.start()
+    try:
+        ap = build(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dis = ap.disintegration
+    store = sum(a.nbytes for a in (dis.indptr, dis.cols, dis.mass, dis.potential))
+    assert peak <= 5.5 * store
+
+
 def test_build_1d_path_runs_no_simplex_solve(rng, monkeypatch):
     # nor a staircase: the quantile merge hands the build its couplings
     import otrepair.ot

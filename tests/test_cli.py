@@ -454,6 +454,8 @@ def test_diagnose_rejects_bad_report(tmp_path, capsys):
                                            "weights": [0.5, 0.5]}}).encode(),
         json.dumps({**GOOD_REPORT, "nu0": {"support": [[1.0]], "weights": ["all"]}}).encode(),
         json.dumps({**GOOD_REPORT, "achieved_distance_sq": "small"}).encode(),
+        # json.load reads NaN, which no report of a valid run holds
+        json.dumps({**GOOD_REPORT, "achieved_distance_sq": float("nan")}).encode(),
     ):
         rep.write_bytes(body)
         assert main(["diagnose", "--samples", smp, "--report", str(rep),
@@ -906,6 +908,56 @@ def test_invalid_option_values_exit_5(tmp_path, capsys):
         assert not rep.exists() and not smp.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 8 and all(line.startswith("error: ") for line in err)
+
+
+PAIR_CSV = "group,x\na,0\na,2\nb,1\nb,3\n"
+PAIR_MEASURES_CSV = "measure,weight,x\na,1,0\na,1,2\nb,1,1\nb,1,3\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["approx", "--input", "d.csv", "--method", "entropic", "--epsilon", "inf"], 5),
+    (["approx", "--input", "d.csv", "--method", "entropic", "--tol", "nan"], 5),
+    (["approx", "--input", "d.csv", "--method", "free", "--tol", "nan"], 5),
+    (["approx", "--input", "missing.csv", "--epsilon", "nan"], 5),
+    (["ot", "--input", "m.csv", "--method", "exact", "--tol", "nan"], 5),
+    (["ot", "--input", "m.csv", "--method", "entropic", "--epsilon", "inf"], 5),
+    (["barycenter", "--input", "m.csv", "--tol", "nan"], 5),
+    (["barycenter", "--input", "m.csv", "--epsilon=-inf"], 5),
+    (["approx", "--input", "d.csv", "--method", "entropic", "--epsilon", "1e-320"], 4),
+    (["barycenter", "--input", "m.csv", "--method", "entropic", "--epsilon", "1e-320"], 4),
+], ids=["approx-entropic-epsilon-inf", "approx-entropic-tol-nan", "approx-free-tol-nan",
+        "approx-missing-input", "ot-exact-tol-nan", "ot-entropic-epsilon-inf",
+        "barycenter-tol-nan", "barycenter-epsilon-minus-inf", "approx-epsilon-underflow",
+        "barycenter-epsilon-underflow"])
+def test_solver_flags_no_solver_can_use_end_in_a_documented_exit(tmp_path, monkeypatch, capsys,
+                                                                 argv, code):
+    # a non-finite --epsilon or --tol is a conflict found before any file
+    # is read (so a missing input exits 5 too), and an epsilon below what
+    # the costs allow fails the entropic barycenter as it fails the
+    # entropic solver; either way one error line and no report, no numpy
+    # warning
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "d.csv", PAIR_CSV)
+    write(tmp_path / "m.csv", PAIR_MEASURES_CSV)
+    assert main([*argv, "--report", "r.json"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if code == 4:
+        assert err[0].endswith("epsilon is too small for the cost scale")
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "m.csv"]
+
+
+@pytest.mark.parametrize("subcommand", ["approx", "ot", "barycenter"])
+@pytest.mark.parametrize("value_cols", [",", ""], ids=["comma", "empty"])
+def test_value_cols_naming_no_column_is_a_config_conflict(tmp_path, capsys, subcommand,
+                                                         value_cols):
+    # checked before any file is read, like a column named twice
+    rep = tmp_path / "r.json"
+    for inp in (write(tmp_path / "m.csv", PAIR_MEASURES_CSV), str(tmp_path / "missing.csv")):
+        assert main([subcommand, "--input", inp, "--value-cols", value_cols,
+                     "--report", str(rep)]) == 5
+        assert capsys.readouterr().err == "error: --value-cols names no column\n"
+        assert not rep.exists()
 
 
 @pytest.mark.parametrize("subcommand, flags", [

@@ -107,6 +107,19 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
                                         + "; ".join(changes(fname, blob, outputs[fname])))
 
 
+def test_every_golden_report_is_standard_json():
+    # json.load reads NaN and Infinity, which no standard JSON parser does
+    # and no report may hold
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    reports = sorted(GOLDEN.glob("*/*.json"))
+    assert len(reports) == len(CASES) + 1  # the diagnose case keeps its approx report
+    for path in reports:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh, parse_constant=reject)
+
+
 def json_changes(old, new, path=""):
     """``path: old -> new`` for every leaf of two parsed JSON values that
     differs, a list or dict of another length or keys counting as a leaf."""

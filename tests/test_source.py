@@ -13,7 +13,11 @@
   calls ``linprog``, so every LP is set up, solved and read in one module;
 - only ``ot`` calls ``_check_marginals``, ``_merged_flows`` and
   ``_staircase_arcs``, so every coupling's arcs are formed and checked in
-  one module;
+  one module, and only ``ot._staircases`` reads ``_BATCH_ARCS``, so one
+  function cuts the 1-D couplings into blocks;
+- only ``barycenter`` names ``_negligible``, ``_solvable_family`` or
+  ``NEGLIGIBLE_ATOM``, so the rule that drops light atoms lives where
+  they are dropped and coupled back;
 - in ``cli``, only ``_write_report`` writes the report envelope's
   ``"schema"`` and no ``cmd_*`` subcommand returns a value.
 """
@@ -116,6 +120,41 @@ def callers(dotted: str) -> list:
     return found
 
 
+def readers(name: str) -> list:
+    """(module, innermost enclosing function or None) of every read of a
+    name, bare or as a module's attribute."""
+    found = []
+
+    def visit(node, stem, owner):
+        if ((isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            found.append((stem, owner))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, stem, owner)
+
+    for stem, tree in MODULES.items():
+        visit(tree, stem, None)
+    return found
+
+
+def names(tree) -> set:
+    """Every name the module mentions: read, bound, imported or taken as
+    an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
 def test_every_import_is_used():
     unused = []
     for stem, tree in MODULES.items():
@@ -159,6 +198,16 @@ def test_only_ot_imports_scipy_and_only_solve_lp_calls_linprog():
 def test_only_ot_forms_and_checks_coupling_arcs():
     for name in ("_check_marginals", "_merged_flows", "_staircase_arcs"):
         assert {stem for stem, _ in callers(name)} == {"ot"}, name
+
+
+def test_only_the_staircase_core_cuts_blocks():
+    assert set(readers("_BATCH_ARCS")) == {("ot", "_staircases")}
+
+
+def test_only_barycenter_names_the_negligible_atom_rule():
+    for name in ("_negligible", "_solvable_family", "NEGLIGIBLE_ATOM"):
+        assert {stem for stem, tree in MODULES.items() if name in names(tree)} \
+            == {"barycenter"}, name
 
 
 def test_cli_writes_the_report_envelope_in_one_place():
