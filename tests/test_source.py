@@ -102,13 +102,13 @@ def taken_from(stem: str) -> set:
     return taken
 
 
-def callers(dotted: str) -> list:
-    """(module, innermost enclosing function or None) of every call of a
-    dotted name such as ``np.add.at``, as written."""
+def owners(match) -> list:
+    """(module, innermost enclosing function or None) of every node that
+    ``match`` accepts."""
     found = []
 
     def visit(node, stem, owner):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == dotted:
+        if match(node):
             found.append((stem, owner))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
@@ -118,25 +118,18 @@ def callers(dotted: str) -> list:
     for stem, tree in MODULES.items():
         visit(tree, stem, None)
     return found
+
+
+def callers(dotted: str) -> list:
+    """Where a dotted name such as ``np.add.at`` is called, as written."""
+    return owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == dotted)
 
 
 def readers(name: str) -> list:
-    """(module, innermost enclosing function or None) of every read of a
-    name, bare or as a module's attribute."""
-    found = []
-
-    def visit(node, stem, owner):
-        if ((isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
-                or (isinstance(node, ast.Attribute) and node.attr == name)):
-            found.append((stem, owner))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        for child in ast.iter_child_nodes(node):
-            visit(child, stem, owner)
-
-    for stem, tree in MODULES.items():
-        visit(tree, stem, None)
-    return found
+    """Where a name is read, bare or as a module's attribute."""
+    return owners(lambda node: (isinstance(node, ast.Name) and node.id == name
+                                and isinstance(node.ctx, ast.Load))
+                  or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def names(tree) -> set:
